@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+# the package under test is imported from the checkout, with no install
+SRC = Path(__file__).resolve().parents[2] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
