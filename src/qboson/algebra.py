@@ -152,10 +152,15 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     q-integer diagonals, and the two construction routes are cross-checked
     here against the configured tolerance.
     """
+    return _phase_braces(cfg, fourier(cfg))
+
+
+def _phase_braces(cfg: AlgebraConfig, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = dag(cyclic_shift(cfg))
     quotient = (q_bracket(u, cfg), q_bracket_shifted(u, cfg))
-    spectral = (fourier_conjugate(q_number_matrix(cfg), cfg),
-                fourier_conjugate(q_number_matrix(cfg, offset=1), cfg))
+    fdag = dag(f)
+    spectral = (f @ q_number_matrix(cfg) @ fdag,
+                f @ q_number_matrix(cfg, offset=1) @ fdag)
     # construction self-check: floored below so a user tolerance tighter than
     # floating point turns up as a failed verification, not a build crash
     bound = max(cfg.tol, 1e-10) * cfg.dim
@@ -178,7 +183,11 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     happens for every s >= 2.
     """
     f = fourier(cfg)
-    fdag = dag(f)
+    return _phase_brace_roots(cfg, f, dag(f))
+
+
+def _phase_brace_roots(cfg: AlgebraConfig, f: np.ndarray,
+                       fdag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (f @ sqrt_q_number_matrix(cfg) @ fdag,
             f @ sqrt_q_number_matrix(cfg, offset=1) @ fdag)
 
@@ -221,7 +230,7 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     g_inv = dag(g)
     step_down = f @ annihilation(cfg) @ fdag
     step_up = f @ creation(cfg) @ fdag
-    r_down, r_up = phase_brace_roots(cfg)
+    r_down, r_up = _phase_brace_roots(cfg, f, fdag)
     errors = {
         "down_unitary_radial": max_abs_diff(step_down, g_inv @ r_down),
         "down_radial_unitary": max_abs_diff(step_down, r_up @ g_inv),
@@ -258,16 +267,23 @@ class OperatorSet:
     n_tilde: np.ndarray
     brace_hdag: np.ndarray
     brace_hdag1: np.ndarray
+    sqrt_brace_hdag: np.ndarray
+    sqrt_brace_hdag1: np.ndarray
 
 
 def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
-    """Construct every operator of the family for one configuration."""
+    """Construct every operator of the family for one configuration.
+
+    The Fourier matrix is built once; every phase-basis operator, the radial
+    roots included, is conjugated with that same matrix.
+    """
     a = annihilation(cfg)
     n_op = number(cfg)
     f = fourier(cfg)
     fdag = dag(f)
     big_h = cyclic_shift(cfg)
-    brace_hdag, brace_hdag1 = phase_braces(cfg)
+    brace_hdag, brace_hdag1 = _phase_braces(cfg, f)
+    sqrt_brace_hdag, sqrt_brace_hdag1 = _phase_brace_roots(cfg, f, fdag)
     return OperatorSet(
         config=cfg,
         a=a,
@@ -286,4 +302,6 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         n_tilde=f @ n_op @ fdag,
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,
+        sqrt_brace_hdag=sqrt_brace_hdag,
+        sqrt_brace_hdag1=sqrt_brace_hdag1,
     )

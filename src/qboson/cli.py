@@ -106,7 +106,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_phase_states(args: argparse.Namespace) -> int:
     cfg = AlgebraConfig(s=args.s, k=args.k)
-    states = [vector_to_dict(algebra.phase_state(m, cfg)) for m in range(cfg.dim)]
+    # the phase states are the columns of the Fourier matrix
+    f = algebra.fourier(cfg)
+    states = [vector_to_dict(f[:, m]) for m in range(cfg.dim)]
     _write_or_print(json.dumps(states, allow_nan=False), args.out)
     return 0
 

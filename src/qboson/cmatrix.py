@@ -67,10 +67,54 @@ def transpose(a: np.ndarray) -> np.ndarray:
 
 
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
-    """p-th matrix power for p >= 0; p = 0 gives the identity."""
+    """p-th matrix power for p >= 0; p = 0 gives the identity.
+
+    Two structures read off the matrix itself are powered in closed form from
+    its own entries: a single off-diagonal band (step operators, bare shifts)
+    and a permutation matrix of exact 0/1 entries (the cyclic shift).  Every
+    other matrix, diagonal ones included, goes through dense binary powering.
+    """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
+    a = np.asarray(a)
+    if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1]:
+        rows, cols = np.nonzero(a)
+        offsets = cols - rows
+        if offsets.size and offsets[0] != 0 and np.all(offsets == offsets[0]):
+            return _band_power(a, int(offsets[0]), p)
+        every = np.arange(a.shape[0])
+        if (np.array_equal(rows, every) and np.array_equal(np.sort(cols), every)
+                and np.all(a[rows, cols] == 1)):
+            return _permutation_power(a, cols, p)
     return np.linalg.matrix_power(a, p)
+
+
+def _band_power(a: np.ndarray, offset: int, p: int) -> np.ndarray:
+    # the p-th power lies on band p*offset; walking along the band, its i-th
+    # entry is the product of the p band weights w[i], w[i+|offset|], ...
+    dim = a.shape[0]
+    out = np.zeros(a.shape, dtype=a.dtype)
+    step = abs(offset)
+    n = dim - p * step
+    if n <= 0:
+        return out
+    w = np.diagonal(a, offset)
+    band = w[:n].copy()
+    for t in range(1, p):
+        band *= w[t * step:t * step + n]
+    rows = np.arange(n) + (p * step if offset < 0 else 0)
+    out[rows, rows + p * offset] = band
+    return out
+
+
+def _permutation_power(a: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    # row i holds its 1 in column cols[i]; the p-th power follows cols p times
+    target = np.arange(cols.size)
+    for _ in range(p):
+        target = cols[target]
+    out = np.zeros(a.shape, dtype=a.dtype)
+    out[np.arange(cols.size), target] = 1
+    return out
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

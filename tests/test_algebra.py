@@ -363,6 +363,7 @@ def test_operator_set_coherent(cfg):
         ops.a, ops.a_dag, ops.n_op, ops.g, ops.h, ops.h_dag, ops.brace_g,
         ops.brace_g1, ops.fourier, ops.big_h, ops.big_h_dag, ops.a_tilde,
         ops.a_tilde_dag, ops.n_tilde, ops.brace_hdag, ops.brace_hdag1,
+        ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1,
     )
     assert all(m.shape == (d, d) for m in fields)
     np.testing.assert_array_equal(ops.a_dag, ops.a.T)
@@ -371,3 +372,38 @@ def test_operator_set_coherent(cfg):
     assert is_unitary(ops.g, bound(cfg))
     assert is_unitary(ops.fourier, bound(cfg))
     assert is_unitary(ops.big_h, bound(cfg))
+
+
+# --- one Fourier matrix per configuration ---------------------------------------
+
+
+def _bit_equal(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+def test_operator_set_fourier_is_the_phase_state_matrix(cfg):
+    states = np.column_stack([phase_state(m, cfg) for m in range(cfg.dim)])
+    assert _bit_equal(build_operator_set(cfg).fourier, states)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+def test_operator_set_roots_are_the_phase_brace_roots(cfg):
+    ops = build_operator_set(cfg)
+    r_down, r_up = phase_brace_roots(cfg)
+    assert _bit_equal(ops.sqrt_brace_hdag, r_down)
+    assert _bit_equal(ops.sqrt_brace_hdag1, r_up)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+def test_operator_set_braces_are_the_phase_braces(cfg):
+    ops = build_operator_set(cfg)
+    down, up = phase_braces(cfg)
+    assert _bit_equal(ops.brace_hdag, down)
+    assert _bit_equal(ops.brace_hdag1, up)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+def test_polar_radial_factor_is_the_operator_set_root(cfg):
+    assert _bit_equal(polar_decompose(cfg).radial, build_operator_set(cfg).sqrt_brace_hdag)

@@ -9,6 +9,7 @@ from qboson import (
     cyclic_shift,
     dag,
     matrix_from_dict,
+    phase_state,
     vector_from_dict,
 )
 
@@ -87,6 +88,16 @@ class TestVerify:
         assert doc["overall_pass"] is True
         assert len(doc["checks"]) == 14
 
+    def test_large_cutoff_json_is_valid(self):
+        proc = run_cli("verify", "--s", "512", "--json")
+        assert proc.returncode == 0, proc.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        doc = json.loads(proc.stdout, parse_constant=reject)
+        assert doc["s"] == 512 and doc["overall_pass"] is True
+
     def test_unreachable_tolerance_exit_one(self):
         assert run_cli("verify", "--s", "5", "--tol", "1e-30").returncode == 1
 
@@ -149,6 +160,14 @@ class TestPhaseStates:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert len(json.loads(target.read_text())) == 4
+
+    def test_states_are_the_fourier_columns(self):
+        cfg = AlgebraConfig(6, k=5)
+        proc = run_cli("phase-states", "--s", "6", "--k", "5")
+        assert proc.returncode == 0
+        for m, doc in enumerate(json.loads(proc.stdout)):
+            got = vector_from_dict(doc)
+            assert got.tobytes() == phase_state(m, cfg).tobytes()
 
     def test_io_failure(self):
         assert run_cli("phase-states", "--s", "2", "--out", "/nonexistent/x.json").returncode == 3

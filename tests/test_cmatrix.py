@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qboson.algebra import annihilation, clock, creation, cyclic_shift, shift, shift_dag
 from qboson.cmatrix import (
     add,
     basis,
@@ -23,6 +25,7 @@ from qboson.cmatrix import (
     vector_from_dict,
     vector_to_dict,
 )
+from qboson.qnumerics import AlgebraConfig
 
 _elements = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -118,6 +121,99 @@ class TestMatPow:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             mat_pow(identity(2), -1)
+
+
+def _admissible_configs(s):
+    return [AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]
+
+
+def _assert_matches_dense(m, p):
+    dense = np.linalg.matrix_power(m, p)
+    got = mat_pow(m, p)
+    # entries the dense route gives exactly as 0 or 1 match exactly; they
+    # match as values, since dense BLAS leaves some of its zeros as -0.0
+    exact = (dense == 0) | (dense == 1)
+    assert np.array_equal(got[exact], dense[exact]), p
+    assert np.array_equal(got != 0, dense != 0), p
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense)), p
+
+
+def _bit_equal(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestStructuredMatPow:
+    """Closed-form powers of band and permutation matrices against dense powering."""
+
+    @pytest.mark.parametrize("s", range(2, 41))
+    def test_step_operators_every_root(self, s):
+        for cfg in _admissible_configs(s):
+            a = annihilation(cfg)
+            for m in (a, creation(cfg)):
+                for p in range(cfg.dim + 2):
+                    _assert_matches_dense(m, p)
+
+    @pytest.mark.parametrize("s", range(2, 41))
+    def test_shifts_every_root(self, s):
+        # the bare and cyclic shifts do not depend on the root index k
+        cfg = AlgebraConfig(s)
+        big_h = cyclic_shift(cfg)
+        for m in (shift(cfg), shift_dag(cfg), big_h, dag(big_h)):
+            for p in range(cfg.dim + 2):
+                _assert_matches_dense(m, p)
+
+    @pytest.mark.parametrize("offset", [-3, -1, 1, 2])
+    def test_random_band(self, offset):
+        rng = np.random.default_rng(17 + offset)
+        d = 9
+        m = np.diag(rng.uniform(0.5, 2.0, d - abs(offset))
+                    * np.exp(2j * np.pi * rng.uniform(size=d - abs(offset))), k=offset)
+        for p in range(d + 2):
+            _assert_matches_dense(m, p)
+
+    def test_permutation_with_fixed_points(self):
+        m = np.eye(6, dtype=complex)[[2, 0, 1, 3, 5, 4]]
+        for p in range(8):
+            _assert_matches_dense(m, p)
+
+    def test_power_past_the_band_is_zero(self):
+        a = annihilation(AlgebraConfig(7))
+        assert not np.any(mat_pow(a, 8))
+        assert not np.any(mat_pow(a.T, 100))
+
+    def test_cyclic_shift_full_turn_is_identity(self):
+        big_h = cyclic_shift(AlgebraConfig(6))
+        np.testing.assert_array_equal(mat_pow(big_h, 7), identity(7))
+
+    def test_input_left_untouched(self):
+        a = annihilation(AlgebraConfig(5))
+        before = a.copy()
+        mat_pow(a, 3)
+        assert _bit_equal(a, before)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8])
+    def test_general_dense_stays_on_dense_route(self, p):
+        rng = np.random.default_rng(p)
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8])
+    def test_diagonal_stays_on_dense_route(self, p):
+        g = clock(AlgebraConfig(6, k=5))
+        assert _bit_equal(mat_pow(g, p), np.linalg.matrix_power(g, p))
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8])
+    def test_band_with_stray_entry_stays_on_dense_route(self, p):
+        m = annihilation(AlgebraConfig(6))
+        m[5, 0] = 0.25 - 0.5j
+        assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_near_permutation_stays_on_dense_route(self, p):
+        m = cyclic_shift(AlgebraConfig(5))
+        m[0, 5] = 1 + 1e-15j  # not an exact 1
+        assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
 
 
 class TestMaxAbsDiff:

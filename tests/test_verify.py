@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,20 @@ from qboson import (
     AlgebraConfig,
     annihilation,
     brute_force_oracle,
+    build_operator_set,
     mat_pow,
     max_abs_diff,
+    nilpotency_index,
     run_all,
     sweep,
 )
-from qboson.verify import ORACLE_TOL
+from qboson.verify import (
+    ORACLE_TOL,
+    SHARPNESS_FLOOR,
+    _largest_log_product,
+    _nilpotency_is_sharp,
+    _result,
+)
 
 
 def test_catalog_has_fourteen_named_checks():
@@ -66,6 +75,38 @@ def test_sharpness_violation_reports_unit_deviation():
     assert not eq5.passed
     assert eq5.deviation == 1.0
     assert not report.overall_pass
+
+
+# every admissible root is sharp below s=46; at 46..64 some fall below the floor
+@pytest.mark.parametrize("s", [*range(2, 33), 46, 48, 50, 64])
+def test_sharpness_in_log_magnitude_matches_dense_powers(s):
+    for k in range(1, s + 1):
+        if math.gcd(k, s + 1) != 1:
+            continue
+        ops = build_operator_set(AlgebraConfig(s, k=k))
+        m = nilpotency_index(ops.config)
+        dense = all(np.max(np.abs(np.linalg.matrix_power(x, m - 1))) >= SHARPNESS_FLOOR
+                    for x in (ops.a, ops.a_dag))
+        assert _nilpotency_is_sharp(ops) == dense, k
+
+
+def test_log_products_do_not_overflow():
+    weights = np.full(1200, 1e3 + 0j)
+    assert _largest_log_product(weights, 1000) == pytest.approx(1000 * math.log(1e3))
+
+
+def test_log_products_skip_runs_through_a_zero_weight():
+    weights = np.array([2.0, 0.0, 3.0, 5.0, 0.0, 7.0], dtype=complex)
+    assert _largest_log_product(weights, 2) == pytest.approx(math.log(15.0))
+    assert _largest_log_product(weights, 3) == -math.inf
+
+
+@pytest.mark.parametrize("deviation", [math.nan, math.inf, -math.inf])
+def test_non_finite_deviation_fails_with_a_finite_value(deviation):
+    check = _result("eq5_nilpotency", deviation, 1e300)
+    assert not check.passed
+    assert math.isfinite(check.deviation) and check.deviation > check.threshold
+    json.dumps(check.to_json_dict(), allow_nan=False)
 
 
 def test_report_json_schema():
