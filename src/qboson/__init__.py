@@ -9,7 +9,6 @@ of the rotated step operators.
 
 from .qnumerics import AlgebraConfig, primitive_root, q_number, sqrt_q_number
 from .cmatrix import (
-    basis,
     dag,
     dyad,
     identity,
@@ -18,7 +17,6 @@ from .cmatrix import (
     matrix_from_dict,
     matrix_to_dict,
     max_abs_diff,
-    transpose,
     vector_from_dict,
     vector_to_dict,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "PolarDecomposition",
     "VerificationReport",
     "annihilation",
-    "basis",
     "brute_force_oracle",
     "build_operator_set",
     "clock",
@@ -97,7 +94,6 @@ __all__ = [
     "sqrt_q_number",
     "sqrt_q_number_matrix",
     "sweep",
-    "transpose",
     "vector_from_dict",
     "vector_to_dict",
 ]

@@ -1,18 +1,14 @@
 """Dense complex matrix kernel sized for the (s+1)-dimensional number basis.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
-is a pure function and all inputs are left untouched.  Dimensions at play are
-tiny (a few hundred at most), so the kernel is deliberately dense and naive.
+is a pure function and all inputs are left untouched.  Products, sums and
+scalings are numpy's own operators.  ``mat_pow`` takes powers of band and
+permutation matrices in closed form and powers every other matrix densely.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
 def dyad(m: int, n: int, dim: int) -> np.ndarray:
@@ -24,46 +20,13 @@ def dyad(m: int, n: int, dim: int) -> np.ndarray:
     return out
 
 
-def basis(n: int, dim: int) -> np.ndarray:
-    """Number-basis ket |n> as a length-dim vector."""
-    if not 0 <= n < dim:
-        raise IndexError(f"basis index {n} out of range for dim {dim}")
-    e = np.zeros(dim, dtype=complex)
-    e[n] = 1.0
-    return e
-
-
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(a, b)
-    return a @ b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(a, b)
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(a, b)
-    return a - b
-
-
-def scale(alpha: complex, a: np.ndarray) -> np.ndarray:
-    return alpha * a
 
 
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Plain transpose, no conjugation."""
-    return a.T
 
 
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
@@ -119,7 +82,8 @@ def _permutation_power(a: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise deviation |a_ij - b_ij|; zero iff the arrays are equal."""
-    _check_same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))

@@ -16,8 +16,10 @@ class AlgebraConfig:
         so that q is a primitive (s+1)-th root of unity; only then does
         the q-integer [s+1] vanish and the finite Fourier matrix stay
         unitary.
-    tol : base tolerance for identity checks.  Checks on operators scale
-        it by the dimension s+1 to absorb accumulation over O(s) products.
+    tol : base tolerance for identity checks, finite and positive.  Checks
+        on operators scale it by the dimension s+1 to absorb accumulation
+        over O(s) products.  An infinite tol would pass every check, so it
+        is rejected.
     """
 
     s: int
@@ -33,8 +35,8 @@ class AlgebraConfig:
                 f"k={self.k} shares a factor with s+1={self.s + 1}; "
                 "q would not be a primitive root"
             )
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def dim(self) -> int:

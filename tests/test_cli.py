@@ -104,6 +104,12 @@ class TestVerify:
     def test_invalid_s_exit_two(self):
         assert run_cli("verify", "--s", "0").returncode == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_two(self, tol):
+        proc = run_cli("verify", "--s", "5", "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
 
 class TestSweep:
     def test_range_pass(self, tmp_path):
@@ -114,6 +120,18 @@ class TestSweep:
 
     def test_bad_range(self):
         assert run_cli("sweep", "--s-min", "10", "--s-max", "9").returncode == 2
+
+    def test_skips_cutoffs_where_k_is_not_coprime(self):
+        proc = run_cli("sweep", "--s-min", "2", "--s-max", "9", "--k", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[0] for line in proc.stdout.splitlines()[:-1]] == [
+            "s=2", "s=4", "s=6", "s=8"]
+        assert "passed 4/4" in proc.stdout
+
+    def test_no_admissible_cutoff_exit_two(self):
+        proc = run_cli("sweep", "--s-min", "3", "--s-max", "3", "--k", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     def test_json_single(self):
         proc = run_cli("sweep", "--s-min", "2", "--s-max", "2", "--json")

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import qboson.verify
 from qboson import (
     CHECK_NAMES,
     AlgebraConfig,
@@ -17,11 +19,15 @@ from qboson import (
     sweep,
 )
 from qboson.verify import (
+    _NUMPY,
     ORACLE_TOL,
     SHARPNESS_FLOOR,
+    _catalog,
+    _closed_operators,
     _largest_log_product,
     _nilpotency_is_sharp,
     _result,
+    _shift_is_sharp,
 )
 
 
@@ -109,6 +115,29 @@ def test_non_finite_deviation_fails_with_a_finite_value(deviation):
     json.dumps(check.to_json_dict(), allow_nan=False)
 
 
+def test_catalog_powers_go_through_the_module_binding(monkeypatch):
+    # a wrapper put on verify.mat_pow (as a tracer does) sees every power
+    calls = []
+
+    def counting(x, p):
+        calls.append(p)
+        return mat_pow(x, p)
+
+    monkeypatch.setattr(qboson.verify, "mat_pow", counting)
+    run_all(AlgebraConfig(4))
+    assert calls == [5] * 5
+
+
+@pytest.mark.parametrize("s", [2, 3, 8, 33])
+def test_shift_sharpness_passes_the_bare_shift_and_flags_a_unitary_one(s):
+    cfg = AlgebraConfig(s)
+    ops = build_operator_set(cfg)
+    unitary = dataclasses.replace(ops, h=ops.big_h, h_dag=ops.big_h_dag)
+    for shift_set, sharp in ((ops, True), (unitary, False)):
+        pairs = _catalog(_NUMPY, _closed_operators(shift_set), cfg)["eq10_partial_isometry"]
+        assert _shift_is_sharp(pairs, cfg.tol * cfg.dim) == sharp
+
+
 def test_report_json_schema():
     cfg = AlgebraConfig(3, tol=1e-9)
     doc = run_all(cfg).to_json_dict()
@@ -135,6 +164,16 @@ class TestSweep:
     def test_bad_range(self, lo, hi):
         with pytest.raises(ValueError):
             sweep(lo, hi)
+
+    def test_skips_cutoffs_where_k_is_not_coprime(self):
+        reports = sweep(2, 9, k=2)
+        assert [r.config.s for r in reports] == [2, 4, 6, 8]
+        assert all(r.overall_pass for r in reports)
+
+    @pytest.mark.parametrize("lo, hi, k", [(3, 3, 2), (5, 5, 3), (3, 5, 60)])
+    def test_no_admissible_cutoff_rejected(self, lo, hi, k):
+        with pytest.raises(ValueError):
+            sweep(lo, hi, k=k)
 
 
 class TestBruteForceOracle:
