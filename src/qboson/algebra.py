@@ -7,7 +7,9 @@ of the rotated step operators.
 
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
-anywhere.
+anywhere.  The operator set and the polar decomposition apply a diagonal
+factor by broadcasting its entries over rows or columns, not as a dense
+product.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import dag, dyad, max_abs_diff
-from .qnumerics import AlgebraConfig, primitive_root, q_number, sqrt_q_number
+from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
+
+
+def _q_tables(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
+    # [n] for n = 0..s+1, each evaluated once, and the principal root of each
+    # taken from that same value; entries :-1 are [N], entries 1: are [N+1]
+    brackets = [q_number(n, cfg) for n in range(cfg.dim + 1)]
+    return (np.array(brackets, dtype=complex),
+            np.array([_principal_sqrt(v) for v in brackets]))
 
 
 def annihilation(cfg: AlgebraConfig) -> np.ndarray:
@@ -26,8 +36,12 @@ def annihilation(cfg: AlgebraConfig) -> np.ndarray:
 
     Kills the vacuum |0>, and its (s+1)-th power vanishes identically.
     """
-    off = [sqrt_q_number(n, cfg) for n in range(1, cfg.dim)]
-    return np.diag(np.asarray(off, dtype=complex), k=1)
+    return _step_down(_q_tables(cfg)[1])
+
+
+def _step_down(roots: np.ndarray) -> np.ndarray:
+    # roots is the table of sqrt[n], n = 0..s+1; sqrt[1..s] sit above the diagonal
+    return np.diag(roots[1:-1], k=1)
 
 
 def creation(cfg: AlgebraConfig) -> np.ndarray:
@@ -152,15 +166,21 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     q-integer diagonals, and the two construction routes are cross-checked
     here against the configured tolerance.
     """
-    return _phase_braces(cfg, fourier(cfg))
+    return _phase_braces(cfg, fourier(cfg), _q_tables(cfg)[0])
 
 
-def _phase_braces(cfg: AlgebraConfig, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rotate_diagonal(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
+    # f @ diag(x) @ fdag, with the diagonal factor broadcast over f's columns
+    return (f * x) @ fdag
+
+
+def _phase_braces(cfg: AlgebraConfig, f: np.ndarray,
+                  brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = dag(cyclic_shift(cfg))
     quotient = (q_bracket(u, cfg), q_bracket_shifted(u, cfg))
     fdag = dag(f)
-    spectral = (f @ q_number_matrix(cfg) @ fdag,
-                f @ q_number_matrix(cfg, offset=1) @ fdag)
+    spectral = (_rotate_diagonal(f, brackets[:-1], fdag),
+                _rotate_diagonal(f, brackets[1:], fdag))
     # construction self-check: floored below so a user tolerance tighter than
     # floating point turns up as a failed verification, not a build crash
     bound = max(cfg.tol, 1e-10) * cfg.dim
@@ -183,13 +203,13 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     happens for every s >= 2.
     """
     f = fourier(cfg)
-    return _phase_brace_roots(cfg, f, dag(f))
+    return _phase_brace_roots(f, dag(f), _q_tables(cfg)[1])
 
 
-def _phase_brace_roots(cfg: AlgebraConfig, f: np.ndarray,
-                       fdag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (f @ sqrt_q_number_matrix(cfg) @ fdag,
-            f @ sqrt_q_number_matrix(cfg, offset=1) @ fdag)
+def _phase_brace_roots(f: np.ndarray, fdag: np.ndarray,
+                       roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (_rotate_diagonal(f, roots[:-1], fdag),
+            _rotate_diagonal(f, roots[1:], fdag))
 
 
 @dataclass(frozen=True)
@@ -228,14 +248,18 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     fdag = dag(f)
     g = clock(cfg)
     g_inv = dag(g)
-    step_down = f @ annihilation(cfg) @ fdag
-    step_up = f @ creation(cfg) @ fdag
-    r_down, r_up = _phase_brace_roots(cfg, f, fdag)
+    # the clock is diagonal, so its four products below are broadcast
+    z, z_inv = g.diagonal(), g_inv.diagonal()
+    roots = _q_tables(cfg)[1]
+    a = _step_down(roots)
+    step_down = f @ a @ fdag
+    step_up = f @ a.T @ fdag
+    r_down, r_up = _phase_brace_roots(f, fdag, roots)
     errors = {
-        "down_unitary_radial": max_abs_diff(step_down, g_inv @ r_down),
-        "down_radial_unitary": max_abs_diff(step_down, r_up @ g_inv),
-        "up_radial_unitary": max_abs_diff(step_up, r_down @ g),
-        "up_unitary_radial": max_abs_diff(step_up, g @ r_up),
+        "down_unitary_radial": max_abs_diff(step_down, z_inv[:, None] * r_down),
+        "down_radial_unitary": max_abs_diff(step_down, r_up * z_inv),
+        "up_radial_unitary": max_abs_diff(step_up, r_down * z),
+        "up_unitary_radial": max_abs_diff(step_up, z[:, None] * r_up),
     }
     return PolarDecomposition(
         unitary=g_inv,
@@ -274,16 +298,18 @@ class OperatorSet:
 def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     """Construct every operator of the family for one configuration.
 
-    The Fourier matrix is built once; every phase-basis operator, the radial
-    roots included, is conjugated with that same matrix.
+    The Fourier matrix and the q-integer table are built once; every
+    phase-basis operator, the radial roots included, is conjugated with that
+    same matrix.
     """
-    a = annihilation(cfg)
+    brackets, roots = _q_tables(cfg)
+    a = _step_down(roots)
     n_op = number(cfg)
     f = fourier(cfg)
     fdag = dag(f)
     big_h = cyclic_shift(cfg)
-    brace_hdag, brace_hdag1 = _phase_braces(cfg, f)
-    sqrt_brace_hdag, sqrt_brace_hdag1 = _phase_brace_roots(cfg, f, fdag)
+    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, brackets)
+    sqrt_brace_hdag, sqrt_brace_hdag1 = _phase_brace_roots(f, fdag, roots)
     return OperatorSet(
         config=cfg,
         a=a,
@@ -292,14 +318,14 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         g=clock(cfg),
         h=shift(cfg),
         h_dag=shift_dag(cfg),
-        brace_g=q_number_matrix(cfg),
-        brace_g1=q_number_matrix(cfg, offset=1),
+        brace_g=np.diag(brackets[:-1]),
+        brace_g1=np.diag(brackets[1:]),
         fourier=f,
         big_h=big_h,
         big_h_dag=dag(big_h),
         a_tilde=f @ a @ fdag,
         a_tilde_dag=f @ a.T @ fdag,
-        n_tilde=f @ n_op @ fdag,
+        n_tilde=_rotate_diagonal(f, n_op.diagonal(), fdag),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,
         sqrt_brace_hdag=sqrt_brace_hdag,

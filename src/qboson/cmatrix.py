@@ -2,8 +2,9 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  Products, sums and
-scalings are numpy's own operators.  ``mat_pow`` takes powers of band and
-permutation matrices in closed form and powers every other matrix densely.
+scalings are numpy's own operators.  ``mat_pow`` takes powers of diagonal,
+band and permutation matrices in closed form and powers every other matrix
+densely.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ def dag(a: np.ndarray) -> np.ndarray:
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     """p-th matrix power for p >= 0; p = 0 gives the identity.
 
-    Two structures read off the matrix itself are powered in closed form from
-    its own entries: a single off-diagonal band (step operators, bare shifts)
-    and a permutation matrix of exact 0/1 entries (the cyclic shift).  Every
-    other matrix, diagonal ones included, goes through dense binary powering.
+    Three structures read off the matrix itself are powered in closed form
+    from its own entries: a diagonal (the clock, q-integer diagonals), a
+    single off-diagonal band (step operators, bare shifts) and a permutation
+    matrix of exact 0/1 entries (the cyclic shift).  Every other matrix goes
+    through dense binary powering.
     """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
@@ -43,13 +45,27 @@ def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1]:
         rows, cols = np.nonzero(a)
         offsets = cols - rows
-        if offsets.size and offsets[0] != 0 and np.all(offsets == offsets[0]):
+        if not np.any(offsets):
+            return _diagonal_power(a, p)
+        if np.all(offsets == offsets[0]):
             return _band_power(a, int(offsets[0]), p)
         every = np.arange(a.shape[0])
         if (np.array_equal(rows, every) and np.array_equal(np.sort(cols), every)
                 and np.all(a[rows, cols] == 1)):
             return _permutation_power(a, cols, p)
     return np.linalg.matrix_power(a, p)
+
+
+def _diagonal_power(a: np.ndarray, p: int) -> np.ndarray:
+    # numpy's binary schedule, elementwise: square z, and multiply it into
+    # the result on each set bit of p
+    z = result = None
+    while p:
+        z = a.diagonal() if z is None else z * z
+        p, bit = divmod(p, 2)
+        if bit:
+            result = z if result is None else result * z
+    return np.diag(result)
 
 
 def _band_power(a: np.ndarray, offset: int, p: int) -> np.ndarray:

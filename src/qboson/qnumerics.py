@@ -18,8 +18,8 @@ class AlgebraConfig:
         unitary.
     tol : base tolerance for identity checks, finite and positive.  Checks
         on operators scale it by the dimension s+1 to absorb accumulation
-        over O(s) products.  An infinite tol would pass every check, so it
-        is rejected.
+        over O(s) products.  A tol that is infinite, or whose threshold
+        tol*(s+1) overflows, would pass every check, so it is rejected.
     """
 
     s: int
@@ -37,6 +37,8 @@ class AlgebraConfig:
             )
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not math.isfinite(self.tol * self.dim):
+            raise ValueError(f"tol={self.tol} overflows the threshold tol*(s+1)")
 
     @property
     def dim(self) -> int:
@@ -91,7 +93,11 @@ def sqrt_q_number(x: int, cfg: AlgebraConfig) -> complex:
     has to be fixed; the principal branch keeps (sqrt[x])**2 == [x] exactly,
     which is the only property the operator algebra relies on.
     """
-    v = q_number(x, cfg)
+    return _principal_sqrt(q_number(x, cfg))
+
+
+def _principal_sqrt(v: float) -> complex:
+    # the branch of sqrt_q_number, for a q-integer already evaluated
     if v >= 0.0:
         return complex(math.sqrt(v), 0.0)
     return complex(0.0, math.sqrt(-v))

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import OperatorSet, build_operator_set, nilpotency_index, sqrt_q_number_matrix
+from .algebra import OperatorSet, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
 from .cmatrix import dag, dyad, identity, mat_pow, max_abs_diff
@@ -113,15 +113,17 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
              cfg: AlgebraConfig) -> dict[str, list[tuple]]:
     """(lhs, rhs) pairs of every catalog check, in ``CHECK_NAMES`` order.
 
-    Written once over an arithmetic ``ar`` (mul, sub, scale, dag, pow, eye,
-    zeros, dyad) and one route's operators ``x``: ``_NUMPY`` with the
-    operator set for the closed-form route, ``_NAIVE`` with
-    ``_naive_operators`` for the naive one.  The phase states are the
-    columns of the Fourier matrix, and a product that two checks share is
-    formed once.  Products associate as they would written with numpy's
-    ``@`` and ``*``: ``q a† a`` is ``(q a†) a``.
+    Written once over an arithmetic ``ar`` (mul, dmul, muld, sub, scale,
+    dag, pow, eye, zeros, dyad) and one route's operators ``x``: ``_NUMPY``
+    with the operator set for the closed-form route, ``_NAIVE`` with
+    ``_naive_operators`` for the naive one.  ``dmul(D, X)`` is D X and
+    ``muld(X, D)`` is X D for a factor D that is diagonal by construction
+    (N, g, g⁻¹, √[N], √[N+1]); every other product is ``mul``.  The phase
+    states are the columns of the Fourier matrix, and a product that two
+    checks share is formed once.  Products associate as they would written
+    with numpy's ``@`` and ``*``: ``q a† a`` is ``(q a†) a``.
     """
-    mul, sub, scale = ar.mul, ar.sub, ar.scale
+    mul, dmul, muld, sub, scale = ar.mul, ar.dmul, ar.muld, ar.sub, ar.scale
     d, s, q = cfg.dim, cfg.s, x.q
     eye, zero = ar.eye(d), ar.zeros(d)
     r_down, r_up = x.sqrt_brace_hdag, x.sqrt_brace_hdag1
@@ -129,12 +131,12 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     a_adag = mul(x.a, x.a_dag)
     f_fdag = mul(f, fdag)
     fdag_f = mul(fdag, f)
-    f_ginv_fdag = mul(mul(f, x.g_inv), fdag)
+    f_ginv_fdag = mul(muld(f, x.g_inv), fdag)
     return {
         "eq1_ccr": [
             (sub(a_adag, mul(scale(q, x.a_dag), x.a)), x.g_inv),
-            (sub(mul(x.n_op, x.a_dag), mul(x.a_dag, x.n_op)), x.a_dag),
-            (sub(mul(x.n_op, x.a), mul(x.a, x.n_op)), scale(-1.0, x.a)),
+            (sub(dmul(x.n_op, x.a_dag), muld(x.a_dag, x.n_op)), x.a_dag),
+            (sub(dmul(x.n_op, x.a), muld(x.a, x.n_op)), scale(-1.0, x.a)),
         ],
         "eq3_truncation": [
             (mul(x.a_dag, ar.dyad(s, s, d)), zero),
@@ -144,14 +146,14 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
             (ar.pow(x.a_dag, d), zero),
         ],
         "eq6_decomposition": [
-            (x.a, mul(x.sqrt_g1, x.h_dag)),
-            (x.a, mul(x.h_dag, x.sqrt_g)),
-            (x.a_dag, mul(x.sqrt_g, x.h)),
-            (x.a_dag, mul(x.h, x.sqrt_g1)),
+            (x.a, dmul(x.sqrt_g1, x.h_dag)),
+            (x.a, muld(x.h_dag, x.sqrt_g)),
+            (x.a_dag, dmul(x.sqrt_g, x.h)),
+            (x.a_dag, muld(x.h, x.sqrt_g1)),
         ],
         "eq9_gh": [
-            (mul(x.g, x.h), mul(scale(q, x.h), x.g)),
-            (mul(x.g, x.h_dag), mul(scale(1.0 / q, x.h_dag), x.g)),
+            (dmul(x.g, x.h), muld(scale(q, x.h), x.g)),
+            (dmul(x.g, x.h_dag), muld(scale(1.0 / q, x.h_dag), x.g)),
         ],
         "eq10_partial_isometry": [
             (mul(x.h, x.h_dag), sub(eye, ar.dyad(0, 0, d))),
@@ -171,7 +173,7 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         ],
         "eq14_h_via_f": [
             (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
-            (x.h_dag, sub(mul(mul(f, x.g), fdag), ar.dyad(s, 0, d))),
+            (x.h_dag, sub(mul(muld(f, x.g), fdag), ar.dyad(s, 0, d))),
         ],
         "eq15_phase_orthonormal": [
             (fdag_f, eye),  # Gram matrix of the phase states
@@ -183,38 +185,43 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
             (f_ginv_fdag, x.big_h),
         ],
         "eq18_H_relations": [
-            (mul(x.g, x.big_h), mul(scale(q, x.big_h), x.g)),
-            (mul(x.g, x.big_h_dag), mul(scale(1.0 / q, x.big_h_dag), x.g)),
+            (dmul(x.g, x.big_h), muld(scale(q, x.big_h), x.g)),
+            (dmul(x.g, x.big_h_dag), muld(scale(1.0 / q, x.big_h_dag), x.g)),
             (ar.pow(x.big_h, d), eye),
             (mul(x.big_h, x.big_h_dag), eye),
             (mul(x.big_h_dag, x.big_h), eye),
         ],
         "eq19_polar": [
-            (x.a_tilde, mul(x.g_inv, r_down)),
-            (x.a_tilde, mul(r_up, x.g_inv)),
-            (x.a_tilde_dag, mul(r_down, x.g)),
-            (x.a_tilde_dag, mul(x.g, r_up)),
+            (x.a_tilde, dmul(x.g_inv, r_down)),
+            (x.a_tilde, muld(r_up, x.g_inv)),
+            (x.a_tilde_dag, muld(r_down, x.g)),
+            (x.a_tilde_dag, dmul(x.g, r_up)),
             (mul(r_down, r_down), x.brace_hdag),
             (mul(r_up, r_up), x.brace_hdag1),
         ],
     }
 
 
-# numpy arithmetic of the closed-form route; mat_pow is looked up when a
-# power is taken, so whatever this module's binding holds at that time runs
+# numpy arithmetic of the closed-form route; a diagonal factor is broadcast
+# (the ndarray method, unlike np.diagonal, beats @ even at d = 3), and
+# mat_pow is looked up when a power is taken, so whatever this module's
+# binding holds at that time runs
 _NUMPY = SimpleNamespace(
-    mul=operator.matmul, sub=operator.sub, scale=operator.mul, dag=dag,
-    pow=lambda x, p: mat_pow(x, p), eye=identity,
+    mul=operator.matmul, dmul=lambda d, x: d.diagonal()[:, None] * x,
+    muld=lambda x, d: x * d.diagonal(), sub=operator.sub, scale=operator.mul,
+    dag=dag, pow=lambda x, p: mat_pow(x, p), eye=identity,
     zeros=lambda d: np.zeros((d, d), dtype=complex), dyad=dyad,
 )
 
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
-    # the operator set plus the four operands the naive route builds itself
-    cfg = ops.config
+    # the operator set plus the four operands the naive route builds itself;
+    # √[N] and √[N+1] are the step-down weights √[1..s] with the exact zero
+    # roots √[0] = √[s+1] = 0 at either end, so no q-integer is evaluated again
+    w = np.diagonal(ops.a, 1)
     return SimpleNamespace(
-        **vars(ops), g_inv=dag(ops.g), sqrt_g=sqrt_q_number_matrix(cfg),
-        sqrt_g1=sqrt_q_number_matrix(cfg, offset=1), q=primitive_root(cfg),
+        **vars(ops), g_inv=dag(ops.g), sqrt_g=np.diag(np.append(0, w)),
+        sqrt_g1=np.diag(np.append(w, 0)), q=primitive_root(ops.config),
     )
 
 
@@ -348,9 +355,11 @@ def _py_pow(x, p):
     return out
 
 
+# every product in full, diagonal factors included, so the oracle checks each
+# broadcast shortcut of the closed-form route against a triple loop
 _NAIVE = SimpleNamespace(
-    mul=_py_mul, sub=_py_sub, scale=_py_scale, dag=_py_dag, pow=_py_pow,
-    eye=_py_eye, zeros=_py_zeros, dyad=_py_dyad,
+    mul=_py_mul, dmul=_py_mul, muld=_py_mul, sub=_py_sub, scale=_py_scale,
+    dag=_py_dag, pow=_py_pow, eye=_py_eye, zeros=_py_zeros, dyad=_py_dyad,
 )
 
 

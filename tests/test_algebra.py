@@ -32,6 +32,7 @@ from qboson import (
     shift_dag,
     sqrt_q_number_matrix,
 )
+from qboson.algebra import _rotate_diagonal
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -406,3 +407,46 @@ def test_operator_set_braces_are_the_phase_braces(cfg):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_polar_radial_factor_is_the_operator_set_root(cfg):
     assert _bit_equal(polar_decompose(cfg).radial, build_operator_set(cfg).sqrt_brace_hdag)
+
+
+def _assert_matches_dense(got, dense):
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
+
+
+def _coprime_configs(s):
+    return [AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]
+
+
+@pytest.mark.parametrize("s", range(2, 17))
+def test_diagonal_rotations_match_the_dense_products(s):
+    # each diagonal rotated by broadcasting, (f * x) @ f†, against f @ D @ f†
+    for cfg in _coprime_configs(s):
+        ops = build_operator_set(cfg)
+        f, fdag = ops.fourier, dag(ops.fourier)
+        dense = lambda d: f @ d @ fdag
+        _assert_matches_dense(ops.n_tilde, dense(number(cfg)))
+        _assert_matches_dense(ops.sqrt_brace_hdag, dense(sqrt_q_number_matrix(cfg)))
+        _assert_matches_dense(ops.sqrt_brace_hdag1, dense(sqrt_q_number_matrix(cfg, offset=1)))
+        for offset in (0, 1):  # the spectral route of the phase-brace self-check
+            d = q_number_matrix(cfg, offset=offset)
+            _assert_matches_dense(_rotate_diagonal(f, d.diagonal(), fdag), dense(d))
+
+
+@pytest.mark.parametrize("s", range(2, 17))
+def test_polar_clock_products_match_the_dense_products(s):
+    # a factor error from a broadcast clock product differs from the dense
+    # one by at most the products' difference, 1e-12 of the radial root
+    for cfg in _coprime_configs(s):
+        f, g = fourier(cfg), clock(cfg)
+        step_down = f @ annihilation(cfg) @ dag(f)
+        step_up = f @ creation(cfg) @ dag(f)
+        r_down, r_up = phase_brace_roots(cfg)
+        dense = {
+            "down_unitary_radial": (max_abs_diff(step_down, dag(g) @ r_down), r_down),
+            "down_radial_unitary": (max_abs_diff(step_down, r_up @ dag(g)), r_up),
+            "up_radial_unitary": (max_abs_diff(step_up, r_down @ g), r_down),
+            "up_unitary_radial": (max_abs_diff(step_up, g @ r_up), r_up),
+        }
+        errors = polar_decompose(cfg).factor_errors
+        for name, (err, radial) in dense.items():
+            assert abs(errors[name] - err) <= 1e-12 * np.abs(radial).max()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qboson import algebra, cli
 from qboson import (
     AlgebraConfig,
     annihilation,
@@ -109,6 +110,23 @@ class TestVerify:
         proc = run_cli("verify", "--s", "5", "--tol", tol)
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+    def test_overflowing_threshold_exit_two(self, output):
+        # tol is finite, but tol*(s+1) is not
+        proc = run_cli("verify", "--s", "5", "--tol", "1e308", *output)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qboson: error: ")
+
+    def test_failed_construction_self_check_exit_one(self, monkeypatch, capsys):
+        # the phase-brace self-check raises ArithmeticError when its two
+        # construction routes disagree; main reports it without a traceback
+        monkeypatch.setattr(algebra, "max_abs_diff", lambda a, b: float("inf"))
+        assert cli.main(["verify", "--s", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qboson: error: phase-brace construction routes disagree")
 
 
 class TestSweep:

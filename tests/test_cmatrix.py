@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qboson.algebra import annihilation, clock, creation, cyclic_shift, shift, shift_dag
+from qboson.algebra import (
+    annihilation,
+    clock,
+    creation,
+    cyclic_shift,
+    q_number_matrix,
+    shift,
+    shift_dag,
+)
 from qboson.cmatrix import (
     dag,
     dyad,
@@ -171,9 +179,14 @@ class TestStructuredMatPow:
         assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8])
-    def test_diagonal_stays_on_dense_route(self, p):
-        g = clock(AlgebraConfig(6, k=5))
-        assert _bit_equal(mat_pow(g, p), np.linalg.matrix_power(g, p))
+    def test_diagonal_power_matches_dense(self, p):
+        cfg = AlgebraConfig(6, k=5)
+        for m in (clock(cfg), q_number_matrix(cfg, offset=1)):  # the second has zeros
+            before = m.copy()
+            _assert_matches_dense(m, p)
+            got = mat_pow(m, p)
+            assert _bit_equal(got, np.diag(np.diagonal(got)))
+            assert _bit_equal(m, before)
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8])
     def test_band_with_stray_entry_stays_on_dense_route(self, p):

@@ -38,7 +38,7 @@ class TestAlgebraConfig:
         with pytest.raises(ValueError):
             AlgebraConfig(s=s, k=k)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), 1e308])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError):
             AlgebraConfig(s=4, tol=tol)

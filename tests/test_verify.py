@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,34 @@ def test_catalog_powers_go_through_the_module_binding(monkeypatch):
     monkeypatch.setattr(qboson.verify, "mat_pow", counting)
     run_all(AlgebraConfig(4))
     assert calls == [5] * 5
+
+
+def _assert_matches_dense(got, dense):
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
+
+
+@pytest.mark.parametrize("s", range(2, 17))
+def test_diagonal_shortcuts_match_the_dense_products(s):
+    # every dmul/muld site of the catalog, at every root, against the dense
+    # product it stands for
+    calls = []
+
+    def against_dense(shortcut):
+        def product(x, y):
+            got = shortcut(x, y)
+            _assert_matches_dense(got, x @ y)
+            calls.append(1)
+            return got
+        return product
+
+    ar = SimpleNamespace(**{**vars(_NUMPY), "dmul": against_dense(_NUMPY.dmul),
+                            "muld": against_dense(_NUMPY.muld)})
+    for k in range(1, s + 1):
+        if math.gcd(k, s + 1) == 1:
+            cfg = AlgebraConfig(s=s, k=k)
+            calls.clear()
+            _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg)
+            assert len(calls) == 22
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 33])
