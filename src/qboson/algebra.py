@@ -8,8 +8,8 @@ of the rotated step operators.
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
 anywhere.  The operator set and the polar decomposition apply a diagonal
-factor by broadcasting its entries over rows or columns, not as a dense
-product.
+factor by broadcasting its entries over rows or columns, and a step operator
+by gathering columns (``mul_sparse``), not as a dense product.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import dag, dyad, max_abs_diff
+from .cmatrix import dag, dyad, max_abs_diff, mul_sparse
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -174,6 +174,12 @@ def _rotate_diagonal(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarr
     return (f * x) @ fdag
 
 
+def _rotate_step(f: np.ndarray, a: np.ndarray, fdag: np.ndarray) -> np.ndarray:
+    # f @ a @ fdag for a step operator a, whose product with f is a gather of
+    # f's columns with the dense product's values
+    return mul_sparse(f, a) @ fdag
+
+
 def _phase_braces(cfg: AlgebraConfig, f: np.ndarray,
                   brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = dag(cyclic_shift(cfg))
@@ -252,8 +258,8 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     z, z_inv = g.diagonal(), g_inv.diagonal()
     roots = _q_tables(cfg)[1]
     a = _step_down(roots)
-    step_down = f @ a @ fdag
-    step_up = f @ a.T @ fdag
+    step_down = _rotate_step(f, a, fdag)
+    step_up = _rotate_step(f, a.T, fdag)
     r_down, r_up = _phase_brace_roots(f, fdag, roots)
     errors = {
         "down_unitary_radial": max_abs_diff(step_down, z_inv[:, None] * r_down),
@@ -323,8 +329,8 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         fourier=f,
         big_h=big_h,
         big_h_dag=dag(big_h),
-        a_tilde=f @ a @ fdag,
-        a_tilde_dag=f @ a.T @ fdag,
+        a_tilde=_rotate_step(f, a, fdag),
+        a_tilde_dag=_rotate_step(f, a.T, fdag),
         n_tilde=_rotate_diagonal(f, n_op.diagonal(), fdag),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,

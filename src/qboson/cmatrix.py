@@ -2,9 +2,12 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  Products, sums and
-scalings are numpy's own operators.  ``mat_pow`` takes powers of diagonal,
-band and permutation matrices in closed form and powers every other matrix
-densely.
+scalings are numpy's own operators.  Two kernels read a matrix's structure
+off its entries, one column at a time: ``mul_sparse`` multiplies by a factor
+with at most one nonzero per column (a step operator, a shift, a dyad) as a
+column gather, and ``mat_pow`` takes powers of diagonal, band and
+permutation matrices in closed form.  Any other matrix goes to the dense
+product or power.
 """
 
 from __future__ import annotations
@@ -30,29 +33,81 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+# Below this inner dimension one BLAS product costs less than reading the
+# factor's pattern, so mul_sparse hands the product to @ unread.
+_SPARSE_MIN_DIM = 48
+
+
+def _nonzero_mask(m: np.ndarray) -> np.ndarray:
+    # m != 0 entrywise.  A complex128 matrix with a contiguous axis is
+    # compared through its float view instead, three times faster: each
+    # entry's (re != 0, im != 0) byte pair, read as one uint16, is nonzero
+    # exactly when the entry is
+    if m.dtype == np.complex128:
+        if m.flags.c_contiguous:
+            return (m.view(np.float64) != 0).view(np.uint16).astype(bool)
+        if m.flags.f_contiguous:
+            return _nonzero_mask(m.T).T
+    return m != 0
+
+
+def _column_read(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    # per column of m: the row of its first nonzero (0 for an empty column)
+    # and that entry (0 for an empty column); and whether every column holds
+    # at most one nonzero, which is when the nonzeros number exactly the
+    # nonempty columns
+    nonzero = _nonzero_mask(m)
+    rows = nonzero.argmax(axis=0)
+    entries = m[rows, np.arange(m.shape[1])]
+    return rows, entries, np.count_nonzero(nonzero) == np.count_nonzero(entries)
+
+
+def mul_sparse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m, for a factor m with at most one nonzero per column.
+
+    Column j of the product is then column rows[j] of x times that one
+    entry, so the product is a column gather and a scale.  Each entry is the
+    single nonzero term of the dense sum, which makes the result equal to
+    ``x @ m`` entry for entry wherever the entries of m are real or
+    imaginary, as those of every step, shift and dyad operator are; only a
+    zero may carry the other sign.  Below dimension ``_SPARSE_MIN_DIM``, and
+    for an m with two nonzeros in a column, this is ``x @ m``.
+    """
+    if m.shape[0] < _SPARSE_MIN_DIM:
+        return x @ m
+    rows, entries, single = _column_read(m)
+    if not single:
+        return x @ m
+    out = x[:, rows]
+    out *= entries
+    return out
+
+
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     """p-th matrix power for p >= 0; p = 0 gives the identity.
 
     Three structures read off the matrix itself are powered in closed form
     from its own entries: a diagonal (the clock, q-integer diagonals), a
     single off-diagonal band (step operators, bare shifts) and a permutation
-    matrix of exact 0/1 entries (the cyclic shift).  Every other matrix goes
-    through dense binary powering.
+    matrix of exact 0/1 entries (the cyclic shift).  Each has at most one
+    nonzero per column, so one column read finds it.  Every other matrix
+    goes through dense binary powering.
     """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
     a = np.asarray(a)
-    if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1]:
-        rows, cols = np.nonzero(a)
-        offsets = cols - rows
-        if not np.any(offsets):
-            return _diagonal_power(a, p)
-        if np.all(offsets == offsets[0]):
-            return _band_power(a, int(offsets[0]), p)
-        every = np.arange(a.shape[0])
-        if (np.array_equal(rows, every) and np.array_equal(np.sort(cols), every)
-                and np.all(a[rows, cols] == 1)):
-            return _permutation_power(a, cols, p)
+    if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1] and a.size:
+        rows, entries, single = _column_read(a)
+        if single:
+            cols = np.flatnonzero(entries)
+            offsets = cols - rows[cols]
+            if not np.any(offsets):
+                return _diagonal_power(a, p)
+            if np.all(offsets == offsets[0]):
+                return _band_power(a, int(offsets[0]), p)
+            if (cols.size == a.shape[0] and np.all(entries == 1)
+                    and np.array_equal(np.sort(rows), cols)):
+                return _permutation_power(a, rows, p)
     return np.linalg.matrix_power(a, p)
 
 
@@ -86,13 +141,14 @@ def _band_power(a: np.ndarray, offset: int, p: int) -> np.ndarray:
     return out
 
 
-def _permutation_power(a: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
-    # row i holds its 1 in column cols[i]; the p-th power follows cols p times
-    target = np.arange(cols.size)
+def _permutation_power(a: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    # column j holds its 1 in row rows[j], so a sends |j> to |rows[j]>; the
+    # p-th power follows rows p times
+    target = np.arange(rows.size)
     for _ in range(p):
-        target = cols[target]
+        target = rows[target]
     out = np.zeros(a.shape, dtype=a.dtype)
-    out[np.arange(cols.size), target] = 1
+    out[target, np.arange(rows.size)] = 1
     return out
 
 

@@ -17,6 +17,7 @@ import cmath
 import math
 import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import dag, dyad, identity, mat_pow, max_abs_diff
+from .cmatrix import dag, dyad, identity, mat_pow, max_abs_diff, mul_sparse
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -45,9 +46,10 @@ CHECK_NAMES = (
     "eq19_polar",
 )
 
-# Powers of the step operators must stay visibly nonzero right up to the
-# nilpotency index, and the bare shift must stay visibly non-unitary;
-# otherwise an all-zero implementation would pass every "X = 0" identity.
+# Every band weight of the step operators but the one exact zero that sets
+# the nilpotency index must stay visibly nonzero, and the bare shift must
+# stay visibly non-unitary; otherwise an all-zero implementation would pass
+# every "X = 0" identity.  Every true weight is at least 1/sqrt(s+1).
 SHARPNESS_FLOOR = 1e-6
 # Deviation reported when a sharpness floor is violated: far above any
 # plausible threshold, and finite so reports stay valid JSON.
@@ -110,104 +112,112 @@ class VerificationReport:
 
 
 def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
-             cfg: AlgebraConfig) -> dict[str, list[tuple]]:
-    """(lhs, rhs) pairs of every catalog check, in ``CHECK_NAMES`` order.
+             cfg: AlgebraConfig) -> Iterator[tuple[str, list[tuple]]]:
+    """Yield ``(name, pairs)`` for every catalog check, in ``CHECK_NAMES`` order.
 
-    Written once over an arithmetic ``ar`` (mul, dmul, muld, sub, scale,
-    dag, pow, eye, zeros, dyad) and one route's operators ``x``: ``_NUMPY``
-    with the operator set for the closed-form route, ``_NAIVE`` with
+    ``pairs`` holds the check's (lhs, rhs) sides.  Written once over an
+    arithmetic ``ar`` (mul, muls, dmul, muld, sub, scale, dag, pow, eye,
+    zeros, dyad) and one route's operators ``x``: ``_NUMPY`` with the
+    operator set for the closed-form route, ``_NAIVE`` with
     ``_naive_operators`` for the naive one.  ``dmul(D, X)`` is D X and
     ``muld(X, D)`` is X D for a factor D that is diagonal by construction
-    (N, g, g⁻¹, √[N], √[N+1]); every other product is ``mul``.  The phase
-    states are the columns of the Fourier matrix, and a product that two
-    checks share is formed once.  Products associate as they would written
-    with numpy's ``@`` and ``*``: ``q a† a`` is ``(q a†) a``.
+    (N, g, g⁻¹, √[N], √[N+1], |s><s|); ``muls(X, M)`` is X M for a factor M
+    with one nonzero per column at most (a, a†, h, h†, H, H†); every other
+    product is ``mul``.  The phase states are the columns of the Fourier
+    matrix, and a product that two checks share is formed once and dropped
+    after its last use, so a caller that reduces each check as it arrives
+    holds a few sides at a time, not the whole catalog.  Products associate
+    as they would written with numpy's ``@`` and ``*``: ``q a† a`` is
+    ``(q a†) a``.
     """
-    mul, dmul, muld, sub, scale = ar.mul, ar.dmul, ar.muld, ar.sub, ar.scale
+    mul, muls, dmul, muld = ar.mul, ar.muls, ar.dmul, ar.muld
+    sub, scale = ar.sub, ar.scale
     d, s, q = cfg.dim, cfg.s, x.q
     eye, zero = ar.eye(d), ar.zeros(d)
     r_down, r_up = x.sqrt_brace_hdag, x.sqrt_brace_hdag1
     f, fdag = x.fourier, ar.dag(x.fourier)
-    a_adag = mul(x.a, x.a_dag)
+    a_adag = muls(x.a, x.a_dag)
+    yield "eq1_ccr", [
+        (sub(a_adag, muls(scale(q, x.a_dag), x.a)), x.g_inv),
+        (sub(dmul(x.n_op, x.a_dag), muld(x.a_dag, x.n_op)), x.a_dag),
+        (sub(dmul(x.n_op, x.a), muld(x.a, x.n_op)), scale(-1.0, x.a)),
+    ]
+    yield "eq3_truncation", [
+        (muld(x.a_dag, ar.dyad(s, s, d)), zero),
+    ]
+    yield "eq5_nilpotency", [
+        (ar.pow(x.a, d), zero),
+        (ar.pow(x.a_dag, d), zero),
+    ]
+    yield "eq6_decomposition", [
+        (x.a, dmul(x.sqrt_g1, x.h_dag)),
+        (x.a, muld(x.h_dag, x.sqrt_g)),
+        (x.a_dag, dmul(x.sqrt_g, x.h)),
+        (x.a_dag, muld(x.h, x.sqrt_g1)),
+    ]
+    yield "eq9_gh", [
+        (dmul(x.g, x.h), muld(scale(q, x.h), x.g)),
+        (dmul(x.g, x.h_dag), muld(scale(1.0 / q, x.h_dag), x.g)),
+    ]
+    yield "eq10_partial_isometry", [
+        (muls(x.h, x.h_dag), sub(eye, ar.dyad(0, 0, d))),
+        (muls(x.h_dag, x.h), sub(eye, ar.dyad(s, s, d))),
+    ]
+    yield "eq11_products", [
+        (muls(x.a_dag, x.a), x.brace_g),
+        (a_adag, x.brace_g1),
+    ]
+    del a_adag
+    yield "eq12_cyclic", [
+        (ar.pow(x.g, d), eye),
+        (ar.pow(x.h, d), zero),
+    ]
     f_fdag = mul(f, fdag)
     fdag_f = mul(fdag, f)
+    yield "eq13_f_unitary", [
+        (f_fdag, eye),
+        (fdag_f, eye),
+    ]
     f_ginv_fdag = mul(muld(f, x.g_inv), fdag)
-    return {
-        "eq1_ccr": [
-            (sub(a_adag, mul(scale(q, x.a_dag), x.a)), x.g_inv),
-            (sub(dmul(x.n_op, x.a_dag), muld(x.a_dag, x.n_op)), x.a_dag),
-            (sub(dmul(x.n_op, x.a), muld(x.a, x.n_op)), scale(-1.0, x.a)),
-        ],
-        "eq3_truncation": [
-            (mul(x.a_dag, ar.dyad(s, s, d)), zero),
-        ],
-        "eq5_nilpotency": [
-            (ar.pow(x.a, d), zero),
-            (ar.pow(x.a_dag, d), zero),
-        ],
-        "eq6_decomposition": [
-            (x.a, dmul(x.sqrt_g1, x.h_dag)),
-            (x.a, muld(x.h_dag, x.sqrt_g)),
-            (x.a_dag, dmul(x.sqrt_g, x.h)),
-            (x.a_dag, muld(x.h, x.sqrt_g1)),
-        ],
-        "eq9_gh": [
-            (dmul(x.g, x.h), muld(scale(q, x.h), x.g)),
-            (dmul(x.g, x.h_dag), muld(scale(1.0 / q, x.h_dag), x.g)),
-        ],
-        "eq10_partial_isometry": [
-            (mul(x.h, x.h_dag), sub(eye, ar.dyad(0, 0, d))),
-            (mul(x.h_dag, x.h), sub(eye, ar.dyad(s, s, d))),
-        ],
-        "eq11_products": [
-            (mul(x.a_dag, x.a), x.brace_g),
-            (a_adag, x.brace_g1),
-        ],
-        "eq12_cyclic": [
-            (ar.pow(x.g, d), eye),
-            (ar.pow(x.h, d), zero),
-        ],
-        "eq13_f_unitary": [
-            (f_fdag, eye),
-            (fdag_f, eye),
-        ],
-        "eq14_h_via_f": [
-            (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
-            (x.h_dag, sub(mul(muld(f, x.g), fdag), ar.dyad(s, 0, d))),
-        ],
-        "eq15_phase_orthonormal": [
-            (fdag_f, eye),  # Gram matrix of the phase states
-            (f_fdag, eye),  # completeness of the phase states
-        ],
-        "eq17_tilde_ccr": [
-            (sub(mul(x.a_tilde, x.a_tilde_dag), mul(scale(q, x.a_tilde_dag), x.a_tilde)),
-             x.big_h),
-            (f_ginv_fdag, x.big_h),
-        ],
-        "eq18_H_relations": [
-            (dmul(x.g, x.big_h), muld(scale(q, x.big_h), x.g)),
-            (dmul(x.g, x.big_h_dag), muld(scale(1.0 / q, x.big_h_dag), x.g)),
-            (ar.pow(x.big_h, d), eye),
-            (mul(x.big_h, x.big_h_dag), eye),
-            (mul(x.big_h_dag, x.big_h), eye),
-        ],
-        "eq19_polar": [
-            (x.a_tilde, dmul(x.g_inv, r_down)),
-            (x.a_tilde, muld(r_up, x.g_inv)),
-            (x.a_tilde_dag, muld(r_down, x.g)),
-            (x.a_tilde_dag, dmul(x.g, r_up)),
-            (mul(r_down, r_down), x.brace_hdag),
-            (mul(r_up, r_up), x.brace_hdag1),
-        ],
-    }
+    yield "eq14_h_via_f", [
+        (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
+        (x.h_dag, sub(mul(muld(f, x.g), fdag), ar.dyad(s, 0, d))),
+    ]
+    yield "eq15_phase_orthonormal", [
+        (fdag_f, eye),  # Gram matrix of the phase states
+        (f_fdag, eye),  # completeness of the phase states
+    ]
+    del f_fdag, fdag_f
+    yield "eq17_tilde_ccr", [
+        (sub(mul(x.a_tilde, x.a_tilde_dag), mul(scale(q, x.a_tilde_dag), x.a_tilde)),
+         x.big_h),
+        (f_ginv_fdag, x.big_h),
+    ]
+    del f_ginv_fdag
+    yield "eq18_H_relations", [
+        (dmul(x.g, x.big_h), muld(scale(q, x.big_h), x.g)),
+        (dmul(x.g, x.big_h_dag), muld(scale(1.0 / q, x.big_h_dag), x.g)),
+        (ar.pow(x.big_h, d), eye),
+        (muls(x.big_h, x.big_h_dag), eye),
+        (muls(x.big_h_dag, x.big_h), eye),
+    ]
+    yield "eq19_polar", [
+        (x.a_tilde, dmul(x.g_inv, r_down)),
+        (x.a_tilde, muld(r_up, x.g_inv)),
+        (x.a_tilde_dag, muld(r_down, x.g)),
+        (x.a_tilde_dag, dmul(x.g, r_up)),
+        (mul(r_down, r_down), x.brace_hdag),
+        (mul(r_up, r_up), x.brace_hdag1),
+    ]
 
 
 # numpy arithmetic of the closed-form route; a diagonal factor is broadcast
-# (the ndarray method, unlike np.diagonal, beats @ even at d = 3), and
-# mat_pow is looked up when a power is taken, so whatever this module's
-# binding holds at that time runs
+# (the ndarray method, unlike np.diagonal, beats @ even at d = 3), a factor
+# with one nonzero per column is gathered by mul_sparse, and mat_pow is
+# looked up when a power is taken, so whatever this module's binding holds
+# at that time runs
 _NUMPY = SimpleNamespace(
-    mul=operator.matmul, dmul=lambda d, x: d.diagonal()[:, None] * x,
+    mul=operator.matmul, muls=mul_sparse, dmul=lambda d, x: d.diagonal()[:, None] * x,
     muld=lambda x, d: x * d.diagonal(), sub=operator.sub, scale=operator.mul,
     dag=dag, pow=lambda x, p: mat_pow(x, p), eye=identity,
     zeros=lambda d: np.zeros((d, d), dtype=complex), dyad=dyad,
@@ -225,25 +235,16 @@ def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
     )
 
 
-def _nilpotency_is_sharp(ops: OperatorSet) -> bool:
-    # sharp at the true index: one power below it the step operators must
-    # still be visibly nonzero (at the index itself they vanish, which the
-    # eq5 deviation pairs already cover for the full power s+1).  Each entry
-    # of that power is a product of m-1 consecutive band weights, which
-    # overflows for large s, so the products are compared in log magnitude.
-    window = nilpotency_index(ops.config) - 1
-    floor = math.log(SHARPNESS_FLOOR)
-    return all(_largest_log_product(weights, window) >= floor
-               for weights in (np.diagonal(ops.a, 1), np.diagonal(ops.a_dag, -1)))
-
-
-def _largest_log_product(weights: np.ndarray, window: int) -> float:
-    # max over runs of `window` consecutive weights of sum log|w|; a zero
-    # weight contributes -inf, so every run through it drops out
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(weights))
-    runs = np.lib.stride_tricks.sliding_window_view(logs, window)
-    return float(runs.sum(axis=1).max())
+def _step_chain_is_sharp(ops: OperatorSet) -> bool:
+    # the band weights √[1..s] of a and a† must all be at least the floor,
+    # except √[m] at the nilpotency index m < s+1 (the midpoint when s+1 is
+    # even), which must be exactly zero: that one zero splits the chain, so
+    # the powers vanish at m and not before
+    m = nilpotency_index(ops.config)
+    split = np.arange(ops.config.s) == m - 1
+    return all(np.all(magnitudes[split] == 0) and np.all(magnitudes[~split] >= SHARPNESS_FLOOR)
+               for magnitudes in (np.abs(np.diagonal(ops.a, 1)),
+                                  np.abs(np.diagonal(ops.a_dag, -1))))
 
 
 def _shift_is_sharp(eq10_pairs: list[tuple], threshold: float) -> bool:
@@ -258,24 +259,25 @@ def run_all(cfg: AlgebraConfig) -> VerificationReport:
 
     Every check reports its largest entrywise deviation against the
     threshold tol*(s+1).  Two checks additionally enforce sharpness: eq5
-    requires the step-operator powers one below the true nilpotency index
-    to stay above ``SHARPNESS_FLOOR``, and eq10 requires the bare shift to
-    be genuinely non-unitary; a violation reports deviation ``1.0``.  A
-    non-finite deviation fails its check and is reported as the largest
-    finite float, so every report serializes as strict JSON.
+    requires every band weight of the step operators to be at least
+    ``SHARPNESS_FLOOR``, except the one exact zero at the true nilpotency
+    index, and eq10 requires the bare shift to be genuinely non-unitary; a
+    violation reports deviation ``1.0``.  A non-finite deviation fails its
+    check and is reported as the largest finite float, so every report
+    serializes as strict JSON.  Each check is reduced as the catalog forms
+    it, and its sides are dropped before the next check is formed.
     """
     ops = build_operator_set(cfg)
-    sides = _catalog(_NUMPY, _closed_operators(ops), cfg)
     threshold = cfg.tol * cfg.dim
     checks = []
-    for name in CHECK_NAMES:
-        pairs = sides[name]
+    for name, pairs in _catalog(_NUMPY, _closed_operators(ops), cfg):
         deviation = max(max_abs_diff(lhs, rhs) for lhs, rhs in pairs)
-        if name == "eq5_nilpotency" and not _nilpotency_is_sharp(ops):
+        if name == "eq5_nilpotency" and not _step_chain_is_sharp(ops):
             deviation = max(deviation, _SHARPNESS_DEVIATION)
         if name == "eq10_partial_isometry" and not _shift_is_sharp(pairs, threshold):
             deviation = max(deviation, _SHARPNESS_DEVIATION)
         checks.append(_result(name, deviation, threshold))
+        del pairs  # before the catalog forms the next check's sides
     return VerificationReport(config=cfg, checks=tuple(checks))
 
 
@@ -355,10 +357,10 @@ def _py_pow(x, p):
     return out
 
 
-# every product in full, diagonal factors included, so the oracle checks each
-# broadcast shortcut of the closed-form route against a triple loop
+# every product in full, diagonal and one-per-column factors included, so the
+# oracle checks each shortcut of the closed-form route against a triple loop
 _NAIVE = SimpleNamespace(
-    mul=_py_mul, dmul=_py_mul, muld=_py_mul, sub=_py_sub, scale=_py_scale,
+    mul=_py_mul, muls=_py_mul, dmul=_py_mul, muld=_py_mul, sub=_py_sub, scale=_py_scale,
     dag=_py_dag, pow=_py_pow, eye=_py_eye, zeros=_py_zeros, dyad=_py_dyad,
 )
 
@@ -468,17 +470,17 @@ def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:
             f"the naive route is deliberately O(s^4); s must be <= {ORACLE_MAX_S}, got {cfg.s}"
         )
     ops = build_operator_set(cfg)
-    closed = _catalog(_NUMPY, _closed_operators(ops), cfg)
     naive_ops = SimpleNamespace(**_naive_operators(cfg))
-    naive = _catalog(_NAIVE, naive_ops, cfg)
 
     results = []
     for name in _ORACLE_OPERATORS:
         dev = max_abs_diff(getattr(ops, name), np.array(getattr(naive_ops, name)))
         results.append(_result(f"op_{name}", dev, ORACLE_TOL))
-    for name in CHECK_NAMES:
+    routes = zip(_catalog(_NUMPY, _closed_operators(ops), cfg),
+                 _catalog(_NAIVE, naive_ops, cfg), strict=True)
+    for (name, closed), (_, naive) in routes:
         dev = 0.0
-        for (lhs_c, rhs_c), (lhs_n, rhs_n) in zip(closed[name], naive[name]):
+        for (lhs_c, rhs_c), (lhs_n, rhs_n) in zip(closed, naive, strict=True):
             dev = max(dev,
                       max_abs_diff(lhs_c, np.array(lhs_n)),
                       max_abs_diff(rhs_c, np.array(rhs_n)))

@@ -450,3 +450,26 @@ def test_polar_clock_products_match_the_dense_products(s):
         errors = polar_decompose(cfg).factor_errors
         for name, (err, radial) in dense.items():
             assert abs(errors[name] - err) <= 1e-12 * np.abs(radial).max()
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# above dimension 48 the step operators are applied as column gathers
+@pytest.mark.parametrize("s", [47, 48, 63, 64, 128])
+def test_rotated_step_operators_are_the_dense_products(s):
+    for cfg in _coprime_configs(s):
+        ops = build_operator_set(cfg)
+        f, fdag = ops.fourier, dag(ops.fourier)
+        step_down, step_up = f @ ops.a @ fdag, f @ ops.a_dag @ fdag
+        assert _bit_equal(ops.a_tilde, step_down), cfg.k
+        assert _bit_equal(ops.a_tilde_dag, step_up), cfg.k
+        z, r_down, r_up = ops.g.diagonal(), ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
+        dense = {
+            "down_unitary_radial": max_abs_diff(step_down, z.conj()[:, None] * r_down),
+            "down_radial_unitary": max_abs_diff(step_down, r_up * z.conj()),
+            "up_radial_unitary": max_abs_diff(step_up, r_down * z),
+            "up_unitary_radial": max_abs_diff(step_up, z[:, None] * r_up),
+        }
+        assert polar_decompose(cfg).factor_errors == dense, cfg.k

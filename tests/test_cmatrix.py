@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qboson import cmatrix
 from qboson.algebra import (
     annihilation,
     clock,
     creation,
     cyclic_shift,
+    fourier,
     q_number_matrix,
     shift,
     shift_dag,
@@ -24,10 +26,11 @@ from qboson.cmatrix import (
     matrix_from_dict,
     matrix_to_dict,
     max_abs_diff,
+    mul_sparse,
     vector_from_dict,
     vector_to_dict,
 )
-from qboson.qnumerics import AlgebraConfig
+from qboson.qnumerics import AlgebraConfig, primitive_root
 
 _elements = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -199,6 +202,56 @@ class TestStructuredMatPow:
         m = cyclic_shift(AlgebraConfig(5))
         m[0, 5] = 1 + 1e-15j  # not an exact 1
         assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
+
+
+def _sparse_factors(cfg):
+    # every factor the catalog and the builders hand to mul_sparse, and dyads
+    s, d = cfg.s, cfg.dim
+    a, big_h = annihilation(cfg), cyclic_shift(cfg)
+    return {"a": a, "a†": creation(cfg), "h": shift(cfg), "h†": shift_dag(cfg),
+            "H": big_h, "H†": dag(big_h), "|s><s|": dyad(s, s, d),
+            "|0><s|": dyad(0, s, d), "|s><0|": dyad(s, 0, d)}
+
+
+class TestMulSparse:
+    """Products by a factor with one nonzero per column against the dense @."""
+
+    # 47/48 and 63/64 straddle dimension 48, where the gather takes over
+    @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64, 128])
+    def test_equals_dense_product_at_every_root(self, s):
+        for cfg in _admissible_configs(s):
+            factors = _sparse_factors(cfg)
+            f = fourier(cfg)
+            q = primitive_root(cfg)
+            lefts = [f, q * factors["a†"], factors["H†"]]
+            for name, m in factors.items():
+                for x in lefts:
+                    # equal entry for entry; a zero may carry the other sign
+                    assert np.array_equal(mul_sparse(x, m), x @ m), (cfg.k, name)
+
+    @pytest.mark.parametrize("s", range(2, 17))
+    def test_gather_below_the_crossover(self, s, monkeypatch):
+        # the gather itself, forced at dimensions where the product goes to @
+        monkeypatch.setattr(cmatrix, "_SPARSE_MIN_DIM", 0)
+        self.test_equals_dense_product_at_every_root(s)
+
+    def test_small_dimension_is_the_dense_product(self):
+        cfg = AlgebraConfig(46)
+        f, a = fourier(cfg), annihilation(cfg)
+        assert _bit_equal(mul_sparse(f, a), f @ a)
+
+    def test_two_nonzeros_in_a_column_go_to_dense(self):
+        cfg = AlgebraConfig(63)
+        f, m = fourier(cfg), annihilation(cfg)
+        m[3, 7] = 0.5 - 0.25j  # column 7 already holds sqrt[7] in row 6
+        assert _bit_equal(mul_sparse(f, m), f @ m)
+
+    def test_inputs_left_untouched(self):
+        cfg = AlgebraConfig(63, k=3)
+        f, m = fourier(cfg), creation(cfg)
+        before = f.copy(), m.copy()
+        mul_sparse(f, m)
+        assert _bit_equal(f, before[0]) and _bit_equal(m, before[1])
 
 
 class TestMaxAbsDiff:

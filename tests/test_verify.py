@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qboson.verify
+from qboson import cli
 from qboson import (
     CHECK_NAMES,
     AlgebraConfig,
@@ -25,10 +29,9 @@ from qboson.verify import (
     SHARPNESS_FLOOR,
     _catalog,
     _closed_operators,
-    _largest_log_product,
-    _nilpotency_is_sharp,
     _result,
     _shift_is_sharp,
+    _step_chain_is_sharp,
 )
 
 
@@ -75,37 +78,98 @@ def test_power_below_index_has_unit_magnitude_at_s2():
     assert max_abs_diff(mat_pow(a, 2), np.zeros((3, 3))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sharpness_violation_reports_unit_deviation():
-    # s=64, k=16 drives the surviving product far below the visibility floor
-    report = run_all(AlgebraConfig(64, k=16))
-    eq5 = {c.name: c for c in report.checks}["eq5_nilpotency"]
-    assert not eq5.passed
-    assert eq5.deviation == 1.0
-    assert not report.overall_pass
+def _with_step_weights(ops, weights_of):
+    # the operator set with both step operators' band weights replaced
+    w = weights_of(np.diagonal(ops.a, 1).copy())
+    return dataclasses.replace(ops, a=np.diag(w, k=1), a_dag=np.diag(w, k=-1))
 
 
-# every admissible root is sharp below s=46; at 46..64 some fall below the floor
+def _zero_at(index):
+    def mutate(w):
+        w[index] = 0
+        return w
+    return mutate
+
+
+def test_sharpness_violation_reports_unit_deviation(monkeypatch):
+    # implementations whose "a^(s+1) = 0" holds for the wrong reason: the
+    # power deviations read 0, and the sharpness check alone reports 1.0
+    for s in (6, 7):  # an unsplit chain (s+1 odd) and a split one (s+1 even)
+        cfg = AlgebraConfig(s)
+        ops = build_operator_set(cfg)
+        mutants = {
+            "all-zero a": _with_step_weights(ops, np.zeros_like),
+            "chain broken before the index": _with_step_weights(ops, _zero_at(1)),
+            "power vanishing too early": _with_step_weights(ops, lambda w: 1e-7 * w),
+            "a† alone broken": dataclasses.replace(ops, a_dag=0 * ops.a_dag),
+        }
+        if (s + 1) % 2 == 0:
+            mutants["midpoint zero filled in"] = _with_step_weights(
+                ops, lambda w: np.where(w == 0, 1.0, w))
+        for label, mutant in mutants.items():
+            monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _cfg: mutant)
+            report = run_all(cfg)
+            eq5 = {c.name: c for c in report.checks}["eq5_nilpotency"]
+            assert not eq5.passed and eq5.deviation == 1.0, (s, label)
+            assert not report.overall_pass
+
+
+# every admissible root is sharp, at 46..64 too, where the product of m-1
+# weights falls below the floor for some k: the check reads each weight
 @pytest.mark.parametrize("s", [*range(2, 33), 46, 48, 50, 64])
 def test_sharpness_in_log_magnitude_matches_dense_powers(s):
     for k in range(1, s + 1):
         if math.gcd(k, s + 1) != 1:
             continue
         ops = build_operator_set(AlgebraConfig(s, k=k))
+        assert _step_chain_is_sharp(ops), k
         m = nilpotency_index(ops.config)
-        dense = all(np.max(np.abs(np.linalg.matrix_power(x, m - 1))) >= SHARPNESS_FLOOR
-                    for x in (ops.a, ops.a_dag))
-        assert _nilpotency_is_sharp(ops) == dense, k
+        for x in (ops.a, ops.a_dag):
+            # the chain's zero pattern is the powers': a^m = 0, and a^(m-1)
+            # holds a product of m-1 weights, each at least 1/sqrt(s+1).  The
+            # powers are taken of sqrt(s+1) a, whose entries stay above 1 in
+            # magnitude, so no product runs through subnormal floats
+            scaled = math.sqrt(s + 1) * x
+            assert not np.any(np.linalg.matrix_power(scaled, m)), k
+            largest = np.abs(np.linalg.matrix_power(scaled, m - 1)).max()
+            assert math.log(largest) >= -1e-9, k
 
 
-def test_log_products_do_not_overflow():
-    weights = np.full(1200, 1e3 + 0j)
-    assert _largest_log_product(weights, 1000) == pytest.approx(1000 * math.log(1e3))
+@pytest.mark.parametrize("s, k", [(46, 11), (64, 16), (256, 37)])
+def test_roots_the_product_floor_failed_now_pass(s, k):
+    report = run_all(AlgebraConfig(s, k=k))
+    assert report.overall_pass, [(c.name, c.deviation) for c in report.checks if not c.passed]
 
 
-def test_log_products_skip_runs_through_a_zero_weight():
-    weights = np.array([2.0, 0.0, 3.0, 5.0, 0.0, 7.0], dtype=complex)
-    assert _largest_log_product(weights, 2) == pytest.approx(math.log(15.0))
-    assert _largest_log_product(weights, 3) == -math.inf
+def test_sharpness_floor_applies_to_each_weight():
+    # weights of 1e-3 each are visible, though a^(m-1) is about 1e-96
+    ops = build_operator_set(AlgebraConfig(32))
+    scaled = _with_step_weights(ops, lambda w: 1e-3 * w / np.abs(w))
+    assert _step_chain_is_sharp(scaled)
+    faint = _with_step_weights(ops, lambda w: SHARPNESS_FLOOR / 10 * w / np.abs(w))
+    assert not _step_chain_is_sharp(faint)
+
+
+@st.composite
+def admissible_configs(draw):
+    s = draw(st.integers(min_value=2, max_value=256))
+    k = draw(st.sampled_from([k for k in range(-s - 1, s + 2) if math.gcd(k, s + 1) == 1]))
+    return AlgebraConfig(s, k=k)
+
+
+@settings(max_examples=6, deadline=None)
+@given(admissible_configs())
+def test_every_admissible_root_passes_and_verifies_as_json(cfg):
+    assert run_all(cfg).overall_pass
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--s", str(cfg.s), "--k", str(cfg.k), "--json"])
+    assert code == 0
+    assert json.loads(out.getvalue(), parse_constant=_reject)["overall_pass"] is True
+
+
+def _reject(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
 
 
 @pytest.mark.parametrize("deviation", [math.nan, math.inf, -math.inf])
@@ -133,28 +197,35 @@ def _assert_matches_dense(got, dense):
     assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
 
 
-@pytest.mark.parametrize("s", range(2, 17))
+# 47 and 48 straddle mul_sparse's crossover at dimension 48, 63 and 64 lie above it
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64])
 def test_diagonal_shortcuts_match_the_dense_products(s):
-    # every dmul/muld site of the catalog, at every root, against the dense
-    # product it stands for
-    calls = []
+    # every dmul/muld site of the catalog against the dense product it stands
+    # for, and every muls site against it entry for entry, at every root
+    calls = {"diagonal": 0, "sparse": 0}
 
-    def against_dense(shortcut):
+    def against_dense(shortcut, kind):
         def product(x, y):
             got = shortcut(x, y)
-            _assert_matches_dense(got, x @ y)
-            calls.append(1)
+            if kind == "sparse":
+                assert np.array_equal(got, x @ y)
+            else:
+                _assert_matches_dense(got, x @ y)
+            calls[kind] += 1
             return got
         return product
 
-    ar = SimpleNamespace(**{**vars(_NUMPY), "dmul": against_dense(_NUMPY.dmul),
-                            "muld": against_dense(_NUMPY.muld)})
+    ar = SimpleNamespace(**{**vars(_NUMPY),
+                            "dmul": against_dense(_NUMPY.dmul, "diagonal"),
+                            "muld": against_dense(_NUMPY.muld, "diagonal"),
+                            "muls": against_dense(_NUMPY.muls, "sparse")})
     for k in range(1, s + 1):
         if math.gcd(k, s + 1) == 1:
             cfg = AlgebraConfig(s=s, k=k)
-            calls.clear()
-            _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg)
-            assert len(calls) == 22
+            calls.update(diagonal=0, sparse=0)
+            for _ in _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg):
+                pass
+            assert calls == {"diagonal": 23, "sparse": 7}
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 33])
@@ -163,7 +234,7 @@ def test_shift_sharpness_passes_the_bare_shift_and_flags_a_unitary_one(s):
     ops = build_operator_set(cfg)
     unitary = dataclasses.replace(ops, h=ops.big_h, h_dag=ops.big_h_dag)
     for shift_set, sharp in ((ops, True), (unitary, False)):
-        pairs = _catalog(_NUMPY, _closed_operators(shift_set), cfg)["eq10_partial_isometry"]
+        pairs = dict(_catalog(_NUMPY, _closed_operators(shift_set), cfg))["eq10_partial_isometry"]
         assert _shift_is_sharp(pairs, cfg.tol * cfg.dim) == sharp
 
 
