@@ -2,15 +2,17 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  Products, sums and
-scalings are numpy's own operators.  Two kernels read a matrix's structure
-off its entries, one column at a time: ``mul_sparse`` multiplies by a factor
-with at most one nonzero per column (a step operator, a shift, a dyad) as a
-column gather, and ``mat_pow`` takes powers of diagonal, band and
-permutation matrices in closed form.  Any other matrix goes to the dense
-product or power.
+scalings are numpy's own operators.  Two kernels read, one column at a time,
+whether a matrix has at most one nonzero per column (a diagonal, a step
+operator, a shift, a dyad), so that it sends each |j> to a multiple of one
+|rows[j]>: ``mul_sparse`` multiplies by such a factor as a column gather,
+and ``mat_pow`` powers its column map by repeated composition.  Any other
+matrix goes to the dense product or power.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,12 +88,11 @@ def mul_sparse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     """p-th matrix power for p >= 0; p = 0 gives the identity.
 
-    Three structures read off the matrix itself are powered in closed form
-    from its own entries: a diagonal (the clock, q-integer diagonals), a
-    single off-diagonal band (step operators, bare shifts) and a permutation
-    matrix of exact 0/1 entries (the cyclic shift).  Each has at most one
-    nonzero per column, so one column read finds it.  Every other matrix
-    goes through dense binary powering.
+    A matrix with at most one nonzero per column (the clock, q-integer
+    diagonals, step operators, bare and cyclic shifts) sends each |j> to
+    ``entries[j] * |rows[j]>``.  One column read finds that map, and its
+    p-th power is the map composed with itself in numpy's binary schedule,
+    in O(d log p).  Every other matrix goes through dense binary powering.
     """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
@@ -99,57 +100,37 @@ def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1] and a.size:
         rows, entries, single = _column_read(a)
         if single:
-            cols = np.flatnonzero(entries)
-            offsets = cols - rows[cols]
-            if not np.any(offsets):
-                return _diagonal_power(a, p)
-            if np.all(offsets == offsets[0]):
-                return _band_power(a, int(offsets[0]), p)
-            if (cols.size == a.shape[0] and np.all(entries == 1)
-                    and np.array_equal(np.sort(rows), cols)):
-                return _permutation_power(a, rows, p)
+            return _column_map_power(rows, entries, p)
     return np.linalg.matrix_power(a, p)
 
 
-def _diagonal_power(a: np.ndarray, p: int) -> np.ndarray:
-    # numpy's binary schedule, elementwise: square z, and multiply it into
-    # the result on each set bit of p
-    z = result = None
-    while p:
-        z = a.diagonal() if z is None else z * z
-        p, bit = divmod(p, 2)
-        if bit:
-            result = z if result is None else result * z
-    return np.diag(result)
-
-
-def _band_power(a: np.ndarray, offset: int, p: int) -> np.ndarray:
-    # the p-th power lies on band p*offset; walking along the band, its i-th
-    # entry is the product of the p band weights w[i], w[i+|offset|], ...
-    dim = a.shape[0]
-    out = np.zeros(a.shape, dtype=a.dtype)
-    step = abs(offset)
-    n = dim - p * step
-    if n <= 0:
-        return out
-    w = np.diagonal(a, offset)
-    band = w[:n].copy()
-    for t in range(1, p):
-        band *= w[t * step:t * step + n]
-    rows = np.arange(n) + (p * step if offset < 0 else 0)
-    out[rows, rows + p * offset] = band
-    return out
-
-
-def _permutation_power(a: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    # column j holds its 1 in row rows[j], so a sends |j> to |rows[j]>; the
-    # p-th power follows rows p times
-    target = np.arange(rows.size)
-    for _ in range(p):
-        target = rows[target]
-    out = np.zeros(a.shape, dtype=a.dtype)
-    out[target, np.arange(rows.size)] = 1
-    return out
+def _column_map_power(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
+    # An empty column sends |j> to a sink index d, which maps to itself.  A
+    # path that reaches the sink is dead: its weight, which is nan once a
+    # live window product has overflowed to inf and met a 0, lands in a sink
+    # row that is dropped, so the power is exactly 0 there.
+    dim = rows.size
+    z_rows = np.concatenate((rows, (dim,)))
+    z_rows[:dim][weights == 0] = dim
+    z_w = np.concatenate((weights, weights[:1]))  # sink weight: only reaches the dropped row
+    r_rows = r_w = None
+    # numpy's binary schedule: square z, and compose it into the result r on
+    # each set bit of p; z after r multiplies in the order r * z, as dense
+    # and elementwise powering do
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            p, bit = divmod(p, 2)
+            if bit:
+                if r_rows is None:
+                    r_rows, r_w = z_rows, z_w
+                else:
+                    r_rows, r_w = z_rows[r_rows], r_w * z_w[r_rows]
+            if not p:
+                break
+            z_rows, z_w = z_rows[z_rows], z_w * z_w[z_rows]
+    out = np.zeros((dim + 1, dim), dtype=weights.dtype)
+    out[r_rows[:dim], np.arange(dim)] = r_w[:dim]
+    return out[:dim]
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -175,16 +156,18 @@ def is_unitary(a: np.ndarray, tol: float) -> bool:
 # Floats serialize through repr, so parse(serialize(x)) is bit-exact.
 
 
+def _entry_pairs(a: np.ndarray) -> list[list[float]]:
+    # [re, im] per entry, in row-major order
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries cannot be serialized")
+    return np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
+
+
 def matrix_to_dict(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
-    }
+    return {"dim": int(a.shape[0]), "entries": _entry_pairs(a)}
 
 
 def matrix_from_dict(obj: dict) -> np.ndarray:
@@ -198,12 +181,7 @@ def vector_to_dict(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    return {
-        "dim": int(v.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in v],
-    }
+    return {"dim": int(v.shape[0]), "entries": _entry_pairs(v)}
 
 
 def vector_from_dict(obj: dict) -> np.ndarray:
@@ -214,14 +192,25 @@ def vector_from_dict(obj: dict) -> np.ndarray:
 
 
 def _parse_entries(obj: dict) -> tuple[int, list[complex]]:
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # every malformed object is a ValueError: a dim that is not an int >= 1
+    # (bools excluded), or an entry that is not a list of two finite numbers
+    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
+        raise ValueError("expected an object with keys 'dim' and 'entries'")
+    dim, entries = obj["dim"], obj["entries"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(entries, list):
+        raise ValueError("entries must be a list")
     flat = []
-    for pair in obj["entries"]:
-        re, im = pair
-        z = complex(float(re), float(im))
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    for pair in entries:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+            raise ValueError(f"each entry must be a list of two numbers, got {pair!r}")
+        try:  # an int too large for a float overflows here
+            z = complex(float(pair[0]), float(pair[1]))
+        except OverflowError:
+            z = complex(math.inf)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("non-finite entry in serialized data")
         flat.append(z)
     return dim, flat

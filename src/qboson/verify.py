@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -450,11 +450,7 @@ def _naive_operators(cfg: AlgebraConfig) -> dict:
 
 
 # OperatorSet fields compared one-to-one against the naive route.
-_ORACLE_OPERATORS = (
-    "a", "a_dag", "n_op", "g", "h", "h_dag", "brace_g", "brace_g1",
-    "fourier", "big_h", "big_h_dag", "a_tilde", "a_tilde_dag", "n_tilde",
-    "brace_hdag", "brace_hdag1", "sqrt_brace_hdag", "sqrt_brace_hdag1",
-)
+_ORACLE_OPERATORS = tuple(f.name for f in fields(OperatorSet) if f.name != "config")
 
 
 def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:

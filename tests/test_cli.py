@@ -16,10 +16,13 @@ from qboson import (
 
 from cli_harness import run_cli
 
-ALL_BUILD_OPS = [
-    "a", "adag", "n", "g", "h", "hdag", "f", "bigh", "atilde", "atildedag",
-    "ntilde", "braceHdag", "braceHdag1", "sqrtBraceHdag", "sqrtBraceHdag1",
-]
+# the OperatorSet field each build op exports
+BUILD_OP_FIELDS = {
+    "a": "a", "adag": "a_dag", "n": "n_op", "g": "g", "h": "h", "hdag": "h_dag",
+    "f": "fourier", "bigh": "big_h", "atilde": "a_tilde", "atildedag": "a_tilde_dag",
+    "ntilde": "n_tilde", "braceHdag": "brace_hdag", "braceHdag1": "brace_hdag1",
+    "sqrtBraceHdag": "sqrt_brace_hdag", "sqrtBraceHdag1": "sqrt_brace_hdag1",
+}
 
 
 class TestBuild:
@@ -44,11 +47,27 @@ class TestBuild:
     def test_non_coprime_k(self):
         assert run_cli("build", "--s", "3", "--k", "2", "--op", "a").returncode == 2
 
-    @pytest.mark.parametrize("op", ALL_BUILD_OPS)
+    @pytest.mark.parametrize("op", list(BUILD_OP_FIELDS))
     def test_every_operator_builds(self, op):
         proc = run_cli("build", "--s", "4", "--op", op)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dim"] == 5
+
+    @pytest.mark.parametrize("s, ks", [(4, (1, -1, 2, 3, 7)), (47, (1, -1, 7)),
+                                       (48, (1, -1, 2, 3)), (64, (1, -1, 2, 7))])
+    def test_exports_are_the_verified_operators(self, s, ks, tmp_path):
+        # each export equals, bit for bit, the field of the operator set
+        # that run_all verifies
+        assert set(BUILD_OP_FIELDS) == set(cli.BUILD_OPS)
+        target = tmp_path / "op.json"
+        for k in ks:
+            ops = algebra.build_operator_set(AlgebraConfig(s, k=k))
+            for op, field in BUILD_OP_FIELDS.items():
+                argv = ["build", "--s", str(s), "--k", str(k), "--op", op, "--out", str(target)]
+                assert cli.main(argv) == 0
+                got = matrix_from_dict(json.loads(target.read_text()))
+                want = getattr(ops, field)
+                assert got.tobytes() == want.tobytes(), (k, op)
 
     def test_out_file_keeps_stdout_clean(self, tmp_path):
         target = tmp_path / "a.json"

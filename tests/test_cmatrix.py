@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qboson.algebra import (
     creation,
     cyclic_shift,
     fourier,
+    nilpotency_index,
     q_number_matrix,
     shift,
     shift_dag,
@@ -127,7 +129,7 @@ def _bit_equal(a, b):
 
 
 class TestStructuredMatPow:
-    """Closed-form powers of band and permutation matrices against dense powering."""
+    """Column-map powers of one-nonzero-per-column matrices against dense powering."""
 
     @pytest.mark.parametrize("s", range(2, 41))
     def test_step_operators_every_root(self, s):
@@ -191,17 +193,72 @@ class TestStructuredMatPow:
             assert _bit_equal(got, np.diag(np.diagonal(got)))
             assert _bit_equal(m, before)
 
+    @pytest.mark.parametrize("s", [6, 64, 256])
+    def test_clock_power_is_the_elementwise_binary_schedule(self, s):
+        # numpy's schedule on the diagonal, multiplied in the order
+        # result * z: eq12's g^d deviation depends on these last bits
+        for k in (1, -1, 3):
+            g = clock(AlgebraConfig(s, k=k)).diagonal()
+            for p in (s, s + 1, s + 2):
+                z = result = None
+                for bit in bin(p)[:1:-1]:
+                    z = g if z is None else z * z
+                    if bit == "1":
+                        result = z if result is None else result * z
+                assert _bit_equal(mat_pow(np.diag(g), p), np.diag(result)), (k, p)
+
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8])
     def test_band_with_stray_entry_stays_on_dense_route(self, p):
+        # the stray entry fills the empty column 0: no longer a single band,
+        # but still one nonzero per column, so the column map powers it
         m = annihilation(AlgebraConfig(6))
         m[5, 0] = 0.25 - 0.5j
-        assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
+        _assert_matches_dense(m, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_near_permutation_stays_on_dense_route(self, p):
         m = cyclic_shift(AlgebraConfig(5))
-        m[0, 5] = 1 + 1e-15j  # not an exact 1
-        assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
+        m[0, 5] = 1 + 1e-15j  # not an exact 1, still one nonzero per column
+        _assert_matches_dense(m, p)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_column_maps(self, seed):
+        # repeated rows, empty columns and complex weights
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 10))
+        rows = rng.integers(0, d, size=d)
+        weights = rng.uniform(0.5, 2.0, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        weights[rng.uniform(size=d) < 0.3] = 0
+        m = np.zeros((d, d), dtype=complex)
+        m[rows, np.arange(d)] = weights
+        for p in range(d + 3):
+            _assert_matches_dense(m, p)
+
+
+class TestColumnMapPowerAtLargeCutoff:
+    """Dead paths stay exactly 0 where live window products overflow."""
+
+    @pytest.mark.parametrize("s", [520, 1023, 1024, 2047, 2048])
+    def test_nilpotent_powers_are_exact_zeros(self, s):
+        d = s + 1
+        big_h = cyclic_shift(AlgebraConfig(s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.any(mat_pow(shift(AlgebraConfig(s)), d))
+            assert np.array_equal(mat_pow(big_h, d), identity(d))
+            for k in (1, -1, 2, 3, 5, 7):
+                if math.gcd(k, d) != 1:
+                    continue
+                cfg = AlgebraConfig(s, k=k)
+                a = annihilation(cfg)
+                for p in (d, nilpotency_index(cfg)):
+                    for m in (a, a.T):
+                        assert not np.any(mat_pow(m, p)), (k, p)  # nan counts as nonzero
+
+    def test_huge_power_of_cyclic_shift(self):
+        big_h = cyclic_shift(AlgebraConfig(8))
+        p = 10**9 + 7
+        assert np.array_equal(mat_pow(big_h, p), mat_pow(big_h, p % 9))
 
 
 def _sparse_factors(cfg):
@@ -312,6 +369,36 @@ class TestJsonFormat:
             matrix_to_dict(np.array([[np.inf, 0], [0, 0]], dtype=complex))
         with pytest.raises(ValueError):
             matrix_from_dict({"dim": 1, "entries": [[float("nan"), 0.0]]})
+
+    @pytest.mark.parametrize("parse", [matrix_from_dict, vector_from_dict])
+    @pytest.mark.parametrize("obj", [
+        {"dim": 1, "entries": ["12"]},  # a string is not a pair
+        {"dim": 1, "entries": [["1e0", " 2 "]]},
+        {"dim": 1, "entries": [[True, False]]},
+        {"dim": 1, "entries": [[None, 0.0]]},
+        {"dim": 1, "entries": [1.0]},
+        {"dim": 1, "entries": [[1.0]]},
+        {"dim": 1, "entries": [[1.0, 0.0, 0.0]]},
+        {"dim": 1, "entries": [(1.0, 0.0)]},
+        {"dim": 1, "entries": [[1.0, float("inf")]]},
+        {"dim": 1, "entries": [[10**400, 0]]},
+        {"dim": 1, "entries": "12"},
+        {"dim": True, "entries": [[1.0, 0.0]]},
+        {"dim": 1.0, "entries": [[1.0, 0.0]]},
+        {"dim": "1", "entries": [[1.0, 0.0]]},
+        {"dim": -1, "entries": []},
+        {"entries": [[1.0, 0.0]]},
+        {"dim": 1},
+        [1, [[1.0, 0.0]]],
+    ])
+    def test_malformed_object_is_value_error(self, parse, obj):
+        with pytest.raises(ValueError):
+            parse(obj)
+
+    @pytest.mark.parametrize("parse", [matrix_from_dict, vector_from_dict])
+    def test_integer_entries_parse(self, parse):
+        got = parse({"dim": 1, "entries": [[1, -2]]})
+        assert got.dtype == complex and got.ravel().tolist() == [1 - 2j]
 
     def test_rejects_bad_dim_or_length(self):
         with pytest.raises(ValueError):

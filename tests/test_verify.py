@@ -292,9 +292,13 @@ class TestBruteForceOracle:
     def test_covers_operators_and_catalog(self):
         names = [c.name for c in brute_force_oracle(AlgebraConfig(2))]
         assert names[-len(CHECK_NAMES):] == list(CHECK_NAMES)
-        assert "op_brace_hdag" in names
-        assert "op_a_tilde_dag" in names
-        assert "op_sqrt_brace_hdag1" in names
+        # the op_* names are read off the OperatorSet fields, and are pinned
+        # here so that renaming a field cannot rename a result unnoticed
+        assert names[:-len(CHECK_NAMES)] == [f"op_{n}" for n in (
+            "a", "a_dag", "n_op", "g", "h", "h_dag", "brace_g", "brace_g1",
+            "fourier", "big_h", "big_h_dag", "a_tilde", "a_tilde_dag", "n_tilde",
+            "brace_hdag", "brace_hdag1", "sqrt_brace_hdag", "sqrt_brace_hdag1",
+        )]
 
     def test_oracle_with_nontrivial_root_index(self):
         results = brute_force_oracle(AlgebraConfig(6, k=4))
