@@ -7,14 +7,16 @@ of the rotated step operators.
 
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
-anywhere.  The operator set and the polar decomposition apply a diagonal
-factor by broadcasting its entries over rows or columns, and a step operator
-by gathering columns (``mul_sparse``), not as a dense product.
+anywhere.  The operator set and the polar decomposition read one shared
+phase-basis construction, which applies a diagonal factor by broadcasting its
+entries and a step operator by gathering columns (``mul_sparse``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,16 +75,16 @@ def nilpotency_index(cfg: AlgebraConfig) -> int:
 
 def clock(cfg: AlgebraConfig) -> np.ndarray:
     """Diagonal unimodular clock operator diag(q^0, q^1, ..., q^s)."""
-    return np.diag(_root_powers(cfg))
+    return np.diag(_q_powers(cfg, np.arange(cfg.dim)))
 
 
-def _root_powers(cfg: AlgebraConfig) -> np.ndarray:
-    # q^n for n = 0..s, exponents reduced mod s+1 (symmetrically, for small
-    # angles) so every entry is an exactly-evaluated primitive-root power
+def _q_powers(cfg: AlgebraConfig, n: np.ndarray) -> np.ndarray:
+    # q^n for integers n >= 0 from one table of the s+1 unit roots, k reduced mod s+1
+    # before any product, angles folded to |m| <= (s+1)/2 for exactly-evaluated phases
     d = cfg.dim
-    m = (cfg.k * np.arange(d)) % d
-    m = np.where(2 * m > d, m - d, m)
-    return np.exp(2j * np.pi * m / d)
+    m = np.arange(d)
+    roots = np.exp(2j * np.pi * np.where(2 * m > d, m - d, m) / d)
+    return roots[(cfg.k % d) * n % d]
 
 
 def shift(cfg: AlgebraConfig) -> np.ndarray:
@@ -117,14 +119,11 @@ def sqrt_q_number_matrix(cfg: AlgebraConfig, offset: int = 0) -> np.ndarray:
 def fourier(cfg: AlgebraConfig) -> np.ndarray:
     """Finite Fourier matrix with kernel q^{mn} / sqrt(s+1); unitary.
 
-    Exponents m*n*k are reduced mod s+1 and looked up in a table of the
+    Exponents k*m*n are reduced mod s+1, k first, and index a table of the
     s+1 unit roots, so every entry is an exactly-evaluated phase.
     """
-    d = cfg.dim
-    idx = np.arange(d)
-    folded = np.where(2 * idx > d, idx - d, idx)
-    roots = np.exp(2j * np.pi * folded / d)
-    return roots[(cfg.k * np.outer(idx, idx)) % d] / math.sqrt(d)
+    idx = np.arange(cfg.dim)
+    return _q_powers(cfg, np.outer(idx, idx)) / math.sqrt(cfg.dim)
 
 
 def phase_state(m: int, cfg: AlgebraConfig) -> np.ndarray:
@@ -132,17 +131,18 @@ def phase_state(m: int, cfg: AlgebraConfig) -> np.ndarray:
 
     The s+1 phase states form an orthonormal basis dual to the number states.
     """
+    m = operator.index(m)  # numpy would read a bool as a mask
     if not 0 <= m <= cfg.s:
         raise IndexError(f"phase state index {m} out of range for s={cfg.s}")
     return fourier(cfg)[:, m].copy()
 
 
 def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
-    """Rotate an operator into the phase basis: F a F†."""
+    """Rotate an operator into the phase basis: F a F†, by the operator set's kernel."""
     f = fourier(cfg)
     if a.shape != f.shape:
         raise ValueError(f"operator shape {a.shape} does not match dim {cfg.dim}")
-    return f @ a @ dag(f)
+    return _rotate(f, a, dag(f))
 
 
 def q_bracket(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
@@ -166,7 +166,8 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     q-integer diagonals, and the two construction routes are cross-checked
     here against the configured tolerance.
     """
-    return _phase_braces(cfg, fourier(cfg), _q_tables(cfg)[0])
+    f = fourier(cfg)
+    return _phase_braces(cfg, f, dag(f), _q_tables(cfg)[0], dag(cyclic_shift(cfg)))
 
 
 def _rotate_diagonal(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
@@ -174,17 +175,14 @@ def _rotate_diagonal(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarr
     return (f * x) @ fdag
 
 
-def _rotate_step(f: np.ndarray, a: np.ndarray, fdag: np.ndarray) -> np.ndarray:
-    # f @ a @ fdag for a step operator a, whose product with f is a gather of
-    # f's columns with the dense product's values
-    return mul_sparse(f, a) @ fdag
+def _rotate(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
+    # f @ x @ fdag; an x with one nonzero per column is applied to f as a gather
+    return mul_sparse(f, x) @ fdag
 
 
-def _phase_braces(cfg: AlgebraConfig, f: np.ndarray,
-                  brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = dag(cyclic_shift(cfg))
-    quotient = (q_bracket(u, cfg), q_bracket_shifted(u, cfg))
-    fdag = dag(f)
+def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, fdag: np.ndarray, brackets: np.ndarray,
+                  big_h_dag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
     spectral = (_rotate_diagonal(f, brackets[:-1], fdag),
                 _rotate_diagonal(f, brackets[1:], fdag))
     # construction self-check: floored below so a user tolerance tighter than
@@ -208,14 +206,22 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     not conjugate-symmetric whenever some q-integer is negative, which
     happens for every s >= 2.
     """
+    p = _phase_basis(cfg)
+    return p.r_down, p.r_up
+
+
+# Shared by the operator set and the polar decomposition: F, F†, [0..s+1], a,
+# the rotated step operators F a F†, F a† F†, and the roots F √[N] F†, F √[N+1] F†.
+_PhaseBasis = namedtuple("_PhaseBasis", "f fdag brackets a a_tilde a_tilde_dag r_down r_up")
+
+
+def _phase_basis(cfg: AlgebraConfig) -> _PhaseBasis:
+    brackets, roots = _q_tables(cfg)
+    a = _step_down(roots)
     f = fourier(cfg)
-    return _phase_brace_roots(f, dag(f), _q_tables(cfg)[1])
-
-
-def _phase_brace_roots(f: np.ndarray, fdag: np.ndarray,
-                       roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (_rotate_diagonal(f, roots[:-1], fdag),
-            _rotate_diagonal(f, roots[1:], fdag))
+    fdag = dag(f)
+    return _PhaseBasis(f, fdag, brackets, a, _rotate(f, a, fdag), _rotate(f, a.T, fdag),
+                       _rotate_diagonal(f, roots[:-1], fdag), _rotate_diagonal(f, roots[1:], fdag))
 
 
 @dataclass(frozen=True)
@@ -248,31 +254,27 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     with the radial part diagonal in the phase basis; the rotated step-up
     operator factors with the same pieces in the opposite order.  Both
     operators are built independently by Fourier conjugation and compared
-    against the factored forms.
+    against the factored forms, from the construction :func:`build_operator_set`
+    reads, so the four factor errors are the verifier's first four eq19 deviations.
     """
-    f = fourier(cfg)
-    fdag = dag(f)
+    # clock first: d x d temporaries then reuse freed heap blocks (fewer page faults)
     g = clock(cfg)
     g_inv = dag(g)
+    p = _phase_basis(cfg)
     # the clock is diagonal, so its four products below are broadcast
     z, z_inv = g.diagonal(), g_inv.diagonal()
-    roots = _q_tables(cfg)[1]
-    a = _step_down(roots)
-    step_down = _rotate_step(f, a, fdag)
-    step_up = _rotate_step(f, a.T, fdag)
-    r_down, r_up = _phase_brace_roots(f, fdag, roots)
     errors = {
-        "down_unitary_radial": max_abs_diff(step_down, z_inv[:, None] * r_down),
-        "down_radial_unitary": max_abs_diff(step_down, r_up * z_inv),
-        "up_radial_unitary": max_abs_diff(step_up, r_down * z),
-        "up_unitary_radial": max_abs_diff(step_up, z[:, None] * r_up),
+        "down_unitary_radial": max_abs_diff(p.a_tilde, z_inv[:, None] * p.r_down),
+        "down_radial_unitary": max_abs_diff(p.a_tilde, p.r_up * z_inv),
+        "up_radial_unitary": max_abs_diff(p.a_tilde_dag, p.r_down * z),
+        "up_unitary_radial": max_abs_diff(p.a_tilde_dag, z[:, None] * p.r_up),
     }
     return PolarDecomposition(
         unitary=g_inv,
-        radial=r_down,
+        radial=p.r_down,
         reconstruction_error=errors["down_unitary_radial"],
         factor_errors=errors,
-        radial_hermiticity_error=max_abs_diff(r_down, dag(r_down)),
+        radial_hermiticity_error=max_abs_diff(p.r_down, dag(p.r_down)),
     )
 
 
@@ -308,32 +310,29 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     phase-basis operator, the radial roots included, is conjugated with that
     same matrix.
     """
-    brackets, roots = _q_tables(cfg)
-    a = _step_down(roots)
+    p = _phase_basis(cfg)
     n_op = number(cfg)
-    f = fourier(cfg)
-    fdag = dag(f)
     big_h = cyclic_shift(cfg)
-    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, brackets)
-    sqrt_brace_hdag, sqrt_brace_hdag1 = _phase_brace_roots(f, fdag, roots)
+    big_h_dag = dag(big_h)
+    brace_hdag, brace_hdag1 = _phase_braces(cfg, p.f, p.fdag, p.brackets, big_h_dag)
     return OperatorSet(
         config=cfg,
-        a=a,
-        a_dag=a.T,
+        a=p.a,
+        a_dag=p.a.T,
         n_op=n_op,
         g=clock(cfg),
         h=shift(cfg),
         h_dag=shift_dag(cfg),
-        brace_g=np.diag(brackets[:-1]),
-        brace_g1=np.diag(brackets[1:]),
-        fourier=f,
+        brace_g=np.diag(p.brackets[:-1]),
+        brace_g1=np.diag(p.brackets[1:]),
+        fourier=p.f,
         big_h=big_h,
-        big_h_dag=dag(big_h),
-        a_tilde=_rotate_step(f, a, fdag),
-        a_tilde_dag=_rotate_step(f, a.T, fdag),
-        n_tilde=_rotate_diagonal(f, n_op.diagonal(), fdag),
+        big_h_dag=big_h_dag,
+        a_tilde=p.a_tilde,
+        a_tilde_dag=p.a_tilde_dag,
+        n_tilde=_rotate_diagonal(p.f, n_op.diagonal(), p.fdag),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,
-        sqrt_brace_hdag=sqrt_brace_hdag,
-        sqrt_brace_hdag1=sqrt_brace_hdag1,
+        sqrt_brace_hdag=p.r_down,
+        sqrt_brace_hdag1=p.r_up,
     )

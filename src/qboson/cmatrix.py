@@ -13,12 +13,14 @@ matrix goes to the dense product or power.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 
 def dyad(m: int, n: int, dim: int) -> np.ndarray:
     """Outer product |m><n|: a single 1 at row m, column n."""
+    m, n = operator.index(m), operator.index(n)  # numpy reads a bool index as a mask
     if not (0 <= m < dim and 0 <= n < dim):
         raise IndexError(f"dyad indices ({m}, {n}) out of range for dim {dim}")
     out = np.zeros((dim, dim), dtype=complex)
@@ -94,6 +96,7 @@ def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     p-th power is the map composed with itself in numpy's binary schedule,
     in O(d log p).  Every other matrix goes through dense binary powering.
     """
+    p = operator.index(p)  # a float p is a TypeError on both routes
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
     a = np.asarray(a)
@@ -158,6 +161,8 @@ def is_unitary(a: np.ndarray, tol: float) -> bool:
 
 def _entry_pairs(a: np.ndarray) -> list[list[float]]:
     # [re, im] per entry, in row-major order
+    if a.size == 0:  # the readers accept no dim 0, so neither does a writer
+        raise ValueError("dim must be a positive integer, got 0")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries cannot be serialized")
     return np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()

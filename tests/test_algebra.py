@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+from qboson import algebra, verify
 
 from qboson import (
     AlgebraConfig,
@@ -229,6 +232,14 @@ def test_phase_state_range_checked():
         phase_state(3, AlgebraConfig(2))
 
 
+def test_phase_state_index_is_an_integer():
+    # a bool is the index it stands for, not a mask over the Fourier rows
+    cfg = AlgebraConfig(4)
+    np.testing.assert_array_equal(phase_state(True, cfg), phase_state(1, cfg))
+    with pytest.raises(TypeError):
+        phase_state(1.0, cfg)
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_bare_shift_from_fourier_conjugation(cfg):
     d, s = cfg.dim, cfg.s
@@ -407,6 +418,74 @@ def test_operator_set_braces_are_the_phase_braces(cfg):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_polar_radial_factor_is_the_operator_set_root(cfg):
     assert _bit_equal(polar_decompose(cfg).radial, build_operator_set(cfg).sqrt_brace_hdag)
+
+
+# both sides of dimension 48, where the step operators become column gathers
+@pytest.mark.parametrize("s", [47, 48, 64, 128])
+def test_polar_decomposition_is_the_operator_set_eq19(s):
+    for cfg in _coprime_configs(s):
+        ops = build_operator_set(cfg)
+        pd = polar_decompose(cfg)
+        assert _bit_equal(pd.radial, ops.sqrt_brace_hdag), cfg.k
+        assert _bit_equal(pd.unitary, dag(ops.g)), cfg.k
+        catalog = verify._catalog(verify._NUMPY, verify._closed_operators(ops), cfg)
+        eq19 = dict(catalog)["eq19_polar"]
+        assert list(pd.factor_errors.values()) == [max_abs_diff(lhs, rhs) for lhs, rhs in eq19[:4]]
+
+
+def _count_constructions(monkeypatch, build, cfg):
+    # calls of the phase-basis builders during one build(cfg), and how many
+    # times dag is taken of a matrix that fourier returned
+    counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "dag_of_f": 0}
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            out = fn(*args)
+            if name == "fourier":
+                built.append(out)
+            return out
+        return wrapper
+
+    for name in ("fourier", "_q_tables", "cyclic_shift"):
+        monkeypatch.setattr(algebra, name, counted(name, getattr(algebra, name)))
+    dag_ = algebra.dag
+
+    def dag_counted(a):
+        counts["dag_of_f"] += any(a is f for f in built)
+        return dag_(a)
+
+    monkeypatch.setattr(algebra, "dag", dag_counted)
+    build(cfg)
+    return counts
+
+
+@pytest.mark.parametrize("s", [4, 64])
+def test_operator_set_builds_the_phase_basis_once(monkeypatch, s):
+    counts = _count_constructions(monkeypatch, build_operator_set, AlgebraConfig(s))
+    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+    assert counts["cyclic_shift"] <= 1
+
+
+@pytest.mark.parametrize("s", [4, 64])
+def test_polar_decomposition_builds_the_phase_basis_once(monkeypatch, s):
+    counts = _count_constructions(monkeypatch, polar_decompose, AlgebraConfig(s))
+    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+
+
+# k far outside the int64 range, or whose products k*m*n overflow it; each
+# is coprime to s+1
+@pytest.mark.parametrize("s, k", [(4, 2**61 + 1), (4, 10**20 + 1), (256, -2**62 - 1)])
+def test_root_index_acts_only_mod_dimension(s, k):
+    cfg, reduced = AlgebraConfig(s, k), AlgebraConfig(s, k % (s + 1))
+    ops, ref = build_operator_set(cfg), build_operator_set(reduced)
+    for field in dataclasses.fields(ops):
+        if field.name != "config":
+            assert _bit_equal(getattr(ops, field.name), getattr(ref, field.name)), field.name
+    assert _bit_equal(fourier(cfg), fourier(reduced))
+    assert _bit_equal(clock(cfg), clock(reduced))
+    assert verify.run_all(cfg).overall_pass
 
 
 def _assert_matches_dense(got, dense):

@@ -118,6 +118,11 @@ class TestVerify:
         doc = json.loads(proc.stdout, parse_constant=reject)
         assert doc["s"] == 512 and doc["overall_pass"] is True
 
+    def test_root_index_beyond_int64_exit_zero(self):
+        proc = run_cli("verify", "--s", "4", "--k", "100000000000000000001")
+        assert proc.returncode == 0, proc.stderr
+        assert "overall: PASS (14/14)" in proc.stdout
+
     def test_unreachable_tolerance_exit_one(self):
         assert run_cli("verify", "--s", "5", "--tol", "1e-30").returncode == 1
 

@@ -63,6 +63,13 @@ class TestDyad:
         with pytest.raises(IndexError):
             dyad(m, n, 2)
 
+    def test_indices_are_integers(self):
+        # a bool is the integer it stands for, not a mask that fills a row
+        np.testing.assert_array_equal(dyad(True, 0, 3), dyad(1, 0, 3))
+        np.testing.assert_array_equal(dyad(0, np.int64(2), 3), dyad(0, 2, 3))
+        with pytest.raises(TypeError):
+            dyad(1.0, 0, 3)
+
 
 class TestArithmetic:
     def test_identity_is_neutral(self):
@@ -106,6 +113,17 @@ class TestMatPow:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             mat_pow(identity(2), -1)
+
+    @pytest.mark.parametrize("p", [2.5, 2.0])
+    @pytest.mark.parametrize("m", [cyclic_shift(AlgebraConfig(4)), np.full((3, 3), 1 + 1j)],
+                             ids=["column_map", "dense"])
+    def test_non_integer_power_rejected_on_both_routes(self, m, p):
+        with pytest.raises(TypeError):
+            mat_pow(m, p)
+
+    def test_integer_like_power(self):
+        h = cyclic_shift(AlgebraConfig(4))
+        np.testing.assert_array_equal(mat_pow(h, np.int64(3)), mat_pow(h, 3))
 
 
 def _admissible_configs(s):
@@ -363,6 +381,13 @@ class TestJsonFormat:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             matrix_to_dict(np.zeros((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("write, empty", [(matrix_to_dict, np.zeros((0, 0))),
+                                              (vector_to_dict, np.zeros(0))])
+    def test_empty_array_is_not_written(self, write, empty):
+        # the readers reject dim 0, so the writers do too
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            write(empty)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
