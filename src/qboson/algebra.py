@@ -7,16 +7,15 @@ of the rotated step operators.
 
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
-anywhere.  The operator set and the polar decomposition read one shared
-phase-basis construction, which applies a diagonal factor by broadcasting its
-entries and a step operator by gathering columns (``mul_sparse``).
+anywhere.  Such a conjugate is a circulant, read off one matrix-vector
+product; a step operator is rotated by gathering columns (``mul_sparse``).
+The polar decomposition reads the operator set.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +130,10 @@ def phase_state(m: int, cfg: AlgebraConfig) -> np.ndarray:
 
     The s+1 phase states form an orthonormal basis dual to the number states.
     """
-    m = operator.index(m)  # numpy would read a bool as a mask
+    m = operator.index(m)  # TypeError for a float, which indexes no column
     if not 0 <= m <= cfg.s:
         raise IndexError(f"phase state index {m} out of range for s={cfg.s}")
-    return fourier(cfg)[:, m].copy()
+    return _q_powers(cfg, m * np.arange(cfg.dim)) / math.sqrt(cfg.dim)
 
 
 def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
@@ -166,13 +165,20 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     q-integer diagonals, and the two construction routes are cross-checked
     here against the configured tolerance.
     """
-    f = fourier(cfg)
-    return _phase_braces(cfg, f, dag(f), _q_tables(cfg)[0], dag(cyclic_shift(cfg)))
+    return _phase_braces(cfg, fourier(cfg), _lags(cfg.dim), _q_tables(cfg)[0],
+                         dag(cyclic_shift(cfg)))
 
 
-def _rotate_diagonal(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
-    # f @ diag(x) @ fdag, with the diagonal factor broadcast over f's columns
-    return (f * x) @ fdag
+def _lags(d: int) -> np.ndarray:
+    # (m - n) mod d at entry (m, n): where a circulant reads its first column
+    idx = np.arange(d)
+    return (idx[:, None] - idx) % d
+
+
+def _rotate_diagonal(f: np.ndarray, x: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    # f @ diag(x) @ f† is the circulant (f @ x)[(m - n) mod d] / sqrt(d): entry
+    # (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product
+    return ((f @ x) / math.sqrt(len(x)))[lag]
 
 
 def _rotate(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
@@ -180,11 +186,11 @@ def _rotate(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
     return mul_sparse(f, x) @ fdag
 
 
-def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, fdag: np.ndarray, brackets: np.ndarray,
+def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, lag: np.ndarray, brackets: np.ndarray,
                   big_h_dag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
-    spectral = (_rotate_diagonal(f, brackets[:-1], fdag),
-                _rotate_diagonal(f, brackets[1:], fdag))
+    spectral = (_rotate_diagonal(f, brackets[:-1], lag),
+                _rotate_diagonal(f, brackets[1:], lag))
     # construction self-check: floored below so a user tolerance tighter than
     # floating point turns up as a failed verification, not a build crash
     bound = max(cfg.tol, 1e-10) * cfg.dim
@@ -206,22 +212,8 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     not conjugate-symmetric whenever some q-integer is negative, which
     happens for every s >= 2.
     """
-    p = _phase_basis(cfg)
-    return p.r_down, p.r_up
-
-
-# Shared by the operator set and the polar decomposition: F, F†, [0..s+1], a,
-# the rotated step operators F a F†, F a† F†, and the roots F √[N] F†, F √[N+1] F†.
-_PhaseBasis = namedtuple("_PhaseBasis", "f fdag brackets a a_tilde a_tilde_dag r_down r_up")
-
-
-def _phase_basis(cfg: AlgebraConfig) -> _PhaseBasis:
-    brackets, roots = _q_tables(cfg)
-    a = _step_down(roots)
-    f = fourier(cfg)
-    fdag = dag(f)
-    return _PhaseBasis(f, fdag, brackets, a, _rotate(f, a, fdag), _rotate(f, a.T, fdag),
-                       _rotate_diagonal(f, roots[:-1], fdag), _rotate_diagonal(f, roots[1:], fdag))
+    f, lag, roots = fourier(cfg), _lags(cfg.dim), _q_tables(cfg)[1]
+    return _rotate_diagonal(f, roots[:-1], lag), _rotate_diagonal(f, roots[1:], lag)
 
 
 @dataclass(frozen=True)
@@ -254,27 +246,25 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     with the radial part diagonal in the phase basis; the rotated step-up
     operator factors with the same pieces in the opposite order.  Both
     operators are built independently by Fourier conjugation and compared
-    against the factored forms, from the construction :func:`build_operator_set`
-    reads, so the four factor errors are the verifier's first four eq19 deviations.
+    against the factored forms, all read from :func:`build_operator_set`, so
+    the four factor errors are the verifier's first four eq19 deviations.
     """
-    # clock first: d x d temporaries then reuse freed heap blocks (fewer page faults)
-    g = clock(cfg)
-    g_inv = dag(g)
-    p = _phase_basis(cfg)
+    ops = build_operator_set(cfg)
+    g_inv = dag(ops.g)
     # the clock is diagonal, so its four products below are broadcast
-    z, z_inv = g.diagonal(), g_inv.diagonal()
+    z, z_inv = ops.g.diagonal(), g_inv.diagonal()
     errors = {
-        "down_unitary_radial": max_abs_diff(p.a_tilde, z_inv[:, None] * p.r_down),
-        "down_radial_unitary": max_abs_diff(p.a_tilde, p.r_up * z_inv),
-        "up_radial_unitary": max_abs_diff(p.a_tilde_dag, p.r_down * z),
-        "up_unitary_radial": max_abs_diff(p.a_tilde_dag, z[:, None] * p.r_up),
+        "down_unitary_radial": max_abs_diff(ops.a_tilde, z_inv[:, None] * ops.sqrt_brace_hdag),
+        "down_radial_unitary": max_abs_diff(ops.a_tilde, ops.sqrt_brace_hdag1 * z_inv),
+        "up_radial_unitary": max_abs_diff(ops.a_tilde_dag, ops.sqrt_brace_hdag * z),
+        "up_unitary_radial": max_abs_diff(ops.a_tilde_dag, z[:, None] * ops.sqrt_brace_hdag1),
     }
     return PolarDecomposition(
         unitary=g_inv,
-        radial=p.r_down,
+        radial=ops.sqrt_brace_hdag,
         reconstruction_error=errors["down_unitary_radial"],
         factor_errors=errors,
-        radial_hermiticity_error=max_abs_diff(p.r_down, dag(p.r_down)),
+        radial_hermiticity_error=max_abs_diff(ops.sqrt_brace_hdag, dag(ops.sqrt_brace_hdag)),
     )
 
 
@@ -306,33 +296,39 @@ class OperatorSet:
 def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     """Construct every operator of the family for one configuration.
 
-    The Fourier matrix and the q-integer table are built once; every
-    phase-basis operator, the radial roots included, is conjugated with that
-    same matrix.
+    The Fourier matrix, its lag table and the q-integer table are built
+    once; every phase-basis operator, the radial roots included, is
+    conjugated with that same matrix.
     """
-    p = _phase_basis(cfg)
+    brackets, roots = _q_tables(cfg)
+    a = _step_down(roots)
+    f = fourier(cfg)
+    fdag = dag(f)
+    lag = _lags(cfg.dim)
     n_op = number(cfg)
     big_h = cyclic_shift(cfg)
     big_h_dag = dag(big_h)
-    brace_hdag, brace_hdag1 = _phase_braces(cfg, p.f, p.fdag, p.brackets, big_h_dag)
+    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, lag, brackets, big_h_dag)
     return OperatorSet(
         config=cfg,
-        a=p.a,
-        a_dag=p.a.T,
+        a=a,
+        a_dag=a.T,
         n_op=n_op,
         g=clock(cfg),
         h=shift(cfg),
         h_dag=shift_dag(cfg),
-        brace_g=np.diag(p.brackets[:-1]),
-        brace_g1=np.diag(p.brackets[1:]),
-        fourier=p.f,
+        brace_g=np.diag(brackets[:-1]),
+        brace_g1=np.diag(brackets[1:]),
+        fourier=f,
         big_h=big_h,
         big_h_dag=big_h_dag,
-        a_tilde=p.a_tilde,
-        a_tilde_dag=p.a_tilde_dag,
-        n_tilde=_rotate_diagonal(p.f, n_op.diagonal(), p.fdag),
+        # rotated, not formed as clock times circulant: that is eq19's
+        # right side, and the check would become a tautology
+        a_tilde=_rotate(f, a, fdag),
+        a_tilde_dag=_rotate(f, a.T, fdag),
+        n_tilde=_rotate_diagonal(f, n_op.diagonal(), lag),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,
-        sqrt_brace_hdag=p.r_down,
-        sqrt_brace_hdag1=p.r_up,
+        sqrt_brace_hdag=_rotate_diagonal(f, roots[:-1], lag),
+        sqrt_brace_hdag1=_rotate_diagonal(f, roots[1:], lag),
     )

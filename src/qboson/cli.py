@@ -12,9 +12,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import algebra
 from .cmatrix import matrix_to_dict, vector_to_dict
-from .qnumerics import AlgebraConfig, primitive_root, q_number
+from .qnumerics import AlgebraConfig, q_number
 from .verify import run_all, sweep
 
 BUILD_OPS = {
@@ -28,7 +30,7 @@ BUILD_OPS = {
     "bigh": algebra.cyclic_shift,
     "atilde": lambda cfg: algebra.fourier_conjugate(algebra.annihilation(cfg), cfg),
     "atildedag": lambda cfg: algebra.fourier_conjugate(algebra.creation(cfg), cfg),
-    "ntilde": lambda cfg: algebra.fourier_conjugate(algebra.number(cfg), cfg),
+    "ntilde": lambda cfg: algebra.build_operator_set(cfg).n_tilde,
     "braceHdag": lambda cfg: algebra.phase_braces(cfg)[0],
     "braceHdag1": lambda cfg: algebra.phase_braces(cfg)[1],
     "sqrtBraceHdag": lambda cfg: algebra.phase_brace_roots(cfg)[0],
@@ -93,14 +95,14 @@ def _fmt_scalar(z: complex) -> str:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = AlgebraConfig(s=args.s, k=args.k)
-    q = primitive_root(cfg)
-    values = {
-        "g": lambda n: q ** n,
-        "bigh": lambda n: q ** (-n),
-        "braceHdag": lambda n: complex(q_number(n, cfg)),
-        "braceHdag1": lambda n: complex(q_number(n + 1, cfg)),
-    }[args.op]
-    print(", ".join(_fmt_scalar(values(n)) for n in range(cfg.dim)))
+    if args.op in ("g", "bigh"):
+        # the diagonals of clock(cfg) and of its adjoint, from the same root table
+        z = algebra._q_powers(cfg, np.arange(cfg.dim))
+        values = z if args.op == "g" else z.conj()
+    else:
+        offset = int(args.op == "braceHdag1")
+        values = [q_number(n + offset, cfg) for n in range(cfg.dim)]
+    print(", ".join(_fmt_scalar(complex(v)) for v in values))
     return 0
 
 

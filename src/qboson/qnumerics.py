@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -72,7 +73,7 @@ def q_number(x: int, cfg: AlgebraConfig) -> float:
     is even, at odd multiples of (s+1)/2.
     """
     d = cfg.dim
-    return _folded_sine((cfg.k * x) % d, d) / _folded_sine(cfg.k % d, d)
+    return _folded_sine((cfg.k * operator.index(x)) % d, d) / _folded_sine(cfg.k % d, d)
 
 
 def _folded_sine(m: int, d: int) -> float:

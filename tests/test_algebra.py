@@ -35,7 +35,7 @@ from qboson import (
     shift_dag,
     sqrt_q_number_matrix,
 )
-from qboson.algebra import _rotate_diagonal
+from qboson.algebra import _lags, _rotate_diagonal
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -230,6 +230,15 @@ def test_phase_states_orthonormal_and_complete(cfg):
 def test_phase_state_range_checked():
     with pytest.raises(IndexError):
         phase_state(3, AlgebraConfig(2))
+
+
+# (4, 2**61 + 1): k*m*n overflows int64 unless k is reduced first
+@pytest.mark.parametrize("s, k", [(2, 1), (16, 5), (63, -1), (256, 37), (4, 2**61 + 1)])
+def test_phase_state_is_the_fourier_column(s, k):
+    cfg = AlgebraConfig(s, k)
+    f = fourier(cfg)
+    for m in range(cfg.dim):
+        assert phase_state(m, cfg).tobytes() == f[:, m].tobytes(), m
 
 
 def test_phase_state_index_is_an_integer():
@@ -488,27 +497,47 @@ def test_root_index_acts_only_mod_dimension(s, k):
     assert verify.run_all(cfg).overall_pass
 
 
-def _assert_matches_dense(got, dense):
-    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
+# unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _assert_within_product_bound(got, f, x):
+    # the circulant route ((f @ x) / sqrt(d))[lag] and the dense f @ diag(x) @ f†
+    # each sum the d terms q^((m-n) j) x_j / d, whose moduli add up to mean|x_j|,
+    # in their own order; each is within d u mean|x_j| of the exact entry
+    # (Higham, 2nd ed., section 3.5), so the two differ by at most twice that
+    dense = (f * x) @ dag(f)  # f * x is f @ diag(x): one nonzero term per entry
+    assert np.abs(got - dense).max() <= 2 * len(x) * UNIT_ROUNDOFF * np.abs(x).mean()
 
 
 def _coprime_configs(s):
     return [AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]
 
 
-@pytest.mark.parametrize("s", range(2, 17))
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 64, 128, 256])
 def test_diagonal_rotations_match_the_dense_products(s):
-    # each diagonal rotated by broadcasting, (f * x) @ f†, against f @ D @ f†
+    # each diagonal rotated as a circulant against f @ D @ f†
     for cfg in _coprime_configs(s):
         ops = build_operator_set(cfg)
-        f, fdag = ops.fourier, dag(ops.fourier)
-        dense = lambda d: f @ d @ fdag
-        _assert_matches_dense(ops.n_tilde, dense(number(cfg)))
-        _assert_matches_dense(ops.sqrt_brace_hdag, dense(sqrt_q_number_matrix(cfg)))
-        _assert_matches_dense(ops.sqrt_brace_hdag1, dense(sqrt_q_number_matrix(cfg, offset=1)))
+        f = ops.fourier
+        _assert_within_product_bound(ops.n_tilde, f, number(cfg).diagonal())
+        _assert_within_product_bound(ops.sqrt_brace_hdag, f, sqrt_q_number_matrix(cfg).diagonal())
+        _assert_within_product_bound(ops.sqrt_brace_hdag1, f,
+                                     sqrt_q_number_matrix(cfg, offset=1).diagonal())
         for offset in (0, 1):  # the spectral route of the phase-brace self-check
-            d = q_number_matrix(cfg, offset=offset)
-            _assert_matches_dense(_rotate_diagonal(f, d.diagonal(), fdag), dense(d))
+            x = q_number_matrix(cfg, offset=offset).diagonal()
+            _assert_within_product_bound(_rotate_diagonal(f, x, _lags(cfg.dim)), f, x)
+
+
+def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
+    calls = []
+    rotate = algebra._rotate
+    monkeypatch.setattr(algebra, "_rotate", lambda *args: calls.append(args) or rotate(*args))
+    cfg = AlgebraConfig(64)
+    phase_brace_roots(cfg)
+    assert len(calls) == 0
+    build_operator_set(cfg)  # a_tilde and a_tilde_dag
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("s", range(2, 17))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qboson import algebra, cli
 from qboson import (
     AlgebraConfig,
     annihilation,
+    clock,
     cyclic_shift,
     dag,
     matrix_from_dict,
@@ -202,6 +204,22 @@ class TestSpectrum:
 
     def test_unsupported_operator(self):
         assert run_cli("spectrum", "--s", "2", "--op", "a").returncode == 2
+
+    @pytest.mark.parametrize("s", range(2, 17))
+    def test_clock_spectra_are_the_clock_diagonals(self, s, capsys):
+        # g is the clock and bigh's eigenvalues are those of its adjoint
+        for k in (k for k in range(1, s + 1) if math.gcd(k, s + 1) == 1):
+            g = clock(AlgebraConfig(s, k=k))
+            for op, diagonal in (("g", g.diagonal()), ("bigh", dag(g).diagonal())):
+                assert cli.main(["spectrum", "--s", str(s), "--k", str(k), "--op", op]) == 0
+                want = ", ".join(cli._fmt_scalar(complex(z)) for z in diagonal)
+                assert capsys.readouterr().out.strip() == want, (k, op)
+
+    def test_clock_spectrum_reads_the_root_table(self, capsys):
+        # q^3 at s=3 is -i; the table holds cos(-pi/2) as its real part, not
+        # the rounding of the product q**3
+        assert cli.main(["spectrum", "--s", "3", "--op", "g"]) == 0
+        assert capsys.readouterr().out.strip().split(", ")[3] == "6.12323399574e-17-1j"
 
 
 class TestPhaseStates:

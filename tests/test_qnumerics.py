@@ -1,10 +1,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qboson import AlgebraConfig, primitive_root, q_number, sqrt_q_number
+from qboson import (
+    AlgebraConfig,
+    primitive_root,
+    q_number,
+    q_number_matrix,
+    sqrt_q_number,
+    sqrt_q_number_matrix,
+)
 
 
 def quotient_q_number(x: int, s: int, k: int = 1) -> float:
@@ -124,3 +132,28 @@ class TestSqrtQNumber:
         # principal: nonnegative real for [x] >= 0, positive imaginary otherwise
         assert r.real >= 0.0 and r.imag >= 0.0
         assert r.real == 0.0 or r.imag == 0.0
+
+
+class TestIntegerArguments:
+    # a q-integer is defined at integers only: a float x would give a sine
+    # ratio that is no q-integer
+    CFG = AlgebraConfig(s=4)
+
+    @pytest.mark.parametrize("build", [
+        lambda cfg: q_number(2.5, cfg),
+        lambda cfg: sqrt_q_number(2.5, cfg),
+        lambda cfg: q_number_matrix(cfg, offset=0.5),
+        lambda cfg: sqrt_q_number_matrix(cfg, offset=0.5),
+    ], ids=["q_number", "sqrt_q_number", "q_number_matrix", "sqrt_q_number_matrix"])
+    def test_non_integer_rejected(self, build):
+        with pytest.raises(TypeError):
+            build(self.CFG)
+
+    def test_numpy_integers_accepted(self):
+        cfg, three = self.CFG, np.int64(3)
+        assert q_number(three, cfg) == q_number(3, cfg)
+        assert sqrt_q_number(three, cfg) == sqrt_q_number(3, cfg)
+        np.testing.assert_array_equal(q_number_matrix(cfg, offset=three),
+                                      q_number_matrix(cfg, offset=3))
+        np.testing.assert_array_equal(sqrt_q_number_matrix(cfg, offset=three),
+                                      sqrt_q_number_matrix(cfg, offset=3))
