@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import algebra
 from .cmatrix import matrix_to_dict, vector_to_dict
 from .qnumerics import AlgebraConfig, q_number
@@ -30,7 +28,9 @@ BUILD_OPS = {
     "bigh": algebra.cyclic_shift,
     "atilde": lambda cfg: algebra.fourier_conjugate(algebra.annihilation(cfg), cfg),
     "atildedag": lambda cfg: algebra.fourier_conjugate(algebra.creation(cfg), cfg),
-    "ntilde": lambda cfg: algebra.build_operator_set(cfg).n_tilde,
+    # the operator set's expression for its n_tilde, without the rest of the set
+    "ntilde": lambda cfg: algebra._rotate_diagonal(
+        algebra.fourier(cfg), algebra.number(cfg).diagonal(), algebra._lags(cfg.dim)),
     "braceHdag": lambda cfg: algebra.phase_braces(cfg)[0],
     "braceHdag1": lambda cfg: algebra.phase_braces(cfg)[1],
     "sqrtBraceHdag": lambda cfg: algebra.phase_brace_roots(cfg)[0],
@@ -96,8 +96,7 @@ def _fmt_scalar(z: complex) -> str:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = AlgebraConfig(s=args.s, k=args.k)
     if args.op in ("g", "bigh"):
-        # the diagonals of clock(cfg) and of its adjoint, from the same root table
-        z = algebra._q_powers(cfg, np.arange(cfg.dim))
+        z = algebra._clock_diagonal(cfg)  # the diagonals of clock(cfg) and its adjoint
         values = z if args.op == "g" else z.conj()
     else:
         offset = int(args.op == "braceHdag1")

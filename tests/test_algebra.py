@@ -232,15 +232,6 @@ def test_phase_state_range_checked():
         phase_state(3, AlgebraConfig(2))
 
 
-# (4, 2**61 + 1): k*m*n overflows int64 unless k is reduced first
-@pytest.mark.parametrize("s, k", [(2, 1), (16, 5), (63, -1), (256, 37), (4, 2**61 + 1)])
-def test_phase_state_is_the_fourier_column(s, k):
-    cfg = AlgebraConfig(s, k)
-    f = fourier(cfg)
-    for m in range(cfg.dim):
-        assert phase_state(m, cfg).tobytes() == f[:, m].tobytes(), m
-
-
 def test_phase_state_index_is_an_integer():
     # a bool is the index it stands for, not a mask over the Fourier rows
     cfg = AlgebraConfig(4)
@@ -504,8 +495,11 @@ UNIT_ROUNDOFF = 2.0 ** -53
 def _assert_within_product_bound(got, f, x):
     # the circulant route ((f @ x) / sqrt(d))[lag] and the dense f @ diag(x) @ f†
     # each sum the d terms q^((m-n) j) x_j / d, whose moduli add up to mean|x_j|,
-    # in their own order; each is within d u mean|x_j| of the exact entry
-    # (Higham, 2nd ed., section 3.5), so the two differ by at most twice that
+    # in their own order.  The bound is measured, not proven: it is twice the
+    # real summation bound d u mean|x_j| (Higham, 2nd ed., section 3.5), which
+    # leaves out the complex products (section 3.6), the rounding of f's
+    # entries, the dense route's f * x and the division by sqrt(d).  The worst
+    # entry seen reaches 0.86 of it, at small d
     dense = (f * x) @ dag(f)  # f * x is f @ diag(x): one nonzero term per entry
     assert np.abs(got - dense).max() <= 2 * len(x) * UNIT_ROUNDOFF * np.abs(x).mean()
 
