@@ -142,7 +142,7 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - b)))
+    return float(np.abs(a - b).max())
 
 
 def is_unitary(a: np.ndarray, tol: float) -> bool:

@@ -28,6 +28,10 @@ class AlgebraConfig:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        # a numpy integer is kept as the int it stands for, so configs compare,
+        # hash and serialize alike; a float is a TypeError
+        object.__setattr__(self, "s", operator.index(self.s))
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.s < 2:
             # s = 1 gives q = -1, so the q-integer denominator q - 1/q vanishes
             raise ValueError(f"s must be >= 2, got {self.s}")

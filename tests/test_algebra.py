@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -433,9 +434,9 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
         assert list(pd.factor_errors.values()) == [max_abs_diff(lhs, rhs) for lhs, rhs in eq19[:4]]
 
 
-def _count_constructions(monkeypatch, build, cfg):
-    # calls of the phase-basis builders during one build(cfg), and how many
-    # times dag is taken of a matrix that fourier returned
+def _count_constructions(monkeypatch, cfg, *builds):
+    # calls of the phase-basis builders during build(cfg) for each of builds
+    # in turn, and how many times dag is taken of a matrix that fourier returned
     counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "dag_of_f": 0}
     built = []
 
@@ -457,21 +458,62 @@ def _count_constructions(monkeypatch, build, cfg):
         return dag_(a)
 
     monkeypatch.setattr(algebra, "dag", dag_counted)
-    build(cfg)
+    for build in builds:
+        build(cfg)
     return counts
 
 
 @pytest.mark.parametrize("s", [4, 64])
 def test_operator_set_builds_the_phase_basis_once(monkeypatch, s):
-    counts = _count_constructions(monkeypatch, build_operator_set, AlgebraConfig(s))
+    counts = _count_constructions(monkeypatch, AlgebraConfig(s), build_operator_set)
     assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
     assert counts["cyclic_shift"] <= 1
 
 
 @pytest.mark.parametrize("s", [4, 64])
 def test_polar_decomposition_builds_the_phase_basis_once(monkeypatch, s):
-    counts = _count_constructions(monkeypatch, polar_decompose, AlgebraConfig(s))
+    counts = _count_constructions(monkeypatch, AlgebraConfig(s), polar_decompose)
     assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+
+
+@pytest.mark.parametrize("s", [4, 64])
+def test_verification_and_polar_decomposition_share_one_build(monkeypatch, s):
+    counts = _count_constructions(monkeypatch, AlgebraConfig(s), verify.run_all, polar_decompose)
+    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+
+
+def test_equal_configs_share_one_set():
+    ops = build_operator_set(AlgebraConfig(5))
+    assert build_operator_set(AlgebraConfig(5)) is ops
+    assert build_operator_set(AlgebraConfig(5, tol=1e-8)) is not ops
+
+
+def test_another_config_drops_the_kept_set_before_building(monkeypatch):
+    old = weakref.ref(build_operator_set(AlgebraConfig(5)))
+    alive_at_build = []
+    build = algebra._build_operator_set
+
+    def watched(cfg):
+        alive_at_build.append(old() is not None)
+        return build(cfg)
+
+    monkeypatch.setattr(algebra, "_build_operator_set", watched)
+    build_operator_set(AlgebraConfig(6))
+    assert alive_at_build == [False]
+
+
+@pytest.mark.parametrize("s", [4, 64])
+def test_operator_set_arrays_are_read_only(s):
+    ops = build_operator_set(AlgebraConfig(s))
+    arrays = [f.name for f in dataclasses.fields(ops) if f.name != "config"]
+    assert all(isinstance(getattr(ops, name), np.ndarray) for name in arrays)
+    for name in arrays:
+        with pytest.raises(ValueError):
+            getattr(ops, name)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            getattr(ops, name)[...] *= 2
+    with pytest.raises(ValueError):
+        polar_decompose(AlgebraConfig(s)).radial[0, 0] = 1.0
 
 
 # k far outside the int64 range, or whose products k*m*n overflow it; each

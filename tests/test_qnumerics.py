@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from qboson import (
     primitive_root,
     q_number,
     q_number_matrix,
+    run_all,
     sqrt_q_number,
     sqrt_q_number_matrix,
 )
@@ -53,6 +55,18 @@ class TestAlgebraConfig:
 
     def test_negative_coprime_k_allowed(self):
         assert AlgebraConfig(s=4, k=-1).k == -1
+
+    def test_numpy_integers_become_ints(self):
+        cfg, ref = AlgebraConfig(np.int64(4), np.int64(2)), AlgebraConfig(4, 2)
+        assert type(cfg.s) is int and type(cfg.k) is int
+        assert cfg == ref and hash(cfg) == hash(ref)
+        report = run_all(cfg).to_json_dict()
+        assert json.dumps(report, allow_nan=False) == json.dumps(run_all(ref).to_json_dict())
+
+    @pytest.mark.parametrize("s, k", [(4.0, 1), (4, 1.0), (np.float64(4), 1)])
+    def test_float_s_or_k_rejected(self, s, k):
+        with pytest.raises(TypeError):
+            AlgebraConfig(s=s, k=k)
 
 
 class TestPrimitiveRoot:
