@@ -8,7 +8,8 @@ of the rotated step operators.
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
 anywhere.  Such a conjugate is a circulant, read off one matrix-vector
-product; a step operator is rotated by gathering columns (``mul_sparse``).
+product; a step operator, held as a column map, is applied to the Fourier
+matrix as a column gather.
 The polar decomposition reads the operator set.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cmatrix import dag, dyad, max_abs_diff, mul_sparse
+from .cmatrix import _band, dag, dyad, max_abs_diff
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -146,11 +147,11 @@ def phase_state(m: int, cfg: AlgebraConfig) -> np.ndarray:
 
 
 def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
-    """Rotate an operator into the phase basis: F a F†, by the operator set's kernel."""
+    """Rotate an operator into the phase basis: F a F†."""
     f = fourier(cfg)
     if a.shape != f.shape:
         raise ValueError(f"operator shape {a.shape} does not match dim {cfg.dim}")
-    return _rotate(f, a, dag(f))
+    return f @ a @ dag(f)
 
 
 def q_bracket(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
@@ -187,11 +188,6 @@ def _rotate_diagonal(f: np.ndarray, x: np.ndarray, lag: np.ndarray) -> np.ndarra
     # f @ diag(x) @ f† is the circulant (f @ x)[(m - n) mod d] / sqrt(d): entry
     # (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product
     return ((f @ x) / math.sqrt(len(x)))[lag]
-
-
-def _rotate(f: np.ndarray, x: np.ndarray, fdag: np.ndarray) -> np.ndarray:
-    # f @ x @ fdag; an x with one nonzero per column is applied to f as a gather
-    return mul_sparse(f, x) @ fdag
 
 
 def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, lag: np.ndarray, brackets: np.ndarray,
@@ -360,8 +356,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         big_h_dag=big_h_dag,
         # rotated, not formed as clock times circulant: that is eq19's
         # right side, and the check would become a tautology
-        a_tilde=_rotate(f, a, fdag),
-        a_tilde_dag=_rotate(f, a.T, fdag),
+        a_tilde=f @ _band(a, 1) @ fdag,
+        a_tilde_dag=f @ _band(a.T, -1) @ fdag,
         n_tilde=_rotate_diagonal(f, n_op.diagonal(), lag),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,

@@ -2,30 +2,102 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  Products, sums and
-scalings are numpy's own operators.  Two kernels read, one column at a time,
-whether a matrix has at most one nonzero per column (a diagonal, a step
-operator, a shift, a dyad), so that it sends each |j> to a multiple of one
-|rows[j]>: ``mul_sparse`` multiplies by such a factor as a column gather,
-and ``mat_pow`` powers its column map by repeated composition.  Any other
-matrix goes to the dense product or power.
+scalings are numpy's own operators.  A matrix with at most one nonzero per
+column (a diagonal, a step operator, a shift, a dyad) may also be held as a
+``_ColumnMap``: against another map its products, differences, powers and
+deviations cost O(d), and against a dense matrix a product is a gather.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
 import numpy as np
 
 
-def dyad(m: int, n: int, dim: int) -> np.ndarray:
-    """Outer product |m><n|: a single 1 at row m, column n."""
+class _ColumnMap:
+    """Column j is ``weights[j] * |rows[j]>``; ``dense`` keeps the matrix once formed.
+
+    An empty column has weight exactly 0, and its row changes no result.  Each
+    product entry is the one nonzero term of the dense sum, so it equals the
+    dense ``@`` wherever one factor's weights are real or imaginary.
+    """
+
+    __slots__ = ("rows", "weights", "dense", "shape")
+    __array_ufunc__ = None  # ndarray @, - and * return NotImplemented, so these run
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, dense: np.ndarray | None = None):
+        self.rows, self.weights, self.dense, self.shape = rows, weights, dense, (rows.size,) * 2
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self.dense is None:
+            self.dense = np.zeros(self.shape, dtype=self.weights.dtype)
+            self.dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
+        if dtype is None and copy is None:
+            return self.dense
+        return np.array(self.dense, dtype=dtype, copy=copy)
+
+    def __matmul__(self, other):
+        if isinstance(other, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
+            return _ColumnMap(self.rows[other.rows], self.weights[other.rows] * other.weights)
+        if self.rows is _band_rows(self.rows.size, 0):  # row placement; a diagonal keeps rows
+            return self.weights[:, None] * other
+        if np.bincount(self.rows, minlength=1).max() > 1:  # two columns share a row
+            return np.asarray(self) @ other
+        source = np.argsort(self.rows)  # row i of the product is w[j] other[j], rows[j] = i
+        return self.weights[source, None] * other[source]
+
+    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
+        if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps every column in place
+            return other * self.weights
+        out = other[:, self.rows]  # column gather: column j is other's column rows[j]
+        out *= self.weights
+        return out
+
+    def __rmul__(self, alpha) -> _ColumnMap:
+        return _ColumnMap(self.rows, alpha * self.weights)
+
+    def __sub__(self, other):
+        if isinstance(other, _ColumnMap) and not np.count_nonzero(self.rows != other.rows):
+            return _ColumnMap(self.rows, self.weights - other.weights)
+        return np.asarray(self) - np.asarray(other)
+
+    def __rsub__(self, other: np.ndarray) -> np.ndarray:
+        return other - np.asarray(self)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_rows(dim: int, offset: int) -> np.ndarray:
+    # row j - offset mod dim of each column j: a cyclic band, shared and read-only
+    rows = (np.arange(dim) - offset) % dim
+    rows.flags.writeable = False
+    return rows
+
+
+def _band(m: np.ndarray, offset: int) -> _ColumnMap:
+    # m's entries on its cyclic band, m itself kept as the map's matrix
+    rows = _band_rows(m.shape[0], offset)
+    return _ColumnMap(rows, m[rows, _band_rows(rows.size, 0)], m)
+
+
+def _diagonal(weights: np.ndarray) -> _ColumnMap:
+    return _ColumnMap(_band_rows(weights.size, 0), weights)
+
+
+def _dyad(m: int, n: int, dim: int) -> _ColumnMap:
     m, n = operator.index(m), operator.index(n)  # numpy reads a bool index as a mask
     if not (0 <= m < dim and 0 <= n < dim):
         raise IndexError(f"dyad indices ({m}, {n}) out of range for dim {dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[m, n] = 1.0
-    return out
+    weights = np.zeros(dim, dtype=complex)
+    weights[n] = 1.0
+    return _ColumnMap(_band_rows(dim, n - m), weights)
+
+
+def dyad(m: int, n: int, dim: int) -> np.ndarray:
+    """Outer product |m><n|: a single 1 at row m, column n."""
+    return np.asarray(_dyad(m, n, dim))
 
 
 def identity(dim: int) -> np.ndarray:
@@ -37,85 +109,39 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-# Below this inner dimension one BLAS product costs less than reading the
-# factor's pattern, so mul_sparse hands the product to @ unread.
-_SPARSE_MIN_DIM = 48
-
-
-def _nonzero_mask(m: np.ndarray) -> np.ndarray:
-    # m != 0 entrywise.  A complex128 matrix with a contiguous axis is
-    # compared through its float view instead, three times faster: each
-    # entry's (re != 0, im != 0) byte pair, read as one uint16, is nonzero
-    # exactly when the entry is
-    if m.dtype == np.complex128:
-        if m.flags.c_contiguous:
-            return (m.view(np.float64) != 0).view(np.uint16).astype(bool)
-        if m.flags.f_contiguous:
-            return _nonzero_mask(m.T).T
-    return m != 0
-
-
-def _column_read(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    # per column of m: the row of its first nonzero (0 for an empty column)
-    # and that entry (0 for an empty column); and whether every column holds
-    # at most one nonzero, which is when the nonzeros number exactly the
-    # nonempty columns
-    nonzero = _nonzero_mask(m)
-    rows = nonzero.argmax(axis=0)
-    entries = m[rows, np.arange(m.shape[1])]
-    return rows, entries, np.count_nonzero(nonzero) == np.count_nonzero(entries)
-
-
-def mul_sparse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m, for a factor m with at most one nonzero per column.
-
-    Column j of the product is then column rows[j] of x times that one
-    entry, so the product is a column gather and a scale.  Each entry is the
-    single nonzero term of the dense sum, which makes the result equal to
-    ``x @ m`` entry for entry wherever the entries of m are real or
-    imaginary, as those of every step, shift and dyad operator are; only a
-    zero may carry the other sign.  Below dimension ``_SPARSE_MIN_DIM``, and
-    for an m with two nonzeros in a column, this is ``x @ m``.
-    """
-    if m.shape[0] < _SPARSE_MIN_DIM:
-        return x @ m
-    rows, entries, single = _column_read(m)
-    if not single:
-        return x @ m
-    out = x[:, rows]
-    out *= entries
-    return out
-
-
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
     """p-th matrix power for p >= 0; p = 0 gives the identity.
 
     A matrix with at most one nonzero per column (the clock, q-integer
-    diagonals, step operators, bare and cyclic shifts) sends each |j> to
-    ``entries[j] * |rows[j]>``.  One column read finds that map, and its
-    p-th power is the map composed with itself in numpy's binary schedule,
-    in O(d log p).  Every other matrix goes through dense binary powering.
+    diagonals, step operators, shifts) sends each |j> to ``entries[j] *
+    |rows[j]>``.  One column read finds that map, and its p-th power composes
+    it with itself in numpy's binary schedule, in O(d log p); a column map
+    needs no read, and its power is a map.  Any other matrix is powered densely.
     """
     p = operator.index(p)  # a float p is a TypeError on both routes
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
+    if isinstance(a, _ColumnMap):
+        return _column_map_power(a, p) if p else _diagonal(np.ones(a.rows.size, dtype=complex))
     a = np.asarray(a)
     if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1] and a.size:
-        rows, entries, single = _column_read(a)
-        if single:
-            return _column_map_power(rows, entries, p)
+        nonzero = a != 0
+        rows = nonzero.argmax(axis=0)  # an empty column reads row 0 and weight 0
+        weights = a[rows, np.arange(a.shape[1])]
+        if np.count_nonzero(nonzero) == np.count_nonzero(weights):
+            return np.asarray(_column_map_power(_ColumnMap(rows, weights), p))
     return np.linalg.matrix_power(a, p)
 
 
-def _column_map_power(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
+def _column_map_power(m: _ColumnMap, p: int) -> _ColumnMap:
     # An empty column sends |j> to a sink index d, which maps to itself.  A
     # path that reaches the sink is dead: its weight, which is nan once a
-    # live window product has overflowed to inf and met a 0, lands in a sink
-    # row that is dropped, so the power is exactly 0 there.
-    dim = rows.size
+    # live window product has overflowed to inf and met a 0, is dropped, so
+    # the power's column is empty there, with the column's own index as row.
+    rows, weights, dim = m.rows, m.weights, m.rows.size
     z_rows = np.concatenate((rows, (dim,)))
     z_rows[:dim][weights == 0] = dim
-    z_w = np.concatenate((weights, weights[:1]))  # sink weight: only reaches the dropped row
+    z_w = np.concatenate((weights, weights[:1]))  # sink weight: only reaches the sink
     r_rows = r_w = None
     # numpy's binary schedule: square z, and compose it into the result r on
     # each set bit of p; z after r multiplies in the order r * z, as dense
@@ -131,16 +157,21 @@ def _column_map_power(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarr
             if not p:
                 break
             z_rows, z_w = z_rows[z_rows], z_w * z_w[z_rows]
-    out = np.zeros((dim + 1, dim), dtype=weights.dtype)
-    out[r_rows[:dim], np.arange(dim)] = r_w[:dim]
-    return out[:dim]
+    dead = r_rows[:dim] == dim
+    return _ColumnMap(np.where(dead, np.arange(dim), r_rows[:dim]), np.where(dead, 0, r_w[:dim]))
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise deviation |a_ij - b_ij|; zero iff the arrays are equal."""
+    if isinstance(a, _ColumnMap) and isinstance(b, _ColumnMap) and a.shape == b.shape:
+        gap = np.abs(a.weights - b.weights)  # in O(d), bit for bit the dense reduction
+        apart = a.rows != b.rows  # there the deviation is the larger of two entries
+        if np.count_nonzero(apart):
+            gap[apart] = np.maximum(np.abs(a.weights[apart]), np.abs(b.weights[apart]))
+        return float(gap.max())
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
+    if 0 in a.shape:
         return 0.0
     return float(np.abs(a - b).max())
 

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import dag, dyad, identity, mat_pow, max_abs_diff, mul_sparse
+from .cmatrix import _band, _diagonal, _dyad, dag, mat_pow, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -116,55 +116,50 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     """Yield ``(name, pairs)`` for every catalog check, in ``CHECK_NAMES`` order.
 
     ``pairs`` holds the check's (lhs, rhs) sides.  Written once over an
-    arithmetic ``ar`` (mul, muls, dmul, muld, sub, scale, dag, pow, eye,
-    zeros, dyad) and one route's operators ``x``: ``_NUMPY`` with the
-    operator set for the closed-form route, ``_NAIVE`` with
-    ``_naive_operators`` for the naive one.  ``dmul(D, X)`` is D X and
-    ``muld(X, D)`` is X D for a factor D that is diagonal by construction
-    (N, g, g⁻¹, √[N], √[N+1], |s><s|); ``muls(X, M)`` is X M for a factor M
-    with one nonzero per column at most (a, a†, h, h†, H, H†); every other
-    product is ``mul``.  The phase states are the columns of the Fourier
-    matrix, and a product that two checks share is formed once and dropped
-    after its last use, so a caller that reduces each check as it arrives
-    holds a few sides at a time, not the whole catalog.  Products associate
+    arithmetic ``ar`` (mul, sub, scale, dag, pow, eye, zeros, dyad) and one
+    route's operators ``x``: ``_NUMPY`` with ``_closed_operators`` for the
+    closed-form route, ``_NAIVE`` with ``_naive_operators`` for the naive
+    one.  There the monomials, the identity, the zero and the dyads are
+    column maps, so a check of them alone costs O(d).  The phase states are
+    the columns of the Fourier matrix, and a product that two checks share
+    is formed once and dropped after its last use, so a caller that reduces
+    each check as it arrives holds a few sides at a time.  Products associate
     as they would written with numpy's ``@`` and ``*``: ``q a† a`` is
     ``(q a†) a``.
     """
-    mul, muls, dmul, muld = ar.mul, ar.muls, ar.dmul, ar.muld
-    sub, scale = ar.sub, ar.scale
+    mul, sub, scale = ar.mul, ar.sub, ar.scale
     d, s, q = cfg.dim, cfg.s, x.q
     eye, zero = ar.eye(d), ar.zeros(d)
     r_down, r_up = x.sqrt_brace_hdag, x.sqrt_brace_hdag1
-    f, fdag = x.fourier, ar.dag(x.fourier)
-    a_adag = muls(x.a, x.a_dag)
+    a_adag = mul(x.a, x.a_dag)
     yield "eq1_ccr", [
-        (sub(a_adag, muls(scale(q, x.a_dag), x.a)), x.g_inv),
-        (sub(dmul(x.n_op, x.a_dag), muld(x.a_dag, x.n_op)), x.a_dag),
-        (sub(dmul(x.n_op, x.a), muld(x.a, x.n_op)), scale(-1.0, x.a)),
+        (sub(a_adag, mul(scale(q, x.a_dag), x.a)), x.g_inv),
+        (sub(mul(x.n_op, x.a_dag), mul(x.a_dag, x.n_op)), x.a_dag),
+        (sub(mul(x.n_op, x.a), mul(x.a, x.n_op)), scale(-1.0, x.a)),
     ]
     yield "eq3_truncation", [
-        (muld(x.a_dag, ar.dyad(s, s, d)), zero),
+        (mul(x.a_dag, ar.dyad(s, s, d)), zero),
     ]
     yield "eq5_nilpotency", [
         (ar.pow(x.a, d), zero),
         (ar.pow(x.a_dag, d), zero),
     ]
     yield "eq6_decomposition", [
-        (x.a, dmul(x.sqrt_g1, x.h_dag)),
-        (x.a, muld(x.h_dag, x.sqrt_g)),
-        (x.a_dag, dmul(x.sqrt_g, x.h)),
-        (x.a_dag, muld(x.h, x.sqrt_g1)),
+        (x.a, mul(x.sqrt_g1, x.h_dag)),
+        (x.a, mul(x.h_dag, x.sqrt_g)),
+        (x.a_dag, mul(x.sqrt_g, x.h)),
+        (x.a_dag, mul(x.h, x.sqrt_g1)),
     ]
     yield "eq9_gh", [
-        (dmul(x.g, x.h), muld(scale(q, x.h), x.g)),
-        (dmul(x.g, x.h_dag), muld(scale(1.0 / q, x.h_dag), x.g)),
+        (mul(x.g, x.h), mul(scale(q, x.h), x.g)),
+        (mul(x.g, x.h_dag), mul(scale(1.0 / q, x.h_dag), x.g)),
     ]
     yield "eq10_partial_isometry", [
-        (muls(x.h, x.h_dag), sub(eye, ar.dyad(0, 0, d))),
-        (muls(x.h_dag, x.h), sub(eye, ar.dyad(s, s, d))),
+        (mul(x.h, x.h_dag), sub(eye, ar.dyad(0, 0, d))),
+        (mul(x.h_dag, x.h), sub(eye, ar.dyad(s, s, d))),
     ]
     yield "eq11_products", [
-        (muls(x.a_dag, x.a), x.brace_g),
+        (mul(x.a_dag, x.a), x.brace_g),
         (a_adag, x.brace_g1),
     ]
     del a_adag
@@ -172,16 +167,17 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (ar.pow(x.g, d), eye),
         (ar.pow(x.h, d), zero),
     ]
+    f, fdag = x.fourier, ar.dag(x.fourier)
     f_fdag = mul(f, fdag)
     fdag_f = mul(fdag, f)
     yield "eq13_f_unitary", [
         (f_fdag, eye),
         (fdag_f, eye),
     ]
-    f_ginv_fdag = mul(muld(f, x.g_inv), fdag)
+    f_ginv_fdag = mul(mul(f, x.g_inv), fdag)
     yield "eq14_h_via_f", [
         (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
-        (x.h_dag, sub(mul(muld(f, x.g), fdag), ar.dyad(s, 0, d))),
+        (x.h_dag, sub(mul(mul(f, x.g), fdag), ar.dyad(s, 0, d))),
     ]
     yield "eq15_phase_orthonormal", [
         (fdag_f, eye),  # Gram matrix of the phase states
@@ -195,44 +191,41 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     ]
     del f_ginv_fdag
     yield "eq18_H_relations", [
-        (dmul(x.g, x.big_h), muld(scale(q, x.big_h), x.g)),
-        (dmul(x.g, x.big_h_dag), muld(scale(1.0 / q, x.big_h_dag), x.g)),
+        (mul(x.g, x.big_h), mul(scale(q, x.big_h), x.g)),
+        (mul(x.g, x.big_h_dag), mul(scale(1.0 / q, x.big_h_dag), x.g)),
         (ar.pow(x.big_h, d), eye),
-        (muls(x.big_h, x.big_h_dag), eye),
-        (muls(x.big_h_dag, x.big_h), eye),
+        (mul(x.big_h, x.big_h_dag), eye),
+        (mul(x.big_h_dag, x.big_h), eye),
     ]
     yield "eq19_polar", [
-        (x.a_tilde, dmul(x.g_inv, r_down)),
-        (x.a_tilde, muld(r_up, x.g_inv)),
-        (x.a_tilde_dag, muld(r_down, x.g)),
-        (x.a_tilde_dag, dmul(x.g, r_up)),
+        (x.a_tilde, mul(x.g_inv, r_down)),
+        (x.a_tilde, mul(r_up, x.g_inv)),
+        (x.a_tilde_dag, mul(r_down, x.g)),
+        (x.a_tilde_dag, mul(x.g, r_up)),
         (mul(r_down, r_down), x.brace_hdag),
         (mul(r_up, r_up), x.brace_hdag1),
     ]
 
 
-# numpy arithmetic of the closed-form route; a diagonal factor is broadcast
-# (the ndarray method, unlike np.diagonal, beats @ even at d = 3), a factor
-# with one nonzero per column is gathered by mul_sparse, and mat_pow is
-# looked up when a power is taken, so whatever this module's binding holds
-# at that time runs
+# numpy arithmetic of the closed-form route; mat_pow is looked up when a power
+# is taken, so whatever this module's binding holds at that time runs
 _NUMPY = SimpleNamespace(
-    mul=operator.matmul, muls=mul_sparse, dmul=lambda d, x: d.diagonal()[:, None] * x,
-    muld=lambda x, d: x * d.diagonal(), sub=operator.sub, scale=operator.mul,
-    dag=dag, pow=lambda x, p: mat_pow(x, p), eye=identity,
-    zeros=lambda d: np.zeros((d, d), dtype=complex), dyad=dyad,
+    mul=operator.matmul, sub=operator.sub, scale=operator.mul, dag=dag,
+    pow=lambda x, p: mat_pow(x, p), eye=lambda d: _diagonal(np.ones(d, dtype=complex)),
+    zeros=lambda d: _diagonal(np.zeros(d, dtype=complex)), dyad=_dyad,
 )
 
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
-    # the operator set plus the four operands the naive route builds itself;
-    # √[N] and √[N+1] are the step-down weights √[1..s] with the exact zero
-    # roots √[0] = √[s+1] = 0 at either end, so no q-integer is evaluated again
-    w = np.diagonal(ops.a, 1)
+    # the set with its monomials as column maps, read in O(d) off their bands,
+    # and g⁻¹, √[N], √[N+1] (the weights a, a† carry), as the naive route has
+    maps = {name: _band(getattr(ops, name), offset) for name, offset in (
+        ("a", 1), ("a_dag", -1), ("h", -1), ("h_dag", 1), ("big_h", -1), ("big_h_dag", 1),
+        ("n_op", 0), ("g", 0), ("brace_g", 0), ("brace_g1", 0))}
     return SimpleNamespace(
-        **vars(ops), g_inv=dag(ops.g), sqrt_g=np.diag(np.append(0, w)),
-        sqrt_g1=np.diag(np.append(w, 0)), q=primitive_root(ops.config),
-    )
+        **{**vars(ops), **maps}, g_inv=_diagonal(maps["g"].weights.conj()),
+        sqrt_g=_diagonal(maps["a"].weights), sqrt_g1=_diagonal(maps["a_dag"].weights),
+        q=primitive_root(ops.config))
 
 
 def _step_chain_is_sharp(ops: OperatorSet) -> bool:
@@ -250,7 +243,7 @@ def _step_chain_is_sharp(ops: OperatorSet) -> bool:
 def _shift_is_sharp(eq10_pairs: list[tuple], threshold: float) -> bool:
     # the eq10 left sides are h h† and h† h; the bare shift is visibly
     # non-unitary when either one misses the identity by more than threshold
-    eye = identity(eq10_pairs[0][0].shape[0])
+    eye = _NUMPY.eye(eq10_pairs[0][0].shape[0])
     return any(max_abs_diff(lhs, eye) > threshold for lhs, _ in eq10_pairs)
 
 
@@ -357,11 +350,11 @@ def _py_pow(x, p):
     return out
 
 
-# every product in full, diagonal and one-per-column factors included, so the
-# oracle checks each shortcut of the closed-form route against a triple loop
+# every product in full, column-map factors included, so the oracle checks
+# each shortcut of the closed-form route against a triple loop
 _NAIVE = SimpleNamespace(
-    mul=_py_mul, muls=_py_mul, dmul=_py_mul, muld=_py_mul, sub=_py_sub, scale=_py_scale,
-    dag=_py_dag, pow=_py_pow, eye=_py_eye, zeros=_py_zeros, dyad=_py_dyad,
+    mul=_py_mul, sub=_py_sub, scale=_py_scale, dag=_py_dag, pow=_py_pow,
+    eye=_py_eye, zeros=_py_zeros, dyad=_py_dyad,
 )
 
 

@@ -37,6 +37,7 @@ from qboson import (
     sqrt_q_number_matrix,
 )
 from qboson.algebra import _lags, _rotate_diagonal
+from qboson.cmatrix import _ColumnMap
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -566,9 +567,11 @@ def test_diagonal_rotations_match_the_dense_products(s):
 
 
 def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
+    # a step operator is rotated by applying F to its column map, a gather
     calls = []
-    rotate = algebra._rotate
-    monkeypatch.setattr(algebra, "_rotate", lambda *args: calls.append(args) or rotate(*args))
+    gather = _ColumnMap.__rmatmul__
+    monkeypatch.setattr(_ColumnMap, "__rmatmul__",
+                        lambda m, other: calls.append(m) or gather(m, other))
     cfg = AlgebraConfig(64)
     phase_brace_roots(cfg)
     assert len(calls) == 0

@@ -56,7 +56,8 @@ class TestBuild:
         assert json.loads(proc.stdout)["dim"] == 5
 
     @pytest.mark.parametrize("s, ks", [(4, (1, -1, 2, 3, 7)), (47, (1, -1, 7)),
-                                       (48, (1, -1, 2, 3)), (64, (1, -1, 2, 7))])
+                                       (48, (1, -1, 2, 3)), (64, (1, -1, 2, 7)),
+                                       (128, (1, -1, 2, 5))])
     def test_exports_are_the_verified_operators(self, s, ks, tmp_path):
         # each export equals, bit for bit, the field of the operator set
         # that run_all verifies

@@ -20,6 +20,10 @@ from qboson.algebra import (
     shift_dag,
 )
 from qboson.cmatrix import (
+    _band,
+    _ColumnMap,
+    _diagonal,
+    _dyad,
     dag,
     dyad,
     identity,
@@ -28,7 +32,6 @@ from qboson.cmatrix import (
     matrix_from_dict,
     matrix_to_dict,
     max_abs_diff,
-    mul_sparse,
     vector_from_dict,
     vector_to_dict,
 )
@@ -279,54 +282,169 @@ class TestColumnMapPowerAtLargeCutoff:
         assert np.array_equal(mat_pow(big_h, p), mat_pow(big_h, p % 9))
 
 
-def _sparse_factors(cfg):
-    # every factor the catalog and the builders hand to mul_sparse, and dyads
+def _column_maps(cfg):
+    # every monomial the catalog and the builders hold as a column map, read
+    # off its known band, the diagonals among them, and dyads
     s, d = cfg.s, cfg.dim
     a, big_h = annihilation(cfg), cyclic_shift(cfg)
-    return {"a": a, "a†": creation(cfg), "h": shift(cfg), "h†": shift_dag(cfg),
-            "H": big_h, "H†": dag(big_h), "|s><s|": dyad(s, s, d),
-            "|0><s|": dyad(0, s, d), "|s><0|": dyad(s, 0, d)}
+    return {"a": _band(a, 1), "a†": _band(creation(cfg), -1), "h": _band(shift(cfg), -1),
+            "h†": _band(shift_dag(cfg), 1), "H": _band(big_h, -1), "H†": _band(dag(big_h), 1),
+            "g": _diagonal(clock(cfg).diagonal()),
+            "[N+1]": _diagonal(q_number_matrix(cfg, offset=1).diagonal()),
+            "|s><s|": _dyad(s, s, d), "|0><s|": _dyad(0, s, d), "|s><0|": _dyad(s, 0, d)}
+
+
+# the catalog's diagonals have complex weights, so their products may differ
+# from BLAS's in the last bit; every other factor's are real or imaginary
+_DIAGONALS = ("g", "[N+1]")
+
+
+def _assert_equals_dense(got, dense, name):
+    got = np.asarray(got)
+    if name in _DIAGONALS:
+        assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense)), name
+    else:
+        assert np.array_equal(got, dense), name  # a zero may carry the other sign
 
 
 class TestMulSparse:
-    """Products by a factor with one nonzero per column against the dense @."""
+    """Products by a column-map factor against the dense @ of its matrix."""
 
-    # 47/48 and 63/64 straddle dimension 48, where the gather takes over
     @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64, 128])
     def test_equals_dense_product_at_every_root(self, s):
         for cfg in _admissible_configs(s):
-            factors = _sparse_factors(cfg)
             f = fourier(cfg)
             q = primitive_root(cfg)
-            lefts = [f, q * factors["a†"], factors["H†"]]
-            for name, m in factors.items():
-                for x in lefts:
-                    # equal entry for entry; a zero may carry the other sign
-                    assert np.array_equal(mul_sparse(x, m), x @ m), (cfg.k, name)
+            maps = _column_maps(cfg)
+            for x in (f, q * np.asarray(maps["a†"]), np.asarray(maps["H†"])):
+                for name, m in maps.items():
+                    dense = np.asarray(m)
+                    _assert_equals_dense(x @ m, x @ dense, name)  # column gather
+                    _assert_equals_dense(m @ x, dense @ x, name)  # row placement
 
     @pytest.mark.parametrize("s", range(2, 17))
-    def test_gather_below_the_crossover(self, s, monkeypatch):
-        # the gather itself, forced at dimensions where the product goes to @
-        monkeypatch.setattr(cmatrix, "_SPARSE_MIN_DIM", 0)
-        self.test_equals_dense_product_at_every_root(s)
+    def test_gather_below_the_crossover(self, s):
+        # once F† is applied the gather gives the BLAS product bit for bit, so
+        # an export by the plain F a F† is the operator set's field
+        for cfg in _admissible_configs(s):
+            f = fourier(cfg)
+            for step, m in ((annihilation(cfg), _band(annihilation(cfg), 1)),
+                            (creation(cfg), _band(creation(cfg), -1))):
+                assert _bit_equal(f @ m @ dag(f), f @ step @ dag(f)), cfg.k
 
     def test_small_dimension_is_the_dense_product(self):
         cfg = AlgebraConfig(46)
         f, a = fourier(cfg), annihilation(cfg)
-        assert _bit_equal(mul_sparse(f, a), f @ a)
+        assert np.array_equal(f @ _band(a, 1), f @ a)
 
     def test_two_nonzeros_in_a_column_go_to_dense(self):
+        # the column read of a dense operand finds no map, so it is powered densely
         cfg = AlgebraConfig(63)
-        f, m = fourier(cfg), annihilation(cfg)
+        m = annihilation(cfg)
         m[3, 7] = 0.5 - 0.25j  # column 7 already holds sqrt[7] in row 6
-        assert _bit_equal(mul_sparse(f, m), f @ m)
+        for p in (2, 3):
+            assert _bit_equal(mat_pow(m, p), np.linalg.matrix_power(m, p))
 
     def test_inputs_left_untouched(self):
         cfg = AlgebraConfig(63, k=3)
-        f, m = fourier(cfg), creation(cfg)
-        before = f.copy(), m.copy()
-        mul_sparse(f, m)
-        assert _bit_equal(f, before[0]) and _bit_equal(m, before[1])
+        f, m = fourier(cfg), _band(creation(cfg), -1)
+        before = f.copy(), m.rows.copy(), m.weights.copy()
+        for _ in (f @ m, m @ f, m @ m, 2.0 * m, m - m, mat_pow(m, 5), np.asarray(m)):
+            pass
+        assert _bit_equal(f, before[0])
+        assert _bit_equal(m.rows, before[1]) and _bit_equal(m.weights, before[2])
+
+
+def _map_configs(s):
+    # every coprime root up to s = 16, four of them above
+    if s <= 16:
+        return _admissible_configs(s)
+    return [AlgebraConfig(s, k=k) for k in (1, -1, 2, 5) if math.gcd(k, s + 1) == 1]
+
+
+def _dense_deviation(x, y):
+    return float(np.abs(np.asarray(x) - np.asarray(y)).max())
+
+
+class TestColumnMap:
+    """Every rule of the column-map type against the dense matrices it stands for."""
+
+    @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 64, 128])
+    def test_rules_match_the_dense_arithmetic(self, s):
+        for cfg in _map_configs(s):
+            maps = _column_maps(cfg)
+            q = primitive_root(cfg)
+            for xn, x in maps.items():
+                dx = np.asarray(x)
+                assert x.shape == dx.shape == (cfg.dim, cfg.dim)
+                scaled = q * x
+                assert isinstance(scaled, _ColumnMap)
+                assert np.array_equal(np.asarray(scaled), q * dx)
+                for yn, y in maps.items():
+                    dy = np.asarray(y)
+                    product = x @ y
+                    assert isinstance(product, _ColumnMap)
+                    _assert_equals_dense(product, dx @ dy,
+                                         xn if xn in _DIAGONALS else yn)
+                    difference = x - y
+                    if np.array_equal(x.rows, y.rows):
+                        assert isinstance(difference, _ColumnMap)
+                    assert np.array_equal(np.asarray(difference), dx - dy)
+                    # the O(d) reduction is the dense one, bit for bit
+                    assert max_abs_diff(x, y) == _dense_deviation(dx, dy), (xn, yn)
+                    assert max_abs_diff(product, dy) == _dense_deviation(product, dy)
+                    assert max_abs_diff(dx, y) == max_abs_diff(x, dy) == max_abs_diff(x, y)
+
+    @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 64, 128])
+    def test_powers_are_maps_equal_to_the_dense_route(self, s):
+        for cfg in _map_configs(s):
+            for name, m in _column_maps(cfg).items():
+                for p in (0, 1, 2, 3, cfg.dim):
+                    power = mat_pow(m, p)
+                    assert isinstance(power, _ColumnMap)
+                    assert _bit_equal(np.asarray(power), mat_pow(np.asarray(m), p)), (name, p)
+
+    def test_nilpotent_power_at_large_cutoff_is_exactly_zero(self):
+        # live window products overflow to inf; dead paths must still give 0
+        for s in (1023, 1024):
+            for k in (1, 3):
+                a = _band(annihilation(AlgebraConfig(s, k=k)), 1)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for m in (a, _band(np.asarray(a).T, -1)):
+                        assert not np.any(mat_pow(m, s + 1).weights)
+
+    def test_empty_column_never_overwrites_a_live_row(self):
+        cfg = AlgebraConfig(9, k=3)
+        s, d = cfg.s, cfg.dim
+        x = fourier(cfg)
+        # a power of a: its empty columns keep their own index as row, which a
+        # live column also reaches
+        a2 = mat_pow(_band(annihilation(cfg), 1), 2)
+        # |s><0| with every empty column pointed at row s as well
+        sink = _ColumnMap(np.full(d, s), np.asarray(_dyad(s, 0, d))[s])
+        for m in (_dyad(s, 0, d), a2, sink):
+            assert np.array_equal(m @ x, np.asarray(m) @ x)
+
+    def test_weights_of_both_factors_in_their_places(self):
+        # a random map with repeated rows and empty columns, against the dense @
+        rng = np.random.default_rng(5)
+        d = 7
+        for _ in range(20):
+            x, y = (_ColumnMap(rng.integers(0, d, size=d),
+                               np.where(rng.uniform(size=d) < 0.3, 0,
+                                        rng.choice([1.5, -2.0, 0.5j, -1j], size=d)))
+                    for _ in range(2))
+            assert np.array_equal(np.asarray(x @ y), np.asarray(x) @ np.asarray(y))
+            assert max_abs_diff(x, y) == _dense_deviation(x, y)
+
+    def test_dense_form(self):
+        m = _dyad(2, 0, 3)
+        assert _bit_equal(np.asarray(m), dyad(2, 0, 3))
+        assert np.asarray(m, dtype=np.complex64).dtype == np.complex64
+        copied = np.array(m)
+        copied[0, 0] = 5
+        assert np.asarray(m)[0, 0] == 0
 
 
 class TestMaxAbsDiff:

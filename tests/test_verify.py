@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,44 +198,66 @@ def _assert_matches_dense(got, dense):
     assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense))
 
 
-# 47 and 48 straddle mul_sparse's crossover at dimension 48, 63 and 64 lie above it
 @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64])
 def test_diagonal_shortcuts_match_the_dense_products(s):
-    # every dmul/muld site of the catalog against the dense product it stands
-    # for, and every muls site against it entry for entry, at every root
-    calls = {"diagonal": 0, "sparse": 0}
+    # every product of the catalog, column maps included, against the dense
+    # product of the matrices it stands for, at every root
+    products = []
 
-    def against_dense(shortcut, kind):
-        def product(x, y):
-            got = shortcut(x, y)
-            if kind == "sparse":
-                assert np.array_equal(got, x @ y)
-            else:
-                _assert_matches_dense(got, x @ y)
-            calls[kind] += 1
-            return got
-        return product
+    def against_dense(x, y):
+        got = _NUMPY.mul(x, y)
+        _assert_matches_dense(np.asarray(got), np.asarray(x) @ np.asarray(y))
+        products.append(isinstance(x, np.ndarray) and isinstance(y, np.ndarray))
+        return got
 
-    ar = SimpleNamespace(**{**vars(_NUMPY),
-                            "dmul": against_dense(_NUMPY.dmul, "diagonal"),
-                            "muld": against_dense(_NUMPY.muld, "diagonal"),
-                            "muls": against_dense(_NUMPY.muls, "sparse")})
+    ar = SimpleNamespace(**{**vars(_NUMPY), "mul": against_dense})
     for k in range(1, s + 1):
         if math.gcd(k, s + 1) == 1:
             cfg = AlgebraConfig(s=s, k=k)
-            calls.update(diagonal=0, sparse=0)
+            products.clear()
             for _ in _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg):
                 pass
-            assert calls == {"diagonal": 23, "sparse": 7}
+            # 38 products, 8 of them of two dense factors
+            assert (len(products), sum(products)) == (38, 8)
+
+
+# the checks whose sides are products, powers and differences of column maps
+_MONOMIAL_CHECKS = ("eq1_ccr", "eq3_truncation", "eq5_nilpotency", "eq6_decomposition",
+                    "eq9_gh", "eq10_partial_isometry", "eq11_products", "eq12_cyclic",
+                    "eq18_H_relations")
+
+
+def test_monomial_checks_form_no_dense_matrix():
+    # at s=512, forming and reducing each of these checks allocates less
+    # than one d x d complex matrix
+    cfg = AlgebraConfig(512)
+    d = cfg.dim
+    catalog = _catalog(_NUMPY, _closed_operators(build_operator_set(cfg)), cfg)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for _ in CHECK_NAMES:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            name, pairs = next(catalog)
+            max(max_abs_diff(lhs, rhs) for lhs, rhs in pairs)
+            if name == "eq10_partial_isometry":
+                _shift_is_sharp(pairs, cfg.tol * d)
+            del pairs
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert {n: p for n, p in peaks.items() if n in _MONOMIAL_CHECKS and p >= 16 * d * d} == {}
+    assert peaks["eq13_f_unitary"] >= 16 * d * d  # a dense check does show up
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 33])
 def test_shift_sharpness_passes_the_bare_shift_and_flags_a_unitary_one(s):
     cfg = AlgebraConfig(s)
-    ops = build_operator_set(cfg)
-    unitary = dataclasses.replace(ops, h=ops.big_h, h_dag=ops.big_h_dag)
-    for shift_set, sharp in ((ops, True), (unitary, False)):
-        pairs = dict(_catalog(_NUMPY, _closed_operators(shift_set), cfg))["eq10_partial_isometry"]
+    bare = _closed_operators(build_operator_set(cfg))
+    unitary = SimpleNamespace(**{**vars(bare), "h": bare.big_h, "h_dag": bare.big_h_dag})
+    for shift_set, sharp in ((bare, True), (unitary, False)):
+        pairs = dict(_catalog(_NUMPY, shift_set, cfg))["eq10_partial_isometry"]
         assert _shift_is_sharp(pairs, cfg.tol * cfg.dim) == sharp
 
 
