@@ -8,8 +8,8 @@ of the rotated step operators.
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
 anywhere.  Such a conjugate is a circulant, read off one matrix-vector
-product; a step operator, held as a column map, is applied to the Fourier
-matrix as a column gather.
+product and held as a view of 2(s+1) entries; a step operator, held as a
+column map, is applied to the Fourier matrix as a column gather.
 The polar decomposition reads the operator set.
 """
 
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import _band, dag, dyad, max_abs_diff
+from .cmatrix import _band_rows, _ColumnMap, _diagonal, dag, dyad, max_abs_diff
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -38,12 +38,8 @@ def annihilation(cfg: AlgebraConfig) -> np.ndarray:
 
     Kills the vacuum |0>, and its (s+1)-th power vanishes identically.
     """
-    return _step_down(_q_tables(cfg)[1])
-
-
-def _step_down(roots: np.ndarray) -> np.ndarray:
-    # roots is the table of sqrt[n], n = 0..s+1; sqrt[1..s] sit above the diagonal
-    return np.diag(roots[1:-1], k=1)
+    # the root table holds sqrt[n] for n = 0..s+1; sqrt[1..s] sit above the diagonal
+    return np.diag(_q_tables(cfg)[1][1:-1], k=1)
 
 
 def creation(cfg: AlgebraConfig) -> np.ndarray:
@@ -175,25 +171,27 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     q-integer diagonals, and the two construction routes are cross-checked
     here against the configured tolerance.
     """
-    return _phase_braces(cfg, fourier(cfg), _lags(cfg.dim), _q_tables(cfg)[0],
-                         dag(cyclic_shift(cfg)))
+    return _phase_braces(cfg, fourier(cfg), _q_tables(cfg)[0], dag(cyclic_shift(cfg)))
 
 
-def _lags(d: int) -> np.ndarray:
-    # (m - n) mod d at entry (m, n): where a circulant reads its first column
-    return np.subtract.outer(np.arange(d), np.arange(d)) % d
+def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # f @ diag(x) @ f† is the circulant c[(m - n) mod d] with c = (f @ x) / sqrt(d):
+    # entry (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product.  It is
+    # a read-only view of u = (c reversed) twice over, entry (m, n) at
+    # u[d - 1 - m + n]
+    d = len(x)
+    c = ((f @ x) / math.sqrt(d))[::-1]
+    u = np.concatenate((c, c))
+    view = np.ndarray((d, d), dtype=u.dtype, buffer=u, offset=(d - 1) * u.itemsize,
+                      strides=(-u.itemsize, u.itemsize))
+    view.flags.writeable = False
+    return view
 
 
-def _rotate_diagonal(f: np.ndarray, x: np.ndarray, lag: np.ndarray) -> np.ndarray:
-    # f @ diag(x) @ f† is the circulant (f @ x)[(m - n) mod d] / sqrt(d): entry
-    # (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product
-    return ((f @ x) / math.sqrt(len(x)))[lag]
-
-
-def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, lag: np.ndarray, brackets: np.ndarray,
+def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, brackets: np.ndarray,
                   big_h_dag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
-    spectral = (_rotate_diagonal(f, brackets[:-1], lag), _rotate_diagonal(f, brackets[1:], lag))
+    spectral = (_rotate_diagonal(f, brackets[:-1]), _rotate_diagonal(f, brackets[1:]))
     # construction self-check: floored below so a user tolerance tighter than
     # floating point turns up as a failed verification, not a build crash
     bound = max(cfg.tol, 1e-10) * cfg.dim
@@ -215,8 +213,8 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     not conjugate-symmetric whenever some q-integer is negative, which
     happens for every s >= 2.
     """
-    f, lag, roots = fourier(cfg), _lags(cfg.dim), _q_tables(cfg)[1]
-    return _rotate_diagonal(f, roots[:-1], lag), _rotate_diagonal(f, roots[1:], lag)
+    f, roots = fourier(cfg), _q_tables(cfg)[1]
+    return _rotate_diagonal(f, roots[:-1]).copy(), _rotate_diagonal(f, roots[1:]).copy()
 
 
 @dataclass(frozen=True)
@@ -257,8 +255,10 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     that set's read-only ``sqrt_brace_hdag``.
     """
     ops = build_operator_set(cfg)
-    # the clock is diagonal, so its four products below are broadcast
-    z, z_inv = ops.g.diagonal(), ops.g.diagonal().conj()
+    # the clock is diagonal, so its four products below are broadcast; its
+    # diagonal is the weights of the set's column map
+    z = vars(ops)["g"].weights
+    z_inv = z.conj()
     errors = {
         "down_unitary_radial": max_abs_diff(ops.a_tilde, z_inv[:, None] * ops.sqrt_brace_hdag),
         "down_radial_unitary": max_abs_diff(ops.a_tilde, ops.sqrt_brace_hdag1 * z_inv),
@@ -266,7 +266,7 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
         "up_unitary_radial": max_abs_diff(ops.a_tilde_dag, z[:, None] * ops.sqrt_brace_hdag1),
     }
     return PolarDecomposition(
-        unitary=dag(ops.g),
+        unitary=dag(np.diag(z)),
         radial=ops.sqrt_brace_hdag,
         reconstruction_error=errors["down_unitary_radial"],
         factor_errors=errors,
@@ -274,22 +274,49 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     )
 
 
+class _Monomial:
+    """An ``OperatorSet`` field stored as a column map and read as its matrix.
+
+    ``vars(ops)`` holds the map; a read forms the read-only matrix once and
+    keeps it on the map.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ops, owner=None):
+        if ops is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = vars(ops)[self.name]
+        return value.kept() if isinstance(value, _ColumnMap) else value
+
+    def __set__(self, ops, value) -> None:
+        vars(ops)[self.name] = value
+
+
 @dataclass(frozen=True)
 class OperatorSet:
-    """The full operator family of one configuration, all of dimension s+1."""
+    """The full operator family of one configuration, all of dimension s+1.
+
+    Every field reads as a read-only complex array.  The ten monomials (a,
+    a†, N, g, h, h†, H, H†, [N], [N+1]) are stored as column maps, which
+    ``vars(ops)`` returns, and each is formed as a matrix on its first read.
+    ``n_tilde`` and the two radial roots are circulants, views of 2(s+1)
+    entries each.
+    """
 
     config: AlgebraConfig
-    a: np.ndarray
-    a_dag: np.ndarray
-    n_op: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    h_dag: np.ndarray
-    brace_g: np.ndarray
-    brace_g1: np.ndarray
+    a: np.ndarray = _Monomial()
+    a_dag: np.ndarray = _Monomial()
+    n_op: np.ndarray = _Monomial()
+    g: np.ndarray = _Monomial()
+    h: np.ndarray = _Monomial()
+    h_dag: np.ndarray = _Monomial()
+    brace_g: np.ndarray = _Monomial()
+    brace_g1: np.ndarray = _Monomial()
     fourier: np.ndarray
-    big_h: np.ndarray
-    big_h_dag: np.ndarray
+    big_h: np.ndarray = _Monomial()
+    big_h_dag: np.ndarray = _Monomial()
     a_tilde: np.ndarray
     a_tilde_dag: np.ndarray
     n_tilde: np.ndarray
@@ -307,15 +334,15 @@ _last_set: OperatorSet | None = None
 def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     """Every operator of the family for one configuration, built once.
 
-    The Fourier matrix, its lag table and the q-integer table are built
-    once; every phase-basis operator, the radial roots included, is
-    conjugated with that same matrix.  The last set built is kept in one
-    slot, keyed by the whole configuration (tol included, since the
-    construction self-check depends on it), so a call with an equal
-    configuration returns that same object: ``run_all``, ``polar_decompose``
-    and ``brute_force_oracle`` on one configuration share one build.  Every
-    array field is read-only.  A different configuration drops the kept set
-    before the new one is built, so at most one set is held at a time.
+    The Fourier matrix and the q-integer table are built once; every
+    phase-basis operator, the radial roots included, is conjugated with that
+    same matrix.  The last set built is kept in one slot, keyed by the whole
+    configuration (tol included, since the construction self-check depends
+    on it), so a call with an equal configuration returns that same object:
+    ``run_all``, ``polar_decompose`` and ``brute_force_oracle`` on one
+    configuration share one build.  Every array, a column map's rows and
+    weights included, is read-only.  A different configuration drops the kept
+    set before the new one is built, so at most one set is held at a time.
     """
     global _last_set
     ops = _last_set
@@ -323,44 +350,53 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         return ops
     _last_set = ops = None  # let the kept set go before a second one is built
     ops = _build_operator_set(cfg)
-    for field in fields(ops):
-        value = getattr(ops, field.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    for value in vars(ops).values():
+        for array in (value.rows, value.weights) if isinstance(value, _ColumnMap) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
     _last_set = ops
     return ops
 
 
+# the zeros of an adjoint: dag() conjugates every 0 of a matrix to 0 - 0j, as
+# in shift_dag and dag(cyclic_shift)
+_CONJ_ZERO = 0j.conjugate()
+
+
 def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
+    # the monomials as column maps, straight from the q-integer and root
+    # tables: each weight is the entry its dense builder puts at (rows[j], j)
+    s, d = cfg.s, cfg.dim
     brackets, roots = _q_tables(cfg)
-    a = _step_down(roots)
+    down, up = _band_rows(d, 1), _band_rows(d, -1)  # rows j - 1 and j + 1 of column j
+    a = _ColumnMap(down, np.concatenate(([0], roots[1:-1])))  # nothing below |0>
+    a_dag = _ColumnMap(up, np.concatenate((roots[1:-1], [0])))  # nothing above |s>
+    ones = np.ones(d, dtype=complex)
+    big_h_dag = _ColumnMap(down, ones.conj(), _CONJ_ZERO)
     f = fourier(cfg)
     fdag = dag(f)
-    lag = _lags(cfg.dim)
-    n_op = number(cfg)
-    big_h = cyclic_shift(cfg)
-    big_h_dag = dag(big_h)
-    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, lag, brackets, big_h_dag)
+    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, brackets, np.asarray(big_h_dag))
+    n = np.arange(d, dtype=complex)
     return OperatorSet(
         config=cfg,
         a=a,
-        a_dag=a.T,
-        n_op=n_op,
-        g=clock(cfg),
-        h=shift(cfg),
-        h_dag=shift_dag(cfg),
-        brace_g=np.diag(brackets[:-1]),
-        brace_g1=np.diag(brackets[1:]),
+        a_dag=a_dag,
+        n_op=_diagonal(n),
+        g=_diagonal(_clock_diagonal(cfg)),
+        h=_ColumnMap(up, np.concatenate((ones[:s], [0]))),  # nothing leaves |s>
+        h_dag=_ColumnMap(down, np.concatenate(([0], ones[:s])).conj(), _CONJ_ZERO),
+        brace_g=_diagonal(brackets[:-1]),
+        brace_g1=_diagonal(brackets[1:]),
         fourier=f,
-        big_h=big_h,
+        big_h=_ColumnMap(up, ones),
         big_h_dag=big_h_dag,
         # rotated, not formed as clock times circulant: that is eq19's
         # right side, and the check would become a tautology
-        a_tilde=f @ _band(a, 1) @ fdag,
-        a_tilde_dag=f @ _band(a.T, -1) @ fdag,
-        n_tilde=_rotate_diagonal(f, n_op.diagonal(), lag),
+        a_tilde=f @ a @ fdag,
+        a_tilde_dag=f @ a_dag @ fdag,
+        n_tilde=_rotate_diagonal(f, n),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,
-        sqrt_brace_hdag=_rotate_diagonal(f, roots[:-1], lag),
-        sqrt_brace_hdag1=_rotate_diagonal(f, roots[1:], lag),
+        sqrt_brace_hdag=_rotate_diagonal(f, roots[:-1]),
+        sqrt_brace_hdag1=_rotate_diagonal(f, roots[1:]),
     )

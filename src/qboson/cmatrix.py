@@ -5,39 +5,57 @@ is a pure function and all inputs are left untouched.  Products, sums and
 scalings are numpy's own operators.  A matrix with at most one nonzero per
 column (a diagonal, a step operator, a shift, a dyad) may also be held as a
 ``_ColumnMap``: against another map its products, differences, powers and
-deviations cost O(d), and against a dense matrix a product is a gather.
+deviations cost O(d); against a dense matrix a product is a gather, and a
+difference or a deviation reads the dense matrix and the map's d entries,
+never a d x d form of the map.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import operator
 
 import numpy as np
 
+# max_abs_diff reduces a matrix larger than this many entries in blocks of
+# rows, so its temporaries are two blocks, not two whole matrices
+_BLOCK_ENTRIES = 1 << 14
+
 
 class _ColumnMap:
-    """Column j is ``weights[j] * |rows[j]>``; ``dense`` keeps the matrix once formed.
+    """Column j is ``weights[j] * |rows[j]>``; every other entry is ``zero``.
 
     An empty column has weight exactly 0, and its row changes no result.  Each
     product entry is the one nonzero term of the dense sum, so it equals the
-    dense ``@`` wherever one factor's weights are real or imaginary.
+    dense ``@`` wherever one factor's weights are real or imaginary.  The
+    matrix is formed afresh by ``np.asarray``, except once ``kept()`` has
+    formed it: then that read-only array is the map's matrix.
     """
 
-    __slots__ = ("rows", "weights", "dense", "shape")
+    __slots__ = ("rows", "weights", "zero", "dense", "shape")
     __array_ufunc__ = None  # ndarray @, - and * return NotImplemented, so these run
 
-    def __init__(self, rows: np.ndarray, weights: np.ndarray, dense: np.ndarray | None = None):
-        self.rows, self.weights, self.dense, self.shape = rows, weights, dense, (rows.size,) * 2
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, zero: complex = 0):
+        self.rows, self.weights, self.zero = rows, weights, zero
+        self.dense, self.shape = None, (rows.size,) * 2
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if self.dense is None:
-            self.dense = np.zeros(self.shape, dtype=self.weights.dtype)
-            self.dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
+        dense = self.dense
+        if dense is None:
+            dense = np.full(self.shape, self.zero, dtype=self.weights.dtype)
+            dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
         if dtype is None and copy is None:
-            return self.dense
-        return np.array(self.dense, dtype=dtype, copy=copy)
+            return dense
+        return np.array(dense, dtype=dtype, copy=copy)
+
+    def kept(self) -> np.ndarray:
+        """The matrix, formed on the first call, kept on the map and read-only."""
+        if self.dense is None:
+            dense = np.asarray(self)
+            dense.flags.writeable = False
+            self.dense = dense
+        return self.dense
 
     def __matmul__(self, other):
         if isinstance(other, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
@@ -65,7 +83,12 @@ class _ColumnMap:
         return np.asarray(self) - np.asarray(other)
 
     def __rsub__(self, other: np.ndarray) -> np.ndarray:
-        return other - np.asarray(self)
+        # other - zero off the map, as against the formed matrix; on it, the d
+        # entries other[rows[j], j] - weights[j]
+        out = np.subtract(other, self.zero, dtype=np.result_type(other, self.weights))
+        cols = _band_rows(self.rows.size, 0)
+        out[self.rows, cols] = other[self.rows, cols] - self.weights
+        return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -74,12 +97,6 @@ def _band_rows(dim: int, offset: int) -> np.ndarray:
     rows = (np.arange(dim) - offset) % dim
     rows.flags.writeable = False
     return rows
-
-
-def _band(m: np.ndarray, offset: int) -> _ColumnMap:
-    # m's entries on its cyclic band, m itself kept as the map's matrix
-    rows = _band_rows(m.shape[0], offset)
-    return _ColumnMap(rows, m[rows, _band_rows(rows.size, 0)], m)
 
 
 def _diagonal(weights: np.ndarray) -> _ColumnMap:
@@ -162,7 +179,12 @@ def _column_map_power(m: _ColumnMap, p: int) -> _ColumnMap:
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise deviation |a_ij - b_ij|; zero iff the arrays are equal."""
+    """Largest entrywise deviation |a_ij - b_ij|; zero iff the arrays are equal.
+
+    A nan deviation anywhere gives nan, as numpy's reduction does.  A column
+    map is never formed: against another map the deviation costs O(d), and
+    against a dense matrix it is read off the dense entries and the map's d.
+    """
     if isinstance(a, _ColumnMap) and isinstance(b, _ColumnMap) and a.shape == b.shape:
         gap = np.abs(a.weights - b.weights)  # in O(d), bit for bit the dense reduction
         apart = a.rows != b.rows  # there the deviation is the larger of two entries
@@ -173,7 +195,44 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if 0 in a.shape:
         return 0.0
-    return float(np.abs(a - b).max())
+    if isinstance(a, _ColumnMap):
+        a, b = b, a  # |x - y| is |y - x| bit for bit
+    if isinstance(b, _ColumnMap):
+        return _map_deviation(a, b)
+    if a.size <= _BLOCK_ENTRIES:
+        return float(np.abs(a - b).max())
+    blocks = _row_blocks(a)
+    diff = np.empty((blocks[0][1], *a.shape[1:]), dtype=np.result_type(a, b))
+    size = np.empty(diff.shape, dtype=diff.real.dtype)
+    peaks = [np.abs(np.subtract(a[i:j], b[i:j], out=diff[:j - i]), out=size[:j - i]).max()
+             for i, j in blocks]
+    return float(np.max(peaks))  # np.max keeps a nan block maximum; max() would drop it
+
+
+def _map_deviation(x: np.ndarray, m: _ColumnMap) -> float:
+    # |x - m|: |x - weights[j]| at the map's entry (rows[j], j), and |x - zero|,
+    # which is |x|, everywhere else
+    cols = _band_rows(len(x), 0)
+    on_map = np.abs(x[m.rows, cols] - m.weights)
+    if x.size <= _BLOCK_ENTRIES:
+        size = np.abs(x)
+        size[m.rows, cols] = on_map
+        return float(np.maximum.reduce(size, axis=None))
+    blocks = _row_blocks(x)
+    size = np.empty((blocks[0][1], len(x)), dtype=on_map.dtype)
+    peaks = []
+    for i, j in blocks:
+        block = np.abs(x[i:j], out=size[:j - i])
+        here = np.flatnonzero((m.rows >= i) & (m.rows < j))
+        block[m.rows[here] - i, here] = on_map[here]
+        peaks.append(block.max())
+    return float(np.max(peaks))
+
+
+def _row_blocks(x: np.ndarray) -> list[tuple[int, int]]:
+    # row ranges of x of at most _BLOCK_ENTRIES entries each, one row at least
+    rows = max(1, _BLOCK_ENTRIES // (x.size // len(x)))
+    return [(i, min(i + rows, len(x))) for i in range(0, len(x), rows)]
 
 
 def is_unitary(a: np.ndarray, tol: float) -> bool:
@@ -210,7 +269,7 @@ def matrix_from_dict(obj: dict) -> np.ndarray:
     dim, flat = _parse_entries(obj)
     if len(flat) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(flat)}")
-    return np.array(flat, dtype=complex).reshape(dim, dim)
+    return flat.reshape(dim, dim)
 
 
 def vector_to_dict(v: np.ndarray) -> dict:
@@ -224,10 +283,10 @@ def vector_from_dict(obj: dict) -> np.ndarray:
     dim, flat = _parse_entries(obj)
     if len(flat) != dim:
         raise ValueError(f"expected {dim} entries, got {len(flat)}")
-    return np.array(flat, dtype=complex)
+    return flat
 
 
-def _parse_entries(obj: dict) -> tuple[int, list[complex]]:
+def _parse_entries(obj: dict) -> tuple[int, np.ndarray]:
     # every malformed object is a ValueError: a dim that is not an int >= 1
     # (bools excluded), or an entry that is not a list of two finite numbers
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
@@ -237,16 +296,23 @@ def _parse_entries(obj: dict) -> tuple[int, list[complex]]:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(entries, list):
         raise ValueError("entries must be a list")
-    flat = []
-    for pair in entries:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
-            raise ValueError(f"each entry must be a list of two numbers, got {pair!r}")
-        try:  # an int too large for a float overflows here
-            z = complex(float(pair[0]), float(pair[1]))
-        except OverflowError:
-            z = complex(math.inf)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("non-finite entry in serialized data")
-        flat.append(z)
-    return dim, flat
+    # the checks run over the distinct types and lengths, not entry by entry
+    pairs = (all(issubclass(t, list) for t in set(map(type, entries)))
+             and set(map(len, entries)) <= {2})
+    flat = list(itertools.chain.from_iterable(entries)) if pairs else []
+    if not (pairs and all(_is_number(t) for t in set(map(type, flat)))):
+        bad = next(p for p in entries if not (
+            isinstance(p, list) and len(p) == 2 and all(_is_number(type(x)) for x in p)))
+        raise ValueError(f"each entry must be a list of two numbers, got {bad!r}")
+    try:
+        values = np.array(flat, dtype=float)
+        finite = np.all(np.isfinite(values))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError("non-finite entry in serialized data")
+    return dim, values.view(complex)  # (re, im) pairs are complex numbers in memory
+
+
+def _is_number(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)

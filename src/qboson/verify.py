@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import _band, _diagonal, _dyad, dag, mat_pow, max_abs_diff
+from .cmatrix import _diagonal, _dyad, dag, mat_pow, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -179,6 +179,7 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
         (x.h_dag, sub(mul(mul(f, x.g), fdag), ar.dyad(s, 0, d))),
     ]
+    del fdag
     yield "eq15_phase_orthonormal", [
         (fdag_f, eye),  # Gram matrix of the phase states
         (f_fdag, eye),  # completeness of the phase states
@@ -217,14 +218,12 @@ _NUMPY = SimpleNamespace(
 
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
-    # the set with its monomials as column maps, read in O(d) off their bands,
-    # and g⁻¹, √[N], √[N+1] (the weights a, a† carry), as the naive route has
-    maps = {name: _band(getattr(ops, name), offset) for name, offset in (
-        ("a", 1), ("a_dag", -1), ("h", -1), ("h_dag", 1), ("big_h", -1), ("big_h_dag", 1),
-        ("n_op", 0), ("g", 0), ("brace_g", 0), ("brace_g1", 0))}
+    # the set as stored, its monomials column maps, with g⁻¹, √[N] and √[N+1]
+    # (the weights a and a† carry) as the naive route has them
+    stored = vars(ops)
     return SimpleNamespace(
-        **{**vars(ops), **maps}, g_inv=_diagonal(maps["g"].weights.conj()),
-        sqrt_g=_diagonal(maps["a"].weights), sqrt_g1=_diagonal(maps["a_dag"].weights),
+        **stored, g_inv=_diagonal(stored["g"].weights.conj()),
+        sqrt_g=_diagonal(stored["a"].weights), sqrt_g1=_diagonal(stored["a_dag"].weights),
         q=primitive_root(ops.config))
 
 
@@ -235,9 +234,9 @@ def _step_chain_is_sharp(ops: OperatorSet) -> bool:
     # the powers vanish at m and not before
     m = nilpotency_index(ops.config)
     split = np.arange(ops.config.s) == m - 1
+    a, a_dag = vars(ops)["a"], vars(ops)["a_dag"]  # column maps: a's column 0 and a†'s s are empty
     return all(np.all(magnitudes[split] == 0) and np.all(magnitudes[~split] >= SHARPNESS_FLOOR)
-               for magnitudes in (np.abs(np.diagonal(ops.a, 1)),
-                                  np.abs(np.diagonal(ops.a_dag, -1))))
+               for magnitudes in (np.abs(a.weights[1:]), np.abs(a_dag.weights[:-1])))
 
 
 def _shift_is_sharp(eq10_pairs: list[tuple], threshold: float) -> bool:
@@ -462,8 +461,9 @@ def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:
     naive_ops = SimpleNamespace(**_naive_operators(cfg))
 
     results = []
+    stored = vars(ops)  # a monomial is compared as its column map, which stays unformed
     for name in _ORACLE_OPERATORS:
-        dev = max_abs_diff(getattr(ops, name), np.array(getattr(naive_ops, name)))
+        dev = max_abs_diff(stored[name], np.array(getattr(naive_ops, name)))
         results.append(_result(f"op_{name}", dev, ORACLE_TOL))
     routes = zip(_catalog(_NUMPY, _closed_operators(ops), cfg),
                  _catalog(_NAIVE, naive_ops, cfg), strict=True)

@@ -36,7 +36,7 @@ from qboson import (
     shift_dag,
     sqrt_q_number_matrix,
 )
-from qboson.algebra import _lags, _rotate_diagonal
+from qboson.algebra import _rotate_diagonal
 from qboson.cmatrix import _ColumnMap
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
@@ -517,6 +517,61 @@ def test_operator_set_arrays_are_read_only(s):
         polar_decompose(AlgebraConfig(s)).radial[0, 0] = 1.0
 
 
+# each monomial field of the set and the public builder of the same operator
+_MONOMIAL_BUILDERS = {
+    "a": annihilation, "a_dag": creation, "n_op": number, "g": clock, "h": shift,
+    "h_dag": shift_dag, "big_h": cyclic_shift, "big_h_dag": lambda cfg: dag(cyclic_shift(cfg)),
+    "brace_g": q_number_matrix, "brace_g1": lambda cfg: q_number_matrix(cfg, offset=1),
+}
+
+
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 64, 128])
+def test_formed_monomials_are_the_public_builders(s):
+    # a field stored as a column map reads as its builder's matrix byte for
+    # byte, signed zeros included (an adjoint's zeros are 0 - 0j)
+    for cfg in _coprime_configs(s):
+        ops = build_operator_set(cfg)
+        assert set(_MONOMIAL_BUILDERS) == {
+            name for name, value in vars(ops).items() if isinstance(value, _ColumnMap)}
+        for name, builder in _MONOMIAL_BUILDERS.items():
+            assert _bit_equal(getattr(ops, name), builder(cfg)), (cfg.k, name)
+
+
+@pytest.mark.parametrize("s", [4, 64])
+def test_column_maps_of_the_set_are_read_only(s):
+    ops = build_operator_set(AlgebraConfig(s))
+    for name in _MONOMIAL_BUILDERS:
+        m = vars(ops)[name]
+        for array in (m.rows, m.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert getattr(ops, name) is getattr(ops, name)  # formed once, then kept
+    # so a later verification of the same set sees what the first one saw
+    assert verify.run_all(AlgebraConfig(s)).overall_pass
+
+
+@pytest.mark.parametrize("s", [4, 64, 256])
+def test_verification_and_polar_decomposition_form_no_monomial(s):
+    cfg = AlgebraConfig(s)
+    verify.run_all(cfg)
+    polar_decompose(cfg)
+    stored = vars(build_operator_set(cfg))
+    assert {name for name in _MONOMIAL_BUILDERS if stored[name].dense is not None} == set()
+
+
+@pytest.mark.parametrize("s", [2, 16, 256])
+def test_circulants_are_views_of_two_periods(s):
+    # n_tilde and the radial roots hold 2(s+1) entries each; the public
+    # phase-brace functions still return owned, writable arrays
+    cfg = AlgebraConfig(s)
+    ops = build_operator_set(cfg)
+    for x in (ops.n_tilde, ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1):
+        assert x.base.size == 2 * cfg.dim and not x.flags.writeable
+    for x in (*phase_braces(cfg), *phase_brace_roots(cfg)):
+        assert x.flags.owndata and x.flags.writeable
+    assert _bit_equal(phase_brace_roots(cfg)[0], ops.sqrt_brace_hdag)
+
+
 # k far outside the int64 range, or whose products k*m*n overflow it; each
 # is coprime to s+1
 @pytest.mark.parametrize("s, k", [(4, 2**61 + 1), (4, 10**20 + 1), (256, -2**62 - 1)])
@@ -563,7 +618,7 @@ def test_diagonal_rotations_match_the_dense_products(s):
                                      sqrt_q_number_matrix(cfg, offset=1).diagonal())
         for offset in (0, 1):  # the spectral route of the phase-brace self-check
             x = q_number_matrix(cfg, offset=offset).diagonal()
-            _assert_within_product_bound(_rotate_diagonal(f, x, _lags(cfg.dim)), f, x)
+            _assert_within_product_bound(_rotate_diagonal(f, x), f, x)
 
 
 def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):

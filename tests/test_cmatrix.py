@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from qboson.algebra import (
     shift_dag,
 )
 from qboson.cmatrix import (
-    _band,
+    _band_rows,
     _ColumnMap,
     _diagonal,
     _dyad,
@@ -282,6 +283,13 @@ class TestColumnMapPowerAtLargeCutoff:
         assert np.array_equal(mat_pow(big_h, p), mat_pow(big_h, p % 9))
 
 
+def _band(m, offset):
+    # m's entries on its cyclic band as a column map: column j's entry in row
+    # j - offset mod d, with the rows array the builders share
+    rows = _band_rows(len(m), offset)
+    return _ColumnMap(rows, m[rows, _band_rows(len(m), 0)])
+
+
 def _column_maps(cfg):
     # every monomial the catalog and the builders hold as a column map, read
     # off its known band, the diagonals among them, and dyads
@@ -467,6 +475,94 @@ class TestMaxAbsDiff:
         if max_abs_diff(a, b) == 0.0:
             np.testing.assert_array_equal(a, b)
 
+    # with 1024 entries a block, n <= 32 is reduced in one shot and n >= 33 in
+    # row blocks; at the default size, n = 129 is the first to be blocked
+    @pytest.mark.parametrize("n, block", [*((n, 1024) for n in (1, 2, 31, 32, 33, 64, 65, 100)),
+                                          (128, None), (129, None), (200, None)])
+    def test_blocked_reduction_is_the_dense_one(self, monkeypatch, n, block):
+        if block is not None:
+            monkeypatch.setattr(cmatrix, "_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, n, size=n)  # repeated rows and, so, empty ones
+        rows[: n // 2] = rng.permutation(n)[: n // 2]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan on every route
+            for a, b, m in _deviation_cases(rng, n, rows):
+                want = _dense_deviation(a, b)
+                _assert_same_float(max_abs_diff(a, b), want)
+                _assert_same_float(max_abs_diff(b, a), want)
+                # one side a column map: the dense deviation, nan included
+                dense = np.asarray(m)
+                want = _dense_deviation(a, dense)
+                _assert_same_float(max_abs_diff(a, m), want)
+                _assert_same_float(max_abs_diff(m, a), want)
+                assert _bit_equal(a - m, a - dense)
+
+    @pytest.mark.parametrize("shape", [(40000,), (300, 3), (3, 300), (70, 30, 20)])
+    def test_blocks_of_any_shape(self, monkeypatch, shape):
+        monkeypatch.setattr(cmatrix, "_BLOCK_ENTRIES", 512)
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, *shape))
+        _assert_same_float(max_abs_diff(a, b), _dense_deviation(a, b))
+        a.flat[-1] = np.nan
+        _assert_same_float(max_abs_diff(a, b), math.nan)
+
+    def test_map_deviation_forms_no_matrix(self):
+        # a dense matrix against a column map or another dense matrix: the
+        # temporaries are blocks, far below one d x d matrix
+        d = 513
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        y = x.copy()
+        m = _ColumnMap(_band_rows(d, 1), np.ones(d, dtype=complex))
+        tracemalloc.start()
+        try:
+            for other in (m, y):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                max_abs_diff(x, other)
+                assert tracemalloc.get_traced_memory()[1] - start < 2 * d * d
+        finally:
+            tracemalloc.stop()
+
+    def test_difference_with_a_map_keeps_the_signed_zeros(self):
+        # dense - map is formed on the map's support; off it the dense entries
+        # lose the map's zero, 0 + 0j, or an adjoint's 0 - 0j, as they would
+        # against the formed matrix
+        d = 6
+        x = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)] * 9).reshape(d, d)
+        rows = _band_rows(d, 1)
+        for zero in (0, 0j.conjugate()):
+            m = _ColumnMap(rows, np.full(d, 1 - 0j), zero)
+            assert _bit_equal(x - m, x - np.asarray(m)), zero
+
+
+def _deviation_cases(rng, n, rows):
+    # (a, b, map) triples: finite, then nan, +-inf and complex nan/inf in the
+    # first block, the last block and on the map's support
+    def fresh():
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = a + 1e-9 * rng.normal(size=(n, n))
+        weights = np.where(rng.uniform(size=n) < 0.2, 0, a[rows, np.arange(n)] + 1e-7)
+        return a, b, weights
+    placements = [(0, 0), (n - 1, n - 1), (n - 1, 0), (0, n - 1), (rows[-1], n - 1)]
+    yield *fresh()[:2], _ColumnMap(rows, fresh()[2])
+    for value in (math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(0.0, math.inf),
+                  complex(-math.inf, math.nan)):
+        for i, j in placements:
+            a, b, weights = fresh()
+            a[i, j] = value
+            yield a, b, _ColumnMap(rows, weights)
+            a, b, weights = fresh()
+            weights[j] = value  # on the map's support
+            b[i, j] = value  # and on the same entry of both dense sides
+            a[i, j] = value
+            yield a, b, _ColumnMap(rows, weights)
+
+
+def _assert_same_float(got, want):
+    assert isinstance(got, float)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
 
 class TestIsUnitary:
     def test_identity(self):
@@ -525,6 +621,11 @@ class TestJsonFormat:
         {"dim": 1, "entries": [(1.0, 0.0)]},
         {"dim": 1, "entries": [[1.0, float("inf")]]},
         {"dim": 1, "entries": [[10**400, 0]]},
+        {"dim": 1, "entries": [[1.0, True]]},
+        {"dim": 1, "entries": [[1.0, [0.0]]]},
+        {"dim": 2, "entries": [[1.0, 0.0], "x"]},
+        {"dim": 2, "entries": [[1.0, 0.0], [1.0]]},
+        {"dim": 2, "entries": [[1.0, 0.0], [0, -10**400]]},
         {"dim": 1, "entries": "12"},
         {"dim": True, "entries": [[1.0, 0.0]]},
         {"dim": 1.0, "entries": [[1.0, 0.0]]},
@@ -537,6 +638,21 @@ class TestJsonFormat:
     def test_malformed_object_is_value_error(self, parse, obj):
         with pytest.raises(ValueError):
             parse(obj)
+
+    @pytest.mark.parametrize("parse, shape", [(matrix_from_dict, (4, 4)), (vector_from_dict, (16,))])
+    def test_entries_are_the_per_entry_conversion(self, parse, shape):
+        # ints of every size a float holds, floats and signed zeros: entry i is
+        # complex(float(re), float(im)), bit for bit
+        values = [0, -0.0, 1, -1, 2**53 + 1, -(2**63) - 1, 2**64 + 3, 10**300, 5e-324,
+                  -1.5e308, 0.1, 3]
+        entries = [[values[i % 12], values[(5 * i + 1) % 12]] for i in range(16)]
+        got = parse({"dim": shape[0], "entries": entries})
+        want = np.array([complex(float(re), float(im)) for re, im in entries]).reshape(shape)
+        assert got.dtype == complex and got.shape == shape and got.tobytes() == want.tobytes()
+
+    def test_malformed_entry_is_named(self):
+        with pytest.raises(ValueError, match=r"got \[1\.0, True\]"):
+            vector_from_dict({"dim": 2, "entries": [[1.0, 0.0], [1.0, True]]})
 
     @pytest.mark.parametrize("parse", [matrix_from_dict, vector_from_dict])
     def test_integer_entries_parse(self, parse):

@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import gc
 import io
 import json
 import math
@@ -15,15 +15,18 @@ from qboson import cli
 from qboson import (
     CHECK_NAMES,
     AlgebraConfig,
+    OperatorSet,
     annihilation,
     brute_force_oracle,
     build_operator_set,
     mat_pow,
     max_abs_diff,
     nilpotency_index,
+    polar_decompose,
     run_all,
     sweep,
 )
+from qboson.cmatrix import _ColumnMap
 from qboson.verify import (
     _NUMPY,
     ORACLE_TOL,
@@ -79,10 +82,19 @@ def test_power_below_index_has_unit_magnitude_at_s2():
     assert max_abs_diff(mat_pow(a, 2), np.zeros((3, 3))) == pytest.approx(1.0, abs=1e-12)
 
 
+def _replaced(ops, **fields):
+    # the operator set with some stored fields replaced: dataclasses.replace
+    # would read every other field, and store its matrix in place of its map
+    return OperatorSet(**{**vars(ops), **fields})
+
+
 def _with_step_weights(ops, weights_of):
-    # the operator set with both step operators' band weights replaced
-    w = weights_of(np.diagonal(ops.a, 1).copy())
-    return dataclasses.replace(ops, a=np.diag(w, k=1), a_dag=np.diag(w, k=-1))
+    # the operator set with both step operators' band weights replaced; a's
+    # column 0 and a†'s column s stay empty
+    a, a_dag = vars(ops)["a"], vars(ops)["a_dag"]
+    w = weights_of(a.weights[1:].copy())
+    return _replaced(ops, a=_ColumnMap(a.rows, np.concatenate(([0], w))),
+                     a_dag=_ColumnMap(a_dag.rows, np.concatenate((w, [0]))))
 
 
 def _zero_at(index):
@@ -102,7 +114,7 @@ def test_sharpness_violation_reports_unit_deviation(monkeypatch):
             "all-zero a": _with_step_weights(ops, np.zeros_like),
             "chain broken before the index": _with_step_weights(ops, _zero_at(1)),
             "power vanishing too early": _with_step_weights(ops, lambda w: 1e-7 * w),
-            "a† alone broken": dataclasses.replace(ops, a_dag=0 * ops.a_dag),
+            "a† alone broken": _replaced(ops, a_dag=0 * vars(ops)["a_dag"]),
         }
         if (s + 1) % 2 == 0:
             mutants["midpoint zero filled in"] = _with_step_weights(
@@ -249,6 +261,23 @@ def test_monomial_checks_form_no_dense_matrix():
         tracemalloc.stop()
     assert {n: p for n, p in peaks.items() if n in _MONOMIAL_CHECKS and p >= 16 * d * d} == {}
     assert peaks["eq13_f_unitary"] >= 16 * d * d  # a dense check does show up
+
+
+def test_verification_and_polar_decomposition_memory_at_s256():
+    # numpy's buffers are traced, so these figures repeat exactly.  Measured:
+    # 6.13 MiB held after the op (the kept set with its five dense fields, the
+    # polar factors) and 12.2 MiB at the peak (eq19's six sides); the pins
+    # leave about 15% over each
+    cfg = AlgebraConfig(256)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = run_all(cfg), polar_decompose(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[0].overall_pass
+    assert held <= 7.0 * 2**20 and peak <= 14.0 * 2**20, (held / 2**20, peak / 2**20)
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 33])
