@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import _band_rows, _ColumnMap, _diagonal, dag, dyad, max_abs_diff
+from .cmatrix import (_band_rows, _ColumnMap, _diagonal, _map_of, _Workspace, dag, dyad,
+                      max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -152,14 +153,22 @@ def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
 
 def q_bracket(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
     """Deformed-number quotient (u - u†) / (q - 1/q) of a unitary u."""
-    q = primitive_root(cfg)
-    return (u - dag(u)) / (q - 1.0 / q)
+    return _bracket(u, dag(u), primitive_root(cfg))
 
 
 def q_bracket_shifted(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
     """Index-shifted quotient (q u - u†/q) / (q - 1/q) of a unitary u."""
-    q = primitive_root(cfg)
-    return (q * u - dag(u) / q) / (q - 1.0 / q)
+    return _bracket_shifted(u, dag(u), primitive_root(cfg))
+
+
+# the two quotients entry by entry, u_dag holding the entries of u† that
+# face u's; on matrices, or on the entries of a few positions
+def _bracket(u: np.ndarray, u_dag: np.ndarray, q: complex) -> np.ndarray:
+    return (u - u_dag) / (q - 1.0 / q)
+
+
+def _bracket_shifted(u: np.ndarray, u_dag: np.ndarray, q: complex) -> np.ndarray:
+    return (q * u - u_dag / q) / (q - 1.0 / q)
 
 
 def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +180,9 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     q-integer diagonals, and the two construction routes are cross-checked
     here against the configured tolerance.
     """
-    return _phase_braces(cfg, fourier(cfg), _q_tables(cfg)[0], dag(cyclic_shift(cfg)))
+    big_h_dag = dag(cyclic_shift(cfg))
+    quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
+    return _phase_braces(cfg, fourier(cfg), _q_tables(cfg)[0], quotient)
 
 
 def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -189,8 +200,7 @@ def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, brackets: np.ndarray,
-                  big_h_dag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
+                  quotient: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     spectral = (_rotate_diagonal(f, brackets[:-1]), _rotate_diagonal(f, brackets[1:]))
     # construction self-check: floored below so a user tolerance tighter than
     # floating point turns up as a failed verification, not a build crash
@@ -202,6 +212,27 @@ def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, brackets: np.ndarray,
                 f"phase-brace construction routes disagree by {err:.3e} (tol {bound:.3e})"
             )
     return quotient
+
+
+def _band_quotients(cfg: AlgebraConfig,
+                    big_h_dag: _ColumnMap) -> tuple[np.ndarray, np.ndarray]:
+    # q_bracket and q_bracket_shifted of the map's matrix u, entry for entry
+    # and byte for byte: u and u† are nonzero only on the map's band (rows[j],
+    # j) and its mirror (j, rows[j]), so each quotient is one fill with the
+    # value of the two zeros and 2(s+1) placed entries
+    m, cols = big_h_dag, _band_rows(cfg.dim, 0)
+    rows, across = np.concatenate((m.rows, cols)), np.concatenate((cols, m.rows))
+    u, u_dag = np.full((2, 2 * cfg.dim + 1), m.zero)  # the last entry is off both
+    u[:-1] = np.where(m.rows[across] == rows, m.weights[across], m.zero)
+    u_dag[:-1] = np.where(m.rows[rows] == across, m.weights[rows], m.zero)
+    u_dag = u_dag.conj()
+    q = primitive_root(cfg)
+    quotient = []
+    for values in (_bracket(u, u_dag, q), _bracket_shifted(u, u_dag, q)):
+        out = np.full(m.shape, values[-1])
+        out[rows, across] = values[:-1]
+        quotient.append(out)
+    return quotient[0], quotient[1]
 
 
 def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -255,30 +286,45 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     that set's read-only ``sqrt_brace_hdag``.
     """
     ops = build_operator_set(cfg)
-    # the clock is diagonal, so its four products below are broadcast; its
-    # diagonal is the weights of the set's column map
+    # the clock is diagonal, so its four products below are broadcast, each
+    # into the buffer the last one left; its diagonal is the weights of the
+    # set's column map
     z = vars(ops)["g"].weights
     z_inv = z.conj()
+    r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
+    take = _Workspace(cfg.dim).take
     errors = {
-        "down_unitary_radial": max_abs_diff(ops.a_tilde, z_inv[:, None] * ops.sqrt_brace_hdag),
-        "down_radial_unitary": max_abs_diff(ops.a_tilde, ops.sqrt_brace_hdag1 * z_inv),
-        "up_radial_unitary": max_abs_diff(ops.a_tilde_dag, ops.sqrt_brace_hdag * z),
-        "up_unitary_radial": max_abs_diff(ops.a_tilde_dag, z[:, None] * ops.sqrt_brace_hdag1),
+        "down_unitary_radial": max_abs_diff(ops.a_tilde,
+                                            np.multiply(z_inv[:, None], r_down, out=take())),
+        "down_radial_unitary": max_abs_diff(ops.a_tilde, np.multiply(r_up, z_inv, out=take())),
+        "up_radial_unitary": max_abs_diff(ops.a_tilde_dag, np.multiply(r_down, z, out=take())),
+        "up_unitary_radial": max_abs_diff(ops.a_tilde_dag,
+                                          np.multiply(z[:, None], r_up, out=take())),
     }
+    unitary = np.full(r_down.shape, _CONJ_ZERO)  # dag(diag(z)), its zeros 0 - 0j
+    unitary.reshape(-1)[::cfg.dim + 1] = z_inv
     return PolarDecomposition(
-        unitary=dag(np.diag(z)),
-        radial=ops.sqrt_brace_hdag,
+        unitary=unitary,
+        radial=r_down,
         reconstruction_error=errors["down_unitary_radial"],
         factor_errors=errors,
-        radial_hermiticity_error=max_abs_diff(ops.sqrt_brace_hdag, dag(ops.sqrt_brace_hdag)),
+        radial_hermiticity_error=_hermiticity_error(r_down),
     )
+
+
+def _hermiticity_error(circulant: np.ndarray) -> float:
+    # max_abs_diff(r, dag(r)) of a circulant view, in O(d): entry (m, n) is
+    # u[d - 1 + l] at lag l = n - m, and dag(r) holds conj(u[d - 1 - l]) there
+    lags = circulant.base[:2 * len(circulant) - 1]
+    return float(np.abs(lags - lags[::-1].conj()).max())
 
 
 class _Monomial:
     """An ``OperatorSet`` field stored as a column map and read as its matrix.
 
     ``vars(ops)`` holds the map; a read forms the read-only matrix once and
-    keeps it on the map.
+    keeps it on the map, and a formed matrix assigned to the field is stored
+    as its map again.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -291,6 +337,9 @@ class _Monomial:
         return value.kept() if isinstance(value, _ColumnMap) else value
 
     def __set__(self, ops, value) -> None:
+        # a formed matrix, as dataclasses.replace reads it, is stored as its map
+        if isinstance(value, np.ndarray):
+            value = _map_of(value) or value
         vars(ops)[self.name] = value
 
 
@@ -374,8 +423,14 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     ones = np.ones(d, dtype=complex)
     big_h_dag = _ColumnMap(down, ones.conj(), _CONJ_ZERO)
     f = fourier(cfg)
-    fdag = dag(f)
-    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, brackets, np.asarray(big_h_dag))
+    ws = _Workspace(d)  # F†, the gathers F a, F a†, and ã, ã†, which the set keeps
+    if ws.reused:
+        quotient = _band_quotients(cfg, big_h_dag)
+    else:  # a few small dense passes take fewer numpy calls than the band placement
+        u = np.asarray(big_h_dag)
+        quotient = q_bracket(u, cfg), q_bracket_shifted(u, cfg)
+    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, brackets, quotient)
+    fdag = ws.dag(f)
     n = np.arange(d, dtype=complex)
     return OperatorSet(
         config=cfg,
@@ -392,8 +447,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         big_h_dag=big_h_dag,
         # rotated, not formed as clock times circulant: that is eq19's
         # right side, and the check would become a tautology
-        a_tilde=f @ a @ fdag,
-        a_tilde_dag=f @ a_dag @ fdag,
+        a_tilde=ws.mul(ws.mul(f, a), fdag),
+        a_tilde_dag=ws.mul(ws.mul(f, a_dag), fdag),
         n_tilde=_rotate_diagonal(f, n),
         brace_hdag=brace_hdag,
         brace_hdag1=brace_hdag1,

@@ -7,7 +7,8 @@ column (a diagonal, a step operator, a shift, a dyad) may also be held as a
 ``_ColumnMap``: against another map its products, differences, powers and
 deviations cost O(d); against a dense matrix a product is a gather, and a
 difference or a deviation reads the dense matrix and the map's d entries,
-never a d x d form of the map.
+never a d x d form of the map.  A ``_Workspace`` writes one call's dense
+temporaries into d x d buffers that it reuses.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 
 import numpy as np
 
 # max_abs_diff reduces a matrix larger than this many entries in blocks of
-# rows, so its temporaries are two blocks, not two whole matrices
+# rows, so its temporaries are two blocks, not two whole matrices; a
+# _Workspace reuses buffers only for matrices larger than this
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -30,7 +33,8 @@ class _ColumnMap:
     product entry is the one nonzero term of the dense sum, so it equals the
     dense ``@`` wherever one factor's weights are real or imaginary.  The
     matrix is formed afresh by ``np.asarray``, except once ``kept()`` has
-    formed it: then that read-only array is the map's matrix.
+    formed it: then that read-only array is the map's matrix, and
+    ``_map_of`` reads the map back from it.
     """
 
     __slots__ = ("rows", "weights", "zero", "dense", "shape")
@@ -52,27 +56,21 @@ class _ColumnMap:
     def kept(self) -> np.ndarray:
         """The matrix, formed on the first call, kept on the map and read-only."""
         if self.dense is None:
-            dense = np.asarray(self)
-            dense.flags.writeable = False
-            self.dense = dense
+            owner = _Formed(self.shape, dtype=self.weights.dtype)
+            owner[...] = self.zero
+            owner[self.rows, _band_rows(self.rows.size, 0)] = self.weights
+            owner.flags.writeable = False
+            owner.parts = (self.rows, self.weights, self.zero)
+            self.dense = owner.view(np.ndarray)
         return self.dense
 
     def __matmul__(self, other):
         if isinstance(other, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
             return _ColumnMap(self.rows[other.rows], self.weights[other.rows] * other.weights)
-        if self.rows is _band_rows(self.rows.size, 0):  # row placement; a diagonal keeps rows
-            return self.weights[:, None] * other
-        if np.bincount(self.rows, minlength=1).max() > 1:  # two columns share a row
-            return np.asarray(self) @ other
-        source = np.argsort(self.rows)  # row i of the product is w[j] other[j], rows[j] = i
-        return self.weights[source, None] * other[source]
+        return self._placed(other)
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
-        if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps every column in place
-            return other * self.weights
-        out = other[:, self.rows]  # column gather: column j is other's column rows[j]
-        out *= self.weights
-        return out
+        return self._gathered(other)
 
     def __rmul__(self, alpha) -> _ColumnMap:
         return _ColumnMap(self.rows, alpha * self.weights)
@@ -83,12 +81,113 @@ class _ColumnMap:
         return np.asarray(self) - np.asarray(other)
 
     def __rsub__(self, other: np.ndarray) -> np.ndarray:
+        return self._subtracted_from(other)
+
+    # the dense results, written into out when it is given
+    def _placed(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # self @ other, a row placement: row rows[j] of the product is w[j] other[j]
+        if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps rows
+            return np.multiply(self.weights[:, None], other, out=out)
+        if np.bincount(self.rows, minlength=1).max() > 1:  # two columns share a row
+            return np.matmul(np.asarray(self), other, out=out)
+        source = np.argsort(self.rows)  # row i of the product is w[j] other[j], rows[j] = i
+        out = np.take(other, source, axis=0, out=out, mode="clip")
+        return np.multiply(self.weights[source, None], out, out=out)
+
+    def _gathered(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # other @ self
+        if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps every column in place
+            return np.multiply(other, self.weights, out=out)
+        # column gather: column j is other's column rows[j]
+        out = np.take(other, self.rows, axis=1, out=out, mode="clip")
+        return np.multiply(out, self.weights, out=out)
+
+    def _subtracted_from(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # other - zero off the map, as against the formed matrix; on it, the d
         # entries other[rows[j], j] - weights[j]
-        out = np.subtract(other, self.zero, dtype=np.result_type(other, self.weights))
+        out = np.subtract(other, self.zero, out=out, dtype=np.result_type(other, self.weights))
         cols = _band_rows(self.rows.size, 0)
         out[self.rows, cols] = other[self.rows, cols] - self.weights
         return out
+
+
+class _Formed(np.ndarray):
+    # owns the matrix a map's kept() hands out as a plain view, and holds the
+    # map's parts, so the matrix leads back to its map through .base
+    parts: tuple
+
+
+def _map_of(x: np.ndarray) -> _ColumnMap | None:
+    """The column map whose kept matrix x is, or None."""
+    owner = x.base
+    if not (isinstance(owner, _Formed) and x.__array_interface__ == owner.__array_interface__):
+        return None  # a view of another layout, even of the same memory, is not the matrix
+    m = _ColumnMap(*owner.parts)
+    m.dense = x
+    return m
+
+
+def _refcounts(arrays: list) -> list[int]:
+    # every count is read through this one function, so the references that
+    # the reading itself adds are the same for _UNHELD and for take()
+    return [sys.getrefcount(x) for x in arrays]
+
+
+# the count _refcounts reads for an array that only its list holds
+_UNHELD = _refcounts([np.empty(0)])[0]
+
+
+class _Workspace:
+    """One call's d x d complex buffers, for the dense matrices it forms.
+
+    ``take`` returns a buffer that nothing outside the workspace references,
+    or a new one, so a side that a caller still holds, or a view of it, is
+    never overwritten.  At or below ``_BLOCK_ENTRIES`` entries it returns
+    None, and numpy allocates each result as usual.  ``mul``, ``sub``,
+    ``scale`` and ``dag`` compute what ``@``, ``-``, ``*`` and ``dag`` do, bit
+    for bit, and write a dense result into a taken buffer.  The buffers go
+    with the workspace, so each call makes its own and shares it with nothing.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.shape = (dim, dim)
+        self.reused = dim * dim > _BLOCK_ENTRIES
+        self.buffers: list[np.ndarray] = []
+
+    def take(self) -> np.ndarray | None:
+        if not self.reused:
+            return None
+        for buffer, refs in zip(self.buffers, _refcounts(self.buffers)):
+            if refs == _UNHELD:
+                return buffer
+        self.buffers.append(np.empty(self.shape, dtype=complex))
+        return self.buffers[-1]
+
+    def mul(self, x, y):
+        if isinstance(x, _ColumnMap):
+            return x @ y if isinstance(y, _ColumnMap) else x._placed(y, self.take())
+        if isinstance(y, _ColumnMap):
+            return y._gathered(x, self.take())
+        if x is y and min(x.strides) < 0 and self.reused:
+            # a square of a view BLAS cannot read (a circulant): numpy would
+            # copy each operand; one contiguous copy serves both
+            copy = self.take()
+            copy[...] = x
+            x = y = copy
+        return np.matmul(x, y, out=self.take())
+
+    def sub(self, x, y):
+        if isinstance(y, _ColumnMap) and not isinstance(x, _ColumnMap):
+            return y._subtracted_from(x, self.take())
+        if isinstance(x, _ColumnMap):
+            return x - y
+        return np.subtract(x, y, out=self.take())
+
+    def scale(self, alpha, x):
+        return alpha * x if isinstance(x, _ColumnMap) else np.multiply(alpha, x, out=self.take())
+
+    def dag(self, x: np.ndarray) -> np.ndarray:
+        return np.conjugate(x, out=self.take()).T
 
 
 @functools.lru_cache(maxsize=16)
@@ -213,11 +312,15 @@ def _map_deviation(x: np.ndarray, m: _ColumnMap) -> float:
     # |x - m|: |x - weights[j]| at the map's entry (rows[j], j), and |x - zero|,
     # which is |x|, everywhere else
     cols = _band_rows(len(x), 0)
-    on_map = np.abs(x[m.rows, cols] - m.weights)
     if x.size <= _BLOCK_ENTRIES:
-        size = np.abs(x)
-        size[m.rows, cols] = on_map
+        if m.rows is cols:  # a diagonal map: x's diagonal, read and written as a view
+            size = np.abs(x, order="C")
+            np.abs(x.diagonal() - m.weights, out=size.reshape(-1)[::len(x) + 1])
+        else:
+            size = np.abs(x)
+            size[m.rows, cols] = np.abs(x[m.rows, cols] - m.weights)
         return float(np.maximum.reduce(size, axis=None))
+    on_map = np.abs(x[m.rows, cols] - m.weights)
     blocks = _row_blocks(x)
     size = np.empty((blocks[0][1], len(x)), dtype=on_map.dtype)
     peaks = []

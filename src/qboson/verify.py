@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import _diagonal, _dyad, dag, mat_pow, max_abs_diff
+from .cmatrix import _diagonal, _dyad, _Workspace, dag, mat_pow, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -175,11 +175,13 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (fdag_f, eye),
     ]
     f_ginv_fdag = mul(mul(f, x.g_inv), fdag)
+    h_dag_side = sub(mul(mul(f, x.g), fdag), ar.dyad(s, 0, d))
+    del fdag  # so that the other difference can take its buffer
     yield "eq14_h_via_f", [
         (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
-        (x.h_dag, sub(mul(mul(f, x.g), fdag), ar.dyad(s, 0, d))),
+        (x.h_dag, h_dag_side),
     ]
-    del fdag
+    del h_dag_side
     yield "eq15_phase_orthonormal", [
         (fdag_f, eye),  # Gram matrix of the phase states
         (f_fdag, eye),  # completeness of the phase states
@@ -198,13 +200,15 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (mul(x.big_h, x.big_h_dag), eye),
         (mul(x.big_h_dag, x.big_h), eye),
     ]
+    # the squares first, so that the broadcasts reuse their operand copy
+    squares = mul(r_down, r_down), mul(r_up, r_up)
     yield "eq19_polar", [
         (x.a_tilde, mul(x.g_inv, r_down)),
         (x.a_tilde, mul(r_up, x.g_inv)),
         (x.a_tilde_dag, mul(r_down, x.g)),
         (x.a_tilde_dag, mul(x.g, r_up)),
-        (mul(r_down, r_down), x.brace_hdag),
-        (mul(r_up, r_up), x.brace_hdag1),
+        (squares[0], x.brace_hdag),
+        (squares[1], x.brace_hdag1),
     ]
 
 
@@ -215,6 +219,16 @@ _NUMPY = SimpleNamespace(
     pow=lambda x, p: mat_pow(x, p), eye=lambda d: _diagonal(np.ones(d, dtype=complex)),
     zeros=lambda d: _diagonal(np.zeros(d, dtype=complex)), dyad=_dyad,
 )
+
+
+def _workspace_arithmetic(dim: int) -> SimpleNamespace:
+    # _NUMPY with every dense side written into one workspace, whose buffers
+    # go with this namespace; at or below _BLOCK_ENTRIES entries, _NUMPY itself
+    ws = _Workspace(dim)
+    if not ws.reused:
+        return _NUMPY
+    return SimpleNamespace(**{**vars(_NUMPY), "mul": ws.mul, "sub": ws.sub, "scale": ws.scale,
+                              "dag": ws.dag})
 
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
@@ -257,12 +271,15 @@ def run_all(cfg: AlgebraConfig) -> VerificationReport:
     violation reports deviation ``1.0``.  A non-finite deviation fails its
     check and is reported as the largest finite float, so every report
     serializes as strict JSON.  Each check is reduced as the catalog forms
-    it, and its sides are dropped before the next check is formed.
+    it, and its sides are dropped before the next check is formed; above
+    ``_BLOCK_ENTRIES`` entries the dense sides are written into buffers of
+    this call's own workspace, which a later check reuses once they are
+    dropped.
     """
     ops = build_operator_set(cfg)
     threshold = cfg.tol * cfg.dim
     checks = []
-    for name, pairs in _catalog(_NUMPY, _closed_operators(ops), cfg):
+    for name, pairs in _catalog(_workspace_arithmetic(cfg.dim), _closed_operators(ops), cfg):
         deviation = max(max_abs_diff(lhs, rhs) for lhs, rhs in pairs)
         if name == "eq5_nilpotency" and not _step_chain_is_sharp(ops):
             deviation = max(deviation, _SHARPNESS_DEVIATION)

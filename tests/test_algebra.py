@@ -37,7 +37,7 @@ from qboson import (
     sqrt_q_number_matrix,
 )
 from qboson.algebra import _rotate_diagonal
-from qboson.cmatrix import _ColumnMap
+from qboson.cmatrix import _ColumnMap, _Workspace
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -437,7 +437,8 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
 
 def _count_constructions(monkeypatch, cfg, *builds):
     # calls of the phase-basis builders during build(cfg) for each of builds
-    # in turn, and how many times dag is taken of a matrix that fourier returned
+    # in turn, and how many times dag is taken of a matrix that fourier
+    # returned, by algebra.dag or by a workspace
     counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "dag_of_f": 0}
     built = []
 
@@ -452,13 +453,14 @@ def _count_constructions(monkeypatch, cfg, *builds):
 
     for name in ("fourier", "_q_tables", "cyclic_shift"):
         monkeypatch.setattr(algebra, name, counted(name, getattr(algebra, name)))
-    dag_ = algebra.dag
+    def dag_counted(dag):
+        def wrapper(*args):  # (a) or (workspace, a)
+            counts["dag_of_f"] += any(args[-1] is f for f in built)
+            return dag(*args)
+        return wrapper
 
-    def dag_counted(a):
-        counts["dag_of_f"] += any(a is f for f in built)
-        return dag_(a)
-
-    monkeypatch.setattr(algebra, "dag", dag_counted)
+    monkeypatch.setattr(algebra, "dag", dag_counted(algebra.dag))
+    monkeypatch.setattr(_Workspace, "dag", dag_counted(_Workspace.dag))
     for build in builds:
         build(cfg)
     return counts
@@ -624,9 +626,9 @@ def test_diagonal_rotations_match_the_dense_products(s):
 def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
     # a step operator is rotated by applying F to its column map, a gather
     calls = []
-    gather = _ColumnMap.__rmatmul__
-    monkeypatch.setattr(_ColumnMap, "__rmatmul__",
-                        lambda m, other: calls.append(m) or gather(m, other))
+    gather = _ColumnMap._gathered
+    monkeypatch.setattr(_ColumnMap, "_gathered",
+                        lambda m, other, out=None: calls.append(m) or gather(m, other, out))
     cfg = AlgebraConfig(64)
     phase_brace_roots(cfg)
     assert len(calls) == 0

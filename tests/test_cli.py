@@ -57,7 +57,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("s, ks", [(4, (1, -1, 2, 3, 7)), (47, (1, -1, 7)),
                                        (48, (1, -1, 2, 3)), (64, (1, -1, 2, 7)),
-                                       (128, (1, -1, 2, 5))])
+                                       (128, (1, -1, 2, 5)), (256, (-1,))])
     def test_exports_are_the_verified_operators(self, s, ks, tmp_path):
         # each export equals, bit for bit, the field of the operator set
         # that run_all verifies

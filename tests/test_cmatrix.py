@@ -25,6 +25,7 @@ from qboson.cmatrix import (
     _ColumnMap,
     _diagonal,
     _dyad,
+    _Workspace,
     dag,
     dyad,
     identity,
@@ -490,12 +491,15 @@ class TestMaxAbsDiff:
                 want = _dense_deviation(a, b)
                 _assert_same_float(max_abs_diff(a, b), want)
                 _assert_same_float(max_abs_diff(b, a), want)
-                # one side a column map: the dense deviation, nan included
-                dense = np.asarray(m)
-                want = _dense_deviation(a, dense)
-                _assert_same_float(max_abs_diff(a, m), want)
-                _assert_same_float(max_abs_diff(m, a), want)
-                assert _bit_equal(a - m, a - dense)
+                # one side a column map: the dense deviation, nan included;
+                # a diagonal map reads a's diagonal, of either memory order
+                for m in (m, _diagonal(m.weights)):
+                    dense = np.asarray(m)
+                    for x in (a, a.T):
+                        want = _dense_deviation(x, dense)
+                        _assert_same_float(max_abs_diff(x, m), want)
+                        _assert_same_float(max_abs_diff(m, x), want)
+                    assert _bit_equal(a - m, a - dense)
 
     @pytest.mark.parametrize("shape", [(40000,), (300, 3), (3, 300), (70, 30, 20)])
     def test_blocks_of_any_shape(self, monkeypatch, shape):
@@ -534,6 +538,72 @@ class TestMaxAbsDiff:
         for zero in (0, 0j.conjugate()):
             m = _ColumnMap(rows, np.full(d, 1 - 0j), zero)
             assert _bit_equal(x - m, x - np.asarray(m)), zero
+
+
+def _circulant(u):
+    # the read-only d x d view of 2d entries that algebra._rotate_diagonal makes
+    d = len(u) // 2
+    view = np.ndarray((d, d), dtype=u.dtype, buffer=u, offset=(d - 1) * u.itemsize,
+                      strides=(-u.itemsize, u.itemsize))
+    view.flags.writeable = False
+    return view
+
+
+class TestWorkspace:
+    """Dense results written into buffers that one call reuses."""
+
+    def test_a_buffer_is_reused_only_when_nothing_else_holds_it(self):
+        ws = _Workspace(200)
+        first, view, third = ws.take(), ws.take().T, ws.take()
+        assert len({id(b) for b in ws.buffers}) == len(ws.buffers) == 3
+        del third
+        assert ws.take() is ws.buffers[2]
+        del first
+        again, last, new = ws.take(), ws.take(), ws.take()
+        assert again is ws.buffers[0] and last is ws.buffers[2] and new is ws.buffers[3]
+        assert view.base is ws.buffers[1]  # held through a view, never handed out
+
+    def test_small_dimensions_take_no_buffer(self):
+        ws = _Workspace(128)
+        x = np.ones((128, 128), dtype=complex)
+        assert ws.take() is None and _bit_equal(ws.mul(x, x), x @ x) and ws.buffers == []
+
+    @pytest.mark.parametrize("d", [129, 200, 257])
+    def test_arithmetic_is_numpy_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        x, y = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        c = _circulant(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d))
+        w = rng.normal(size=d) + 1j * rng.normal(size=d)
+        maps = [_diagonal(w), _ColumnMap(_band_rows(d, 1), w), _ColumnMap(rng.permutation(d), w),
+                _ColumnMap(rng.integers(0, d, size=d), w, 0j.conjugate()), _dyad(0, d - 1, d)]
+        q = primitive_root(AlgebraConfig(d - 1, k=7))
+        ws = _Workspace(d)
+        for a, b in ((x, y), (x, dag(y)), (dag(x), x), (c, c), (x, c), (c, x)):
+            assert _bit_equal(ws.mul(a, b), a @ b)
+            assert _bit_equal(ws.sub(a, b), a - b)
+        for m in maps:
+            for a in (x, dag(x), c):
+                assert _bit_equal(ws.mul(m, a), m @ a)
+                assert _bit_equal(ws.mul(a, m), a @ m)
+                assert _bit_equal(ws.sub(a, m), a - m)
+            assert isinstance(ws.mul(m, m), _ColumnMap) and isinstance(ws.scale(q, m), _ColumnMap)
+            assert _bit_equal(np.asarray(ws.mul(m, m)), np.asarray(m @ m))
+        for a in (x, dag(x), c):
+            assert _bit_equal(ws.scale(q, a), q * a)
+            assert _bit_equal(ws.dag(a), dag(a))
+        assert 0 < len(ws.buffers) <= 3  # every result above was dropped once compared
+
+    def test_inputs_left_untouched(self):
+        d = 150
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = _ColumnMap(rng.permutation(d), rng.normal(size=d) + 0j)
+        before = x.copy(), m.rows.copy(), m.weights.copy()
+        ws = _Workspace(d)
+        for out in (ws.mul(x, x), ws.mul(x, m), ws.mul(m, x), ws.sub(x, m), ws.sub(x, x),
+                    ws.scale(2j, x), ws.dag(x)):
+            assert all(out is not b and out.base is not b for b in (x, m.rows, m.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(before, (x, m.rows, m.weights)))
 
 
 def _deviation_cases(rng, n, rows):

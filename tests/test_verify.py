@@ -1,8 +1,11 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -15,7 +18,6 @@ from qboson import cli
 from qboson import (
     CHECK_NAMES,
     AlgebraConfig,
-    OperatorSet,
     annihilation,
     brute_force_oracle,
     build_operator_set,
@@ -26,7 +28,8 @@ from qboson import (
     run_all,
     sweep,
 )
-from qboson.cmatrix import _ColumnMap
+from qboson.algebra import _hermiticity_error
+from qboson.cmatrix import _ColumnMap, dag
 from qboson.verify import (
     _NUMPY,
     ORACLE_TOL,
@@ -36,6 +39,7 @@ from qboson.verify import (
     _result,
     _shift_is_sharp,
     _step_chain_is_sharp,
+    _workspace_arithmetic,
 )
 
 
@@ -82,19 +86,13 @@ def test_power_below_index_has_unit_magnitude_at_s2():
     assert max_abs_diff(mat_pow(a, 2), np.zeros((3, 3))) == pytest.approx(1.0, abs=1e-12)
 
 
-def _replaced(ops, **fields):
-    # the operator set with some stored fields replaced: dataclasses.replace
-    # would read every other field, and store its matrix in place of its map
-    return OperatorSet(**{**vars(ops), **fields})
-
-
 def _with_step_weights(ops, weights_of):
     # the operator set with both step operators' band weights replaced; a's
     # column 0 and a†'s column s stay empty
     a, a_dag = vars(ops)["a"], vars(ops)["a_dag"]
     w = weights_of(a.weights[1:].copy())
-    return _replaced(ops, a=_ColumnMap(a.rows, np.concatenate(([0], w))),
-                     a_dag=_ColumnMap(a_dag.rows, np.concatenate((w, [0]))))
+    return dataclasses.replace(ops, a=_ColumnMap(a.rows, np.concatenate(([0], w))),
+                               a_dag=_ColumnMap(a_dag.rows, np.concatenate((w, [0]))))
 
 
 def _zero_at(index):
@@ -114,7 +112,7 @@ def test_sharpness_violation_reports_unit_deviation(monkeypatch):
             "all-zero a": _with_step_weights(ops, np.zeros_like),
             "chain broken before the index": _with_step_weights(ops, _zero_at(1)),
             "power vanishing too early": _with_step_weights(ops, lambda w: 1e-7 * w),
-            "a† alone broken": _replaced(ops, a_dag=0 * vars(ops)["a_dag"]),
+            "a† alone broken": dataclasses.replace(ops, a_dag=0 * vars(ops)["a_dag"]),
         }
         if (s + 1) % 2 == 0:
             mutants["midpoint zero filled in"] = _with_step_weights(
@@ -129,6 +127,25 @@ def test_sharpness_violation_reports_unit_deviation(monkeypatch):
 
 # every admissible root is sharp, at 46..64 too, where the product of m-1
 # weights falls below the floor for some k: the check reads each weight
+def test_replace_keeps_the_monomials_as_column_maps(monkeypatch):
+    # dataclasses.replace reads every other field, a formed matrix for a
+    # monomial, and the new set stores that matrix as its map again
+    cfg = AlgebraConfig(6)
+    ops = build_operator_set(cfg)
+    for name in vars(ops):
+        getattr(ops, name)  # form every monomial first
+    mutant = dataclasses.replace(ops, a_dag=0 * vars(ops)["a_dag"])
+    maps = {name for name, value in vars(ops).items() if isinstance(value, _ColumnMap)}
+    assert {name for name, value in vars(mutant).items() if isinstance(value, _ColumnMap)} == maps
+    assert all(getattr(mutant, name) is getattr(ops, name) for name in maps - {"a_dag"})
+    monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _cfg: mutant)
+    eq5 = {c.name: c for c in run_all(cfg).checks}["eq5_nilpotency"]
+    assert not eq5.passed and eq5.deviation == 1.0
+    # a matrix that is not a formed one, even a view of one, stays as given
+    for view in (ops.a_dag.T, ops.a_dag.base.T, ops.a_dag.copy()):
+        assert isinstance(vars(dataclasses.replace(ops, a=view))["a"], np.ndarray)
+
+
 @pytest.mark.parametrize("s", [*range(2, 33), 46, 48, 50, 64])
 def test_sharpness_in_log_magnitude_matches_dense_powers(s):
     for k in range(1, s + 1):
@@ -266,8 +283,9 @@ def test_monomial_checks_form_no_dense_matrix():
 def test_verification_and_polar_decomposition_memory_at_s256():
     # numpy's buffers are traced, so these figures repeat exactly.  Measured:
     # 6.13 MiB held after the op (the kept set with its five dense fields, the
-    # polar factors) and 12.2 MiB at the peak (eq19's six sides); the pins
-    # leave about 15% over each
+    # polar factors) and 11.56 MiB at the peak (the set, the workspace's six
+    # d x d buffers, which hold eq19's six sides, and the blocks of their
+    # reduction); the pins leave about 15% over each
     cfg = AlgebraConfig(256)
     gc.collect()
     tracemalloc.start()
@@ -277,7 +295,145 @@ def test_verification_and_polar_decomposition_memory_at_s256():
     finally:
         tracemalloc.stop()
     assert out[0].overall_pass
-    assert held <= 7.0 * 2**20 and peak <= 14.0 * 2**20, (held / 2**20, peak / 2**20)
+    assert held <= 7.0 * 2**20 and peak <= 13.3 * 2**20, (held / 2**20, peak / 2**20)
+
+
+def test_catalog_reuses_six_buffers_at_s256():
+    # every dense side of the catalog goes into one workspace, and a buffer
+    # comes back once its side is dropped: eq14 and eq19 hold six at a time
+    cfg = AlgebraConfig(256)
+    ops = build_operator_set(cfg)
+    ar = _workspace_arithmetic(cfg.dim)
+    dense_sides = 0
+    for _, pairs in _catalog(ar, _closed_operators(ops), cfg):
+        dense_sides += sum(isinstance(x, np.ndarray) and all(x is not v for v in vars(ops).values())
+                           for pair in pairs for x in pair)
+        del pairs
+    assert len(ar.mul.__self__.buffers) == 6 < dense_sides
+
+
+def test_small_dimensions_use_numpy_arithmetic():
+    assert _workspace_arithmetic(129) is not _NUMPY
+    assert _workspace_arithmetic(128) is _NUMPY
+
+
+def test_a_side_held_past_its_check_keeps_its_values():
+    # a caller that keeps some checks' sides while dropping the others: the
+    # dropped ones' buffers are reused, the kept ones are never written again
+    cfg = AlgebraConfig(128, k=2)
+    ops = build_operator_set(cfg)
+    plain = dict(_catalog(_NUMPY, _closed_operators(ops), cfg))
+    ar = _workspace_arithmetic(cfg.dim)
+    kept = {}
+    for i, (name, pairs) in enumerate(_catalog(ar, _closed_operators(ops), cfg)):
+        if i % 2:
+            kept[name] = pairs
+        del pairs
+    assert len(ar.mul.__self__.buffers) < sum(
+        isinstance(x, np.ndarray) for pairs in plain.values() for pair in pairs for x in pair)
+    assert kept and all(np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True)
+                        for name, pairs in kept.items()
+                        for pair, want in zip(pairs, plain[name], strict=True)
+                        for x, y in zip(pair, want))
+
+
+def _plain_deviation(a, b):
+    # max_abs_diff on the formed matrices, in one shot
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def _plain_polar(ops):
+    # polar_decompose with fresh numpy temporaries and dense deviations
+    z = vars(ops)["g"].weights
+    z_inv, r_down, r_up = z.conj(), ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
+    errors = {
+        "down_unitary_radial": _plain_deviation(ops.a_tilde, z_inv[:, None] * r_down),
+        "down_radial_unitary": _plain_deviation(ops.a_tilde, r_up * z_inv),
+        "up_radial_unitary": _plain_deviation(ops.a_tilde_dag, r_down * z),
+        "up_unitary_radial": _plain_deviation(ops.a_tilde_dag, z[:, None] * r_up),
+    }
+    return errors, dag(np.diag(z)), _plain_deviation(r_down, dag(r_down))
+
+
+def _grid_configs(s):
+    return [AlgebraConfig(s, k=k) for k in (*range(1, 8), -1) if math.gcd(k, s + 1) == 1]
+
+
+def _bit_equal(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+# d > 128 runs on the workspace, the rest on numpy's fresh arrays
+@pytest.mark.parametrize("s", [*range(2, 34), 46, 47, 48, 63, 64, 128, 256])
+def test_outputs_equal_plain_numpy_arithmetic(monkeypatch, s):
+    # reports, polar results and CLI exports against the same arithmetic
+    # with fresh numpy arrays and dense deviations, bit for bit
+    for cfg in _grid_configs(s):
+        report, pd = run_all(cfg), polar_decompose(cfg)
+        ops = build_operator_set(cfg)
+        with monkeypatch.context() as plain:
+            plain.setattr(qboson.verify, "_workspace_arithmetic", lambda _dim: _NUMPY)
+            plain.setattr(qboson.verify, "max_abs_diff", _plain_deviation)
+            assert run_all(cfg) == report, cfg.k
+        errors, unitary, hermiticity = _plain_polar(ops)
+        assert pd.factor_errors == errors and pd.reconstruction_error == errors[
+            "down_unitary_radial"], cfg.k
+        assert _bit_equal(pd.unitary, unitary) and pd.radial_hermiticity_error == hermiticity
+        assert pd.radial is ops.sqrt_brace_hdag
+        # each export is a public builder's plain product; the set forms the
+        # same operators in its workspace
+        for op, field in _EXPORTED_FIELDS.items():
+            assert _bit_equal(cli.BUILD_OPS[op](cfg), getattr(ops, field)), (cfg.k, op)
+
+
+_EXPORTED_FIELDS = {"a": "a", "adag": "a_dag", "n": "n_op", "g": "g", "h": "h", "hdag": "h_dag",
+                    "f": "fourier", "bigh": "big_h", "atilde": "a_tilde",
+                    "atildedag": "a_tilde_dag", "ntilde": "n_tilde", "braceHdag": "brace_hdag",
+                    "braceHdag1": "brace_hdag1"}
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_oracle_equals_plain_numpy_arithmetic(monkeypatch, s):
+    for cfg in _grid_configs(s):
+        results = brute_force_oracle(cfg)
+        with monkeypatch.context() as plain:
+            plain.setattr(qboson.verify, "max_abs_diff", _plain_deviation)
+            assert brute_force_oracle(cfg) == results, cfg.k
+
+
+@pytest.mark.parametrize("s", [*range(2, 70), 128, 255, 256])
+def test_radial_hermiticity_error_is_the_dense_deviation(s):
+    # read off the circulant's 2(s+1) entries, one per lag, bit for bit
+    for cfg in _grid_configs(s):
+        r = build_operator_set(cfg).sqrt_brace_hdag
+        assert _hermiticity_error(r) == max_abs_diff(r, dag(r)), cfg.k
+
+
+def test_two_threads_verify_different_configurations():
+    # each call has its own workspace; the shared slot only ever hands a
+    # thread a whole set, so both threads see the single-threaded results
+    cfgs = (AlgebraConfig(128, k=2), AlgebraConfig(256, k=-1))
+    want = {cfg: (run_all(cfg), polar_decompose(cfg).factor_errors) for cfg in cfgs}
+    got = {cfg: [] for cfg in cfgs}
+
+    def work(cfg):
+        for _ in range(4):
+            got[cfg].append((run_all(cfg), polar_decompose(cfg).factor_errors))
+
+    threads = [threading.Thread(target=work, args=(cfg,)) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[cfg] == [want[cfg]] * 4 for cfg in cfgs)
+    assert all(report.overall_pass for report, _ in want.values())
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 33])
