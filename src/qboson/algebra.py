@@ -8,7 +8,8 @@ of the rotated step operators.
 Every matrix function of the cyclic shift is produced in closed form by
 conjugating a diagonal with the Fourier matrix; no eigensolver is used
 anywhere.  Such a conjugate is a circulant, read off one matrix-vector
-product and held as a view of 2(s+1) entries; a step operator, held as a
+product and held as a view of 2(s+1) entries, as are the phase braces,
+quotients of the circulant H†; a step operator, held as a
 column map, is applied to the Fourier matrix as a column gather.
 The polar decomposition reads the operator set.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,16 +184,27 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     big_h_dag = dag(cyclic_shift(cfg))
     quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
-    return _phase_braces(cfg, fourier(cfg), _q_tables(cfg)[0], quotient)
+    f, brackets = fourier(cfg), _q_tables(cfg)[0]
+    _check_braces(cfg, quotient,
+                  (_rotate_diagonal(f, brackets[:-1]), _rotate_diagonal(f, brackets[1:])))
+    return quotient
 
 
 def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # f @ diag(x) @ f† is the circulant c[(m - n) mod d] with c = (f @ x) / sqrt(d):
-    # entry (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product.  It is
-    # a read-only view of u = (c reversed) twice over, entry (m, n) at
-    # u[d - 1 - m + n]
-    d = len(x)
-    c = ((f @ x) / math.sqrt(d))[::-1]
+    # f @ diag(x) @ f† is the circulant whose column 0 is (f @ x) / sqrt(d):
+    # entry (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product
+    return _circulant(_rotated_lags(f, x))
+
+
+def _rotated_lags(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (f @ x) / math.sqrt(len(x))
+
+
+def _circulant(lags: np.ndarray) -> np.ndarray:
+    # the circulant c[(m - n) mod d] of column 0 c = lags, as a read-only view
+    # of u = (c reversed) twice over, entry (m, n) at u[d - 1 - m + n]
+    d = len(lags)
+    c = lags[::-1]
     u = np.concatenate((c, c))
     view = np.ndarray((d, d), dtype=u.dtype, buffer=u, offset=(d - 1) * u.itemsize,
                       strides=(-u.itemsize, u.itemsize))
@@ -199,40 +212,33 @@ def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return view
 
 
-def _phase_braces(cfg: AlgebraConfig, f: np.ndarray, brackets: np.ndarray,
-                  quotient: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    spectral = (_rotate_diagonal(f, brackets[:-1]), _rotate_diagonal(f, brackets[1:]))
-    # construction self-check: floored below so a user tolerance tighter than
-    # floating point turns up as a failed verification, not a build crash
+def _check_braces(cfg: AlgebraConfig, built, spectral) -> None:
+    # construction self-check of the quotient route against the spectral one,
+    # on matrices or on their lags: floored below so a user tolerance tighter
+    # than floating point turns up as a failed verification, not a build crash
     bound = max(cfg.tol, 1e-10) * cfg.dim
-    for built, reference in zip(quotient, spectral):
-        err = max_abs_diff(built, reference)
+    for quotient, reference in zip(built, spectral):
+        err = max_abs_diff(quotient, reference)
         if err > bound:
             raise ArithmeticError(
                 f"phase-brace construction routes disagree by {err:.3e} (tol {bound:.3e})"
             )
-    return quotient
 
 
 def _band_quotients(cfg: AlgebraConfig,
                     big_h_dag: _ColumnMap) -> tuple[np.ndarray, np.ndarray]:
-    # q_bracket and q_bracket_shifted of the map's matrix u, entry for entry
-    # and byte for byte: u and u† are nonzero only on the map's band (rows[j],
-    # j) and its mirror (j, rows[j]), so each quotient is one fill with the
-    # value of the two zeros and 2(s+1) placed entries
-    m, cols = big_h_dag, _band_rows(cfg.dim, 0)
-    rows, across = np.concatenate((m.rows, cols)), np.concatenate((cols, m.rows))
-    u, u_dag = np.full((2, 2 * cfg.dim + 1), m.zero)  # the last entry is off both
-    u[:-1] = np.where(m.rows[across] == rows, m.weights[across], m.zero)
-    u_dag[:-1] = np.where(m.rows[rows] == across, m.weights[rows], m.zero)
+    # column 0 of q_bracket and q_bracket_shifted of the map's matrix u, entry
+    # for entry and byte for byte, from u's column 0 and u†'s, which is u's row
+    # 0 conjugated.  u is the circulant H†, and so are both quotients: every
+    # entry on one lag holds the same bytes, signed zeros included
+    m = big_h_dag
+    u, u_dag = np.full((2, cfg.dim), m.zero)
+    u[m.rows[0]] = m.weights[0]
+    on_row_0 = m.rows == 0
+    u_dag[on_row_0] = m.weights[on_row_0]
     u_dag = u_dag.conj()
     q = primitive_root(cfg)
-    quotient = []
-    for values in (_bracket(u, u_dag, q), _bracket_shifted(u, u_dag, q)):
-        out = np.full(m.shape, values[-1])
-        out[rows, across] = values[:-1]
-        quotient.append(out)
-    return quotient[0], quotient[1]
+    return _bracket(u, u_dag, q), _bracket_shifted(u, u_dag, q)
 
 
 def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -282,34 +288,56 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     against the factored forms, all read from :func:`build_operator_set`, so
     the four factor errors are the verifier's first four eq19 deviations.
     Right after ``run_all`` on an equal configuration the set is the one
-    that call built, and nothing is constructed again; the radial factor is
-    that set's read-only ``sqrt_brace_hdag``.
+    that call built: nothing is constructed again, the four errors are the
+    ones that call reduced, and only the unitary is formed.  On a set that
+    ``run_all`` has not reduced (a fresh build, or a ``dataclasses.replace``
+    copy), the errors are computed here, with the same result.  The radial
+    factor is the set's read-only ``sqrt_brace_hdag``.
     """
     ops = build_operator_set(cfg)
-    # the clock is diagonal, so its four products below are broadcast, each
-    # into the buffer the last one left; its diagonal is the weights of the
-    # set's column map
-    z = vars(ops)["g"].weights
-    z_inv = z.conj()
-    r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
-    take = _Workspace(cfg.dim).take
-    errors = {
-        "down_unitary_radial": max_abs_diff(ops.a_tilde,
-                                            np.multiply(z_inv[:, None], r_down, out=take())),
-        "down_radial_unitary": max_abs_diff(ops.a_tilde, np.multiply(r_up, z_inv, out=take())),
-        "up_radial_unitary": max_abs_diff(ops.a_tilde_dag, np.multiply(r_down, z, out=take())),
-        "up_unitary_radial": max_abs_diff(ops.a_tilde_dag,
-                                          np.multiply(z[:, None], r_up, out=take())),
-    }
-    unitary = np.full(r_down.shape, _CONJ_ZERO)  # dag(diag(z)), its zeros 0 - 0j
+    record = _recorded_errors
+    deviations = record[1] if record is not None and record[0]() is ops else _factor_errors(ops)
+    errors = dict(zip(_FACTOR_ERRORS, deviations))
+    z_inv = vars(ops)["g"].weights.conj()
+    unitary = np.full((cfg.dim,) * 2, _CONJ_ZERO)  # dag(diag(z)), its zeros 0 - 0j
     unitary.reshape(-1)[::cfg.dim + 1] = z_inv
     return PolarDecomposition(
         unitary=unitary,
-        radial=r_down,
+        radial=ops.sqrt_brace_hdag,
         reconstruction_error=errors["down_unitary_radial"],
         factor_errors=errors,
-        radial_hermiticity_error=_hermiticity_error(r_down),
+        radial_hermiticity_error=_hermiticity_error(ops.sqrt_brace_hdag),
     )
+
+
+# polar_decompose's factor errors, in the order of eq19's first four pairs
+_FACTOR_ERRORS = ("down_unitary_radial", "down_radial_unitary", "up_radial_unitary",
+                  "up_unitary_radial")
+
+# eq19's first four deviations as run_all last reduced them, with a weak
+# reference to the set they were reduced on; a tuple replaced whole, so a
+# reader sees one set's four floats
+_recorded_errors: tuple[weakref.ref, tuple[float, ...]] | None = None
+
+
+def _record_factor_errors(ops: OperatorSet, deviations: list[float]) -> None:
+    global _recorded_errors
+    _recorded_errors = weakref.ref(ops), tuple(deviations[:len(_FACTOR_ERRORS)])
+
+
+def _factor_errors(ops: OperatorSet) -> list[float]:
+    # the clock is diagonal, so its four products are broadcast, each into the
+    # buffer the last one left; its diagonal is the weights of the set's map
+    z = vars(ops)["g"].weights
+    z_inv = z.conj()
+    r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
+    take = _Workspace(len(z)).take
+    return [
+        max_abs_diff(ops.a_tilde, np.multiply(z_inv[:, None], r_down, out=take())),
+        max_abs_diff(ops.a_tilde, np.multiply(r_up, z_inv, out=take())),
+        max_abs_diff(ops.a_tilde_dag, np.multiply(r_down, z, out=take())),
+        max_abs_diff(ops.a_tilde_dag, np.multiply(z[:, None], r_up, out=take())),
+    ]
 
 
 def _hermiticity_error(circulant: np.ndarray) -> float:
@@ -350,8 +378,9 @@ class OperatorSet:
     Every field reads as a read-only complex array.  The ten monomials (a,
     a†, N, g, h, h†, H, H†, [N], [N+1]) are stored as column maps, which
     ``vars(ops)`` returns, and each is formed as a matrix on its first read.
-    ``n_tilde`` and the two radial roots are circulants, views of 2(s+1)
-    entries each.
+    ``n_tilde``, the two phase braces and the two radial roots are
+    circulants, views of 2(s+1) entries each, so ``fourier``, ``a_tilde`` and
+    ``a_tilde_dag`` are the only dense d x d fields.
     """
 
     config: AlgebraConfig
@@ -423,13 +452,9 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     ones = np.ones(d, dtype=complex)
     big_h_dag = _ColumnMap(down, ones.conj(), _CONJ_ZERO)
     f = fourier(cfg)
+    lags = _band_quotients(cfg, big_h_dag)
+    _check_braces(cfg, lags, (_rotated_lags(f, brackets[:-1]), _rotated_lags(f, brackets[1:])))
     ws = _Workspace(d)  # F†, the gathers F a, F a†, and ã, ã†, which the set keeps
-    if ws.reused:
-        quotient = _band_quotients(cfg, big_h_dag)
-    else:  # a few small dense passes take fewer numpy calls than the band placement
-        u = np.asarray(big_h_dag)
-        quotient = q_bracket(u, cfg), q_bracket_shifted(u, cfg)
-    brace_hdag, brace_hdag1 = _phase_braces(cfg, f, brackets, quotient)
     fdag = ws.dag(f)
     n = np.arange(d, dtype=complex)
     return OperatorSet(
@@ -450,8 +475,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         a_tilde=ws.mul(ws.mul(f, a), fdag),
         a_tilde_dag=ws.mul(ws.mul(f, a_dag), fdag),
         n_tilde=_rotate_diagonal(f, n),
-        brace_hdag=brace_hdag,
-        brace_hdag1=brace_hdag1,
+        brace_hdag=_circulant(lags[0]),
+        brace_hdag1=_circulant(lags[1]),
         sqrt_brace_hdag=_rotate_diagonal(f, roots[:-1]),
         sqrt_brace_hdag1=_rotate_diagonal(f, roots[1:]),
     )

@@ -1,8 +1,9 @@
 """Command-line surface: build and export operators, verify identities,
 sweep cutoffs, print closed-form spectra, and dump phase states.
 
-Exit codes: 0 success, 1 a verification check failed, 2 bad usage or an
-invalid configuration, 3 I/O failure.
+Exit codes: 0 success, 1 a verification check failed, 2 bad usage, an
+invalid configuration, or a cutoff whose operators do not fit in memory,
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -179,6 +180,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"qboson: error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # the d x d operators of a cutoff this large cannot be allocated:
+        # the input is too large, not the operators wrong
+        cutoff = f"s={args.s}" if "s" in args else f"s in [{args.s_min}, {args.s_max}]"
+        print(f"qboson: error: not enough memory for the operators at {cutoff}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

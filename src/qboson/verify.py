@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import OperatorSet, build_operator_set, nilpotency_index
+from .algebra import OperatorSet, _record_factor_errors, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
 from .cmatrix import _diagonal, _dyad, _Workspace, dag, mat_pow, max_abs_diff
@@ -280,7 +280,10 @@ def run_all(cfg: AlgebraConfig) -> VerificationReport:
     threshold = cfg.tol * cfg.dim
     checks = []
     for name, pairs in _catalog(_workspace_arithmetic(cfg.dim), _closed_operators(ops), cfg):
-        deviation = max(max_abs_diff(lhs, rhs) for lhs, rhs in pairs)
+        deviations = [max_abs_diff(lhs, rhs) for lhs, rhs in pairs]
+        deviation = max(deviations)
+        if name == "eq19_polar":  # the four clock pairs', which polar_decompose reads
+            _record_factor_errors(ops, deviations)
         if name == "eq5_nilpotency" and not _step_chain_is_sharp(ops):
             deviation = max(deviation, _SHARPNESS_DEVIATION)
         if name == "eq10_partial_isometry" and not _shift_is_sharp(pairs, threshold):

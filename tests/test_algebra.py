@@ -563,15 +563,58 @@ def test_verification_and_polar_decomposition_form_no_monomial(s):
 
 @pytest.mark.parametrize("s", [2, 16, 256])
 def test_circulants_are_views_of_two_periods(s):
-    # n_tilde and the radial roots hold 2(s+1) entries each; the public
-    # phase-brace functions still return owned, writable arrays
+    # n_tilde, the phase braces and the radial roots hold 2(s+1) entries
+    # each; the public phase-brace functions still return owned, writable
+    # arrays
     cfg = AlgebraConfig(s)
     ops = build_operator_set(cfg)
-    for x in (ops.n_tilde, ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1):
+    for x in (ops.n_tilde, ops.brace_hdag, ops.brace_hdag1, ops.sqrt_brace_hdag,
+              ops.sqrt_brace_hdag1):
         assert x.base.size == 2 * cfg.dim and not x.flags.writeable
     for x in (*phase_braces(cfg), *phase_brace_roots(cfg)):
         assert x.flags.owndata and x.flags.writeable
     assert _bit_equal(phase_brace_roots(cfg)[0], ops.sqrt_brace_hdag)
+    assert _bit_equal(phase_braces(cfg)[1], ops.brace_hdag1)
+
+
+@pytest.mark.parametrize("s", [4, 64, 256])
+def test_a_quotient_with_one_lag_altered_fails_the_self_check(monkeypatch, s):
+    # the set's self-check compares the two routes lag by lag; each lag of
+    # either quotient stands for d entries, and altering any one of them
+    # must still fail the build
+    cfg = AlgebraConfig(s)
+    quotients = algebra._band_quotients
+    lags = range(cfg.dim) if s <= 4 else (0, 1, s // 2, s)
+    for which in (0, 1):
+        for lag in lags:
+            def altered(*args):
+                out = quotients(*args)
+                out[which][lag] += 1e-3
+                return out
+
+            monkeypatch.setattr(algebra, "_band_quotients", altered)
+            with pytest.raises(ArithmeticError, match="phase-brace construction"):
+                build_operator_set(cfg)
+    monkeypatch.setattr(algebra, "_band_quotients", quotients)
+    assert verify.run_all(cfg).overall_pass
+
+
+@pytest.mark.parametrize("s", [2, 3, 16, 128, 129, 256])
+def test_lag_self_check_reads_the_dense_check(monkeypatch, s):
+    # the set's check on 2 x d lags reduces to the deviations that the dense
+    # check of phase_braces reduces from 2 x d^2 entries, bit for bit
+    for cfg in _coprime_configs(s)[:16]:
+        seen = {"set": [], "dense": []}
+        for route, build in (("set", algebra._build_operator_set), ("dense", phase_braces)):
+            def recorded(a, b, into=seen[route]):
+                into.append((a.shape, max_abs_diff(a, b)))
+                return into[-1][1]
+
+            monkeypatch.setattr(algebra, "max_abs_diff", recorded)
+            build(cfg)
+        assert [dev for _, dev in seen["set"]] == [dev for _, dev in seen["dense"]], cfg.k
+        assert [shape for shape, _ in seen["set"]] == [(cfg.dim,)] * 2
+        assert [shape for shape, _ in seen["dense"]] == [(cfg.dim, cfg.dim)] * 2
 
 
 # k far outside the int64 range, or whose products k*m*n overflow it; each

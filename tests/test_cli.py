@@ -156,6 +156,29 @@ class TestVerify:
         assert err.startswith("qboson: error: phase-brace construction routes disagree")
 
 
+class TestMemory:
+    # a cutoff whose d x d operators cannot be allocated is too large an
+    # input, not a failed check: one error line that names s, and exit 2.
+    # The builders are patched to raise, so nothing large is allocated
+    @staticmethod
+    def _no_memory(*_args, **_kwargs):
+        raise MemoryError()
+
+    @pytest.mark.parametrize("argv, cutoff", [
+        (["build", "--op", "f", "--s", "200000"], "s=200000"),
+        (["verify", "--s", "200000"], "s=200000"),
+        (["sweep", "--s-min", "2", "--s-max", "200000"], "s in [2, 200000]"),
+    ])
+    def test_cutoff_too_large_for_memory_exit_two(self, monkeypatch, capsys, argv, cutoff):
+        monkeypatch.setattr(algebra, "fourier", self._no_memory)
+        monkeypatch.setitem(cli.BUILD_OPS, "f", self._no_memory)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qboson: error: ") and err.count("\n") == 1
+        assert cutoff in err
+
+
 class TestSweep:
     def test_range_pass(self, tmp_path):
         proc = run_cli("sweep", "--s-min", "2", "--s-max", "8", cwd=tmp_path)

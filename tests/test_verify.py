@@ -282,9 +282,9 @@ def test_monomial_checks_form_no_dense_matrix():
 
 def test_verification_and_polar_decomposition_memory_at_s256():
     # numpy's buffers are traced, so these figures repeat exactly.  Measured:
-    # 6.13 MiB held after the op (the kept set with its five dense fields, the
-    # polar factors) and 11.56 MiB at the peak (the set, the workspace's six
-    # d x d buffers, which hold eq19's six sides, and the blocks of their
+    # 4.14 MiB held after the op (the kept set with its three dense fields,
+    # the polar factors) and 9.68 MiB at the peak (the set, the workspace's
+    # six d x d buffers, which hold eq19's six sides, and the blocks of their
     # reduction); the pins leave about 15% over each
     cfg = AlgebraConfig(256)
     gc.collect()
@@ -295,7 +295,7 @@ def test_verification_and_polar_decomposition_memory_at_s256():
     finally:
         tracemalloc.stop()
     assert out[0].overall_pass
-    assert held <= 7.0 * 2**20 and peak <= 13.3 * 2**20, (held / 2**20, peak / 2**20)
+    assert held <= 4.8 * 2**20 and peak <= 11.1 * 2**20, (held / 2**20, peak / 2**20)
 
 
 def test_catalog_reuses_six_buffers_at_s256():
@@ -412,9 +412,12 @@ def test_radial_hermiticity_error_is_the_dense_deviation(s):
 
 def test_two_threads_verify_different_configurations():
     # each call has its own workspace; the shared slot only ever hands a
-    # thread a whole set, so both threads see the single-threaded results
+    # thread a whole set, and the recorded eq19 errors are read only for the
+    # set they were reduced on, so both threads see the single-threaded
+    # results, whose factor errors are the ones computed afresh
     cfgs = (AlgebraConfig(128, k=2), AlgebraConfig(256, k=-1))
     want = {cfg: (run_all(cfg), polar_decompose(cfg).factor_errors) for cfg in cfgs}
+    assert all(want[cfg][1] == _plain_polar(build_operator_set(cfg))[0] for cfg in cfgs)
     got = {cfg: [] for cfg in cfgs}
 
     def work(cfg):
@@ -434,6 +437,68 @@ def test_two_threads_verify_different_configurations():
     assert not any(t.is_alive() for t in threads)
     assert all(got[cfg] == [want[cfg]] * 4 for cfg in cfgs)
     assert all(report.overall_pass for report, _ in want.values())
+
+
+def test_polar_decomposition_after_verification_forms_only_the_unitary(monkeypatch):
+    # right after run_all on an equal configuration the four factor errors
+    # are the ones run_all reduced: no product is formed, only the unitary's
+    # d x d array (1.03 MiB traced at s=256, against 2.04 MiB when computed)
+    cfg = AlgebraConfig(256, k=-1)
+    run_all(AlgebraConfig(256, k=-1))
+    ops = build_operator_set(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(qboson.algebra, "_factor_errors", None)  # a call would raise
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pd = polar_decompose(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.2 * 16 * cfg.dim**2, peak / 2**20
+    assert pd.factor_errors == _plain_polar(ops)[0]
+
+
+def _assert_plain_factor_errors(pd, ops):
+    errors = _plain_polar(ops)[0]
+    assert pd.factor_errors == errors
+    assert pd.reconstruction_error == errors["down_unitary_radial"]
+
+
+@pytest.mark.parametrize("s", [4, 64, 128, 256])
+def test_polar_decomposition_alone_computes_the_errors(s):
+    for cfg in _grid_configs(s)[:3]:
+        qboson.algebra._last_set = None
+        _assert_plain_factor_errors(polar_decompose(cfg), build_operator_set(cfg))
+
+
+@pytest.mark.parametrize("s", [4, 64, 256])
+def test_errors_recorded_for_another_configuration_are_not_read(s):
+    # run_all on one configuration, then polar_decompose on another, whose
+    # set is built afresh; also a set equal in (s, k) but another tol
+    cfg, other = _grid_configs(s)[:2]
+    for first in (other, dataclasses.replace(cfg, tol=1e-8)):
+        run_all(first)
+        _assert_plain_factor_errors(polar_decompose(cfg), build_operator_set(cfg))
+        run_all(first)
+        _assert_plain_factor_errors(polar_decompose(cfg), build_operator_set(cfg))
+
+
+@pytest.mark.parametrize("s", [4, 64, 256])
+def test_errors_recorded_for_a_set_are_not_read_for_its_replace_mutant(monkeypatch, s):
+    # a dataclasses.replace copy with a perturbed a_tilde is another set
+    # object: its errors are computed, and they show the perturbation
+    cfg = AlgebraConfig(s, k=-1)
+    run_all(cfg)
+    ops = build_operator_set(cfg)
+    a_tilde = ops.a_tilde.copy()
+    a_tilde[1, 2] += 1e-3
+    mutant = dataclasses.replace(ops, a_tilde=a_tilde)
+    monkeypatch.setattr(qboson.algebra, "build_operator_set", lambda _cfg: mutant)
+    pd = polar_decompose(cfg)
+    _assert_plain_factor_errors(pd, mutant)
+    assert pd.factor_errors["down_unitary_radial"] > 0.5e-3
+    assert pd.factor_errors["up_radial_unitary"] == _plain_polar(ops)[0]["up_radial_unitary"]
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 33])
