@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (_band_rows, _ColumnMap, _diagonal, _map_of, _Workspace, dag, dyad,
-                      max_abs_diff)
+from .cmatrix import (_band_rows, _circulant, _ColumnMap, _diagonal, _lags_of, _map_of,
+                      _Workspace, dag, dyad, max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -200,18 +200,6 @@ def _rotated_lags(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (f @ x) / math.sqrt(len(x))
 
 
-def _circulant(lags: np.ndarray) -> np.ndarray:
-    # the circulant c[(m - n) mod d] of column 0 c = lags, as a read-only view
-    # of u = (c reversed) twice over, entry (m, n) at u[d - 1 - m + n]
-    d = len(lags)
-    c = lags[::-1]
-    u = np.concatenate((c, c))
-    view = np.ndarray((d, d), dtype=u.dtype, buffer=u, offset=(d - 1) * u.itemsize,
-                      strides=(-u.itemsize, u.itemsize))
-    view.flags.writeable = False
-    return view
-
-
 def _check_braces(cfg: AlgebraConfig, built, spectral) -> None:
     # construction self-check of the quotient route against the spectral one,
     # on matrices or on their lags: floored below so a user tolerance tighter
@@ -340,10 +328,13 @@ def _factor_errors(ops: OperatorSet) -> list[float]:
     ]
 
 
-def _hermiticity_error(circulant: np.ndarray) -> float:
-    # max_abs_diff(r, dag(r)) of a circulant view, in O(d): entry (m, n) is
-    # u[d - 1 + l] at lag l = n - m, and dag(r) holds conj(u[d - 1 - l]) there
-    lags = circulant.base[:2 * len(circulant) - 1]
+def _hermiticity_error(r: np.ndarray) -> float:
+    # max_abs_diff(r, dag(r)), bit for bit; of a circulant in O(d): entry
+    # (m, n) is lags[d - 1 + l] at lag l = n - m, and dag(r) holds
+    # conj(lags[d - 1 - l]) there
+    lags = _lags_of(r)
+    if lags is None:
+        return max_abs_diff(r, dag(r))
     return float(np.abs(lags - lags[::-1].conj()).max())
 
 
@@ -379,7 +370,7 @@ class OperatorSet:
     a†, N, g, h, h†, H, H†, [N], [N+1]) are stored as column maps, which
     ``vars(ops)`` returns, and each is formed as a matrix on its first read.
     ``n_tilde``, the two phase braces and the two radial roots are
-    circulants, views of 2(s+1) entries each, so ``fourier``, ``a_tilde`` and
+    circulants, views of 2(s+1) read-only entries each, so ``fourier``, ``a_tilde`` and
     ``a_tilde_dag`` are the only dense d x d fields.
     """
 

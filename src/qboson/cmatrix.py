@@ -7,8 +7,12 @@ column (a diagonal, a step operator, a shift, a dyad) may also be held as a
 ``_ColumnMap``: against another map its products, differences, powers and
 deviations cost O(d); against a dense matrix a product is a gather, and a
 difference or a deviation reads the dense matrix and the map's d entries,
-never a d x d form of the map.  A ``_Workspace`` writes one call's dense
-temporaries into d x d buffers that it reuses.
+never a d x d form of the map.  A circulant made by ``_circulant`` is a
+read-only view of its 2d entries, which ``_lags_of`` reads back: the product
+of two circulants is the circulant of one matrix-vector product, in O(d^2),
+and their deviation is reduced over their 2d - 1 distinct entries, in O(d).
+A ``_Workspace`` writes one call's dense temporaries into d x d buffers that
+it reuses.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import functools
 import itertools
 import operator
 import sys
+import weakref
 
 import numpy as np
 
@@ -127,6 +132,64 @@ def _map_of(x: np.ndarray) -> _ColumnMap | None:
     return m
 
 
+class _Lagged(np.ndarray):
+    # owns, read-only, the 2d entries of a _circulant view, which leads back
+    # to them through .base, and holds a weak reference to that one view
+    circulant: weakref.ref
+
+
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The read-only circulant ``c[(m - n) mod d]`` of column 0 ``c = column``.
+
+    A view of u, the reversed c written twice: entry (m, n) is u[d - 1 - m + n].
+    """
+    d = len(column)
+    owner = _Lagged((2, d), dtype=column.dtype)
+    owner[...] = column[::-1]
+    owner.flags.writeable = False
+    step = owner.itemsize
+    view = np.ndarray((d, d), owner.dtype, owner, (d - 1) * step, (-step, step))
+    owner.circulant = weakref.ref(view)
+    return view
+
+
+def _lags_of(x) -> np.ndarray | None:
+    """The 2d - 1 distinct entries of the circulant x, or None.
+
+    Entry (m, n) of x is ``lags[d - 1 - m + n]``, so column 0 is
+    ``lags[d - 1::-1]``.  Only the view that ``_circulant`` handed out is
+    read: any other array, even a view of the same entries, is not the
+    circulant.
+    """
+    owner = getattr(x, "base", None)
+    if isinstance(owner, _Lagged) and owner.circulant() is x:
+        return np.asarray(owner).ravel()[:-1]  # a plain array: ufuncs skip the subclass
+    return None
+
+
+def _no_buffer() -> None:
+    return None
+
+
+def _mul(x, y, take=_no_buffer):
+    """x @ y, a dense result written into the buffer ``take()`` returns.
+
+    A map times a map is a map; a product with one map is a gather or a row
+    placement.  Two circulants give the circulant whose column 0 is x times
+    y's column 0, one matrix-vector product in place of a d^3 one; it sums
+    the terms of each entry in another order than ``@``, so it agrees with it
+    within rounding, not bit for bit.
+    """
+    if isinstance(x, _ColumnMap):
+        return x @ y if isinstance(y, _ColumnMap) else x._placed(y, take())
+    if isinstance(y, _ColumnMap):
+        return y._gathered(x, take())
+    lags = _lags_of(y)
+    if lags is not None and _lags_of(x) is not None:
+        return _circulant(x @ lags[len(x) - 1::-1])
+    return np.matmul(x, y, out=take())
+
+
 def _refcounts(arrays: list) -> list[int]:
     # every count is read through this one function, so the references that
     # the reading itself adds are the same for _UNHELD and for take()
@@ -143,10 +206,12 @@ class _Workspace:
     ``take`` returns a buffer that nothing outside the workspace references,
     or a new one, so a side that a caller still holds, or a view of it, is
     never overwritten.  At or below ``_BLOCK_ENTRIES`` entries it returns
-    None, and numpy allocates each result as usual.  ``mul``, ``sub``,
-    ``scale`` and ``dag`` compute what ``@``, ``-``, ``*`` and ``dag`` do, bit
-    for bit, and write a dense result into a taken buffer.  The buffers go
-    with the workspace, so each call makes its own and shares it with nothing.
+    None, and numpy allocates each result as usual.  ``sub``, ``scale`` and
+    ``dag`` compute what ``-``, ``*`` and ``dag`` do, bit for bit, and ``mul``
+    what ``_mul`` does: ``@`` bit for bit, except that two circulants give a
+    circulant, within rounding of ``@``.  A dense result goes into a taken
+    buffer.  The buffers go with the workspace, so each call makes its own
+    and shares it with nothing.
     """
 
     def __init__(self, dim: int) -> None:
@@ -164,17 +229,7 @@ class _Workspace:
         return self.buffers[-1]
 
     def mul(self, x, y):
-        if isinstance(x, _ColumnMap):
-            return x @ y if isinstance(y, _ColumnMap) else x._placed(y, self.take())
-        if isinstance(y, _ColumnMap):
-            return y._gathered(x, self.take())
-        if x is y and min(x.strides) < 0 and self.reused:
-            # a square of a view BLAS cannot read (a circulant): numpy would
-            # copy each operand; one contiguous copy serves both
-            copy = self.take()
-            copy[...] = x
-            x = y = copy
-        return np.matmul(x, y, out=self.take())
+        return _mul(x, y, self.take)
 
     def sub(self, x, y):
         if isinstance(y, _ColumnMap) and not isinstance(x, _ColumnMap):
@@ -283,6 +338,7 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     A nan deviation anywhere gives nan, as numpy's reduction does.  A column
     map is never formed: against another map the deviation costs O(d), and
     against a dense matrix it is read off the dense entries and the map's d.
+    Two circulants are compared on their 2d - 1 distinct entries, in O(d).
     """
     if isinstance(a, _ColumnMap) and isinstance(b, _ColumnMap) and a.shape == b.shape:
         gap = np.abs(a.weights - b.weights)  # in O(d), bit for bit the dense reduction
@@ -298,6 +354,9 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         a, b = b, a  # |x - y| is |y - x| bit for bit
     if isinstance(b, _ColumnMap):
         return _map_deviation(a, b)
+    lags = _lags_of(a)
+    if lags is not None and (other := _lags_of(b)) is not None:
+        return float(np.abs(lags - other).max())  # each distinct entry once
     if a.size <= _BLOCK_ENTRIES:
         return float(np.abs(a - b).max())
     blocks = _row_blocks(a)

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, _record_factor_errors, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import _diagonal, _dyad, _Workspace, dag, mat_pow, max_abs_diff
+from .cmatrix import _diagonal, _dyad, _mul, _Workspace, dag, mat_pow, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -120,12 +120,14 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     route's operators ``x``: ``_NUMPY`` with ``_closed_operators`` for the
     closed-form route, ``_NAIVE`` with ``_naive_operators`` for the naive
     one.  There the monomials, the identity, the zero and the dyads are
-    column maps, so a check of them alone costs O(d).  The phase states are
-    the columns of the Fourier matrix, and a product that two checks share
-    is formed once and dropped after its last use, so a caller that reduces
-    each check as it arrives holds a few sides at a time.  Products associate
-    as they would written with numpy's ``@`` and ``*``: ``q a† a`` is
-    ``(q a†) a``.
+    column maps, so a check of them alone costs O(d), and the phase braces
+    and radial roots are circulants, so each of eq19's squares is one
+    matrix-vector product and is compared with its brace in O(d).  The phase
+    states are the columns of the Fourier matrix, and a product that two
+    checks share is formed once and dropped after its last use, so a caller
+    that reduces each check as it arrives holds a few sides at a time.
+    Products associate as they would written with numpy's ``@`` and ``*``:
+    ``q a† a`` is ``(q a†) a``.
     """
     mul, sub, scale = ar.mul, ar.sub, ar.scale
     d, s, q = cfg.dim, cfg.s, x.q
@@ -200,22 +202,20 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (mul(x.big_h, x.big_h_dag), eye),
         (mul(x.big_h_dag, x.big_h), eye),
     ]
-    # the squares first, so that the broadcasts reuse their operand copy
-    squares = mul(r_down, r_down), mul(r_up, r_up)
     yield "eq19_polar", [
         (x.a_tilde, mul(x.g_inv, r_down)),
         (x.a_tilde, mul(r_up, x.g_inv)),
         (x.a_tilde_dag, mul(r_down, x.g)),
         (x.a_tilde_dag, mul(x.g, r_up)),
-        (squares[0], x.brace_hdag),
-        (squares[1], x.brace_hdag1),
+        (mul(r_down, r_down), x.brace_hdag),
+        (mul(r_up, r_up), x.brace_hdag1),
     ]
 
 
 # numpy arithmetic of the closed-form route; mat_pow is looked up when a power
 # is taken, so whatever this module's binding holds at that time runs
 _NUMPY = SimpleNamespace(
-    mul=operator.matmul, sub=operator.sub, scale=operator.mul, dag=dag,
+    mul=_mul, sub=operator.sub, scale=operator.mul, dag=dag,
     pow=lambda x, p: mat_pow(x, p), eye=lambda d: _diagonal(np.ones(d, dtype=complex)),
     zeros=lambda d: _diagonal(np.zeros(d, dtype=complex)), dyad=_dyad,
 )

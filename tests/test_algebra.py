@@ -577,6 +577,20 @@ def test_circulants_are_views_of_two_periods(s):
     assert _bit_equal(phase_braces(cfg)[1], ops.brace_hdag1)
 
 
+@pytest.mark.parametrize("s", [4, 256])
+def test_circulants_cannot_be_written_through_their_base(s):
+    # the 2(s+1) entries a circulant views are read-only too, so the kept set,
+    # and the eq19 errors run_all recorded on it, cannot change under a reader
+    cfg = AlgebraConfig(s)
+    ops = build_operator_set(cfg)
+    before = verify.run_all(cfg)
+    for x in (ops.n_tilde, ops.brace_hdag, ops.brace_hdag1, ops.sqrt_brace_hdag,
+              ops.sqrt_brace_hdag1, polar_decompose(cfg).radial):
+        with pytest.raises(ValueError):
+            x.base[:] = 0
+    assert verify.run_all(cfg) == before
+
+
 @pytest.mark.parametrize("s", [4, 64, 256])
 def test_a_quotient_with_one_lag_altered_fails_the_self_check(monkeypatch, s):
     # the set's self-check compares the two routes lag by lag; each lag of

@@ -22,9 +22,12 @@ from qboson.algebra import (
 )
 from qboson.cmatrix import (
     _band_rows,
+    _circulant,
     _ColumnMap,
     _diagonal,
     _dyad,
+    _lags_of,
+    _mul,
     _Workspace,
     dag,
     dyad,
@@ -540,8 +543,79 @@ class TestMaxAbsDiff:
             assert _bit_equal(x - m, x - np.asarray(m)), zero
 
 
-def _circulant(u):
-    # the read-only d x d view of 2d entries that algebra._rotate_diagonal makes
+class TestCirculant:
+    """Circulants closed under products, compared on their distinct entries."""
+
+    @staticmethod
+    def _pair(rng, d):
+        return [_circulant(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(2)]
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 129])
+    def test_lags_are_the_distinct_entries(self, d):
+        x = _circulant(np.arange(d) + 1j)
+        lags = _lags_of(x)
+        assert not x.flags.writeable and not x.base.flags.writeable
+        assert _bit_equal(lags[d - 1::-1], x[:, 0]) and _bit_equal(lags[d - 1:], x[0])
+        m, n = np.indices((d, d))
+        assert _bit_equal(lags[d - 1 - m + n], x)
+
+    @pytest.mark.parametrize("d", [3, 64, 200])
+    def test_other_layouts_are_dense(self, d):
+        # a Toeplitz view of random entries, a transposed view, a copy, a view
+        # at another offset and a second view of the same layout are not
+        # circulants: products and deviations take the dense route, bit for bit
+        rng = np.random.default_rng(d)
+        x, y = self._pair(rng, d)
+        step = x.itemsize
+        shifted = np.ndarray((d, d), dtype=x.dtype, buffer=x.base, offset=d * step,
+                             strides=(-step, step))
+        mutants = [_circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)),
+                   x.T, x.copy(), np.array(x), shifted, x[:], x.real.astype(complex)]
+        ws = _Workspace(d)
+        for z in mutants:
+            assert _lags_of(z) is None
+            for a, b in ((z, y), (y, z), (z, z)):
+                assert _lags_of(_mul(a, b)) is None and _bit_equal(_mul(a, b), a @ b)
+                assert _lags_of(ws.mul(a, b)) is None and _bit_equal(ws.mul(a, b), a @ b)
+                assert _same_float(max_abs_diff(a, b), _dense_deviation(a, b))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 129, 300])
+    def test_product_is_a_circulant_of_one_matrix_vector_product(self, d):
+        rng = np.random.default_rng(d)
+        x, y = self._pair(rng, d)
+        for got in (_mul(x, y), _Workspace(d).mul(x, y)):
+            assert _lags_of(got) is not None and not got.base.flags.writeable
+            assert _bit_equal(got[:, 0], x @ y[:, 0])
+            assert _bit_equal(got, _circulant(got[:, 0].copy()))
+
+    @pytest.mark.parametrize("d", [1, 3, 129, 300])
+    def test_deviation_is_the_dense_reduction(self, d):
+        # on the 2d - 1 distinct entries, bit for bit, a nan or inf entry included
+        rng = np.random.default_rng(d)
+        x, y = self._pair(rng, d)
+        cases = [(x, y), (x, x), (x, _circulant(x[:, 0] + 1e-9))]
+        for value in (math.nan, math.inf, complex(math.nan, 1.0), complex(0.0, -math.inf)):
+            for lag in {0, d - 1}:
+                column = y[:, 0].copy()
+                column[lag] = value
+                cases.append((x, _circulant(column)))
+        for a, b in cases:
+            assert _lags_of(a) is not None and _lags_of(b) is not None
+            assert _same_float(max_abs_diff(a, b), _dense_deviation(a, b))
+            assert _same_float(max_abs_diff(b, a), _dense_deviation(b, a))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            max_abs_diff(*(_circulant(np.ones(d, dtype=complex)) for d in (3, 4)))
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+def _circulant_view(u):
+    # the read-only d x d view of 2d entries that cmatrix._circulant makes, of
+    # a plain array of random entries: not a circulant
     d = len(u) // 2
     view = np.ndarray((d, d), dtype=u.dtype, buffer=u, offset=(d - 1) * u.itemsize,
                       strides=(-u.itemsize, u.itemsize))
@@ -572,7 +646,7 @@ class TestWorkspace:
     def test_arithmetic_is_numpy_bit_for_bit(self, d):
         rng = np.random.default_rng(d)
         x, y = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        c = _circulant(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d))
+        c = _circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d))
         w = rng.normal(size=d) + 1j * rng.normal(size=d)
         maps = [_diagonal(w), _ColumnMap(_band_rows(d, 1), w), _ColumnMap(rng.permutation(d), w),
                 _ColumnMap(rng.integers(0, d, size=d), w, 0j.conjugate()), _dyad(0, d - 1, d)]

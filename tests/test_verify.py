@@ -29,7 +29,7 @@ from qboson import (
     sweep,
 )
 from qboson.algebra import _hermiticity_error
-from qboson.cmatrix import _ColumnMap, dag
+from qboson.cmatrix import _ColumnMap, _lags_of, dag
 from qboson.verify import (
     _NUMPY,
     ORACLE_TOL,
@@ -230,12 +230,16 @@ def _assert_matches_dense(got, dense):
 @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64])
 def test_diagonal_shortcuts_match_the_dense_products(s):
     # every product of the catalog, column maps included, against the dense
-    # product of the matrices it stands for, at every root
+    # product of the matrices it stands for, at every root; a product of two
+    # circulants (eq19's squares) within the circulant product's bound
     products = []
 
     def against_dense(x, y):
         got = _NUMPY.mul(x, y)
-        _assert_matches_dense(np.asarray(got), np.asarray(x) @ np.asarray(y))
+        if _lags_of(got) is not None:
+            _assert_circulant_product_bound(got, x, y)
+        else:
+            _assert_matches_dense(np.asarray(got), np.asarray(x) @ np.asarray(y))
         products.append(isinstance(x, np.ndarray) and isinstance(y, np.ndarray))
         return got
 
@@ -246,7 +250,7 @@ def test_diagonal_shortcuts_match_the_dense_products(s):
             products.clear()
             for _ in _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg):
                 pass
-            # 38 products, 8 of them of two dense factors
+            # 38 products, 8 of them of two arrays: 6 dense, eq19's 2 squares
             assert (len(products), sum(products)) == (38, 8)
 
 
@@ -283,9 +287,10 @@ def test_monomial_checks_form_no_dense_matrix():
 def test_verification_and_polar_decomposition_memory_at_s256():
     # numpy's buffers are traced, so these figures repeat exactly.  Measured:
     # 4.14 MiB held after the op (the kept set with its three dense fields,
-    # the polar factors) and 9.68 MiB at the peak (the set, the workspace's
-    # six d x d buffers, which hold eq19's six sides, and the blocks of their
-    # reduction); the pins leave about 15% over each
+    # the polar factors) and 9.58 MiB at the peak, in eq19 (the set, the
+    # workspace's six d x d buffers, which eq14 fills, and the row blocks of
+    # eq19's dense-against-dense reductions; its circulant squares are 2d
+    # entries each); the pins leave about 15% over each
     cfg = AlgebraConfig(256)
     gc.collect()
     tracemalloc.start()
@@ -295,12 +300,12 @@ def test_verification_and_polar_decomposition_memory_at_s256():
     finally:
         tracemalloc.stop()
     assert out[0].overall_pass
-    assert held <= 4.8 * 2**20 and peak <= 11.1 * 2**20, (held / 2**20, peak / 2**20)
+    assert held <= 4.8 * 2**20 and peak <= 11.0 * 2**20, (held / 2**20, peak / 2**20)
 
 
 def test_catalog_reuses_six_buffers_at_s256():
     # every dense side of the catalog goes into one workspace, and a buffer
-    # comes back once its side is dropped: eq14 and eq19 hold six at a time
+    # comes back once its side is dropped: eq14 holds six at a time, eq19 four
     cfg = AlgebraConfig(256)
     ops = build_operator_set(cfg)
     ar = _workspace_arithmetic(cfg.dim)
@@ -310,6 +315,56 @@ def test_catalog_reuses_six_buffers_at_s256():
                            for pair in pairs for x in pair)
         del pairs
     assert len(ar.mul.__self__.buffers) == 6 < dense_sides
+
+
+def _assert_circulant_product_bound(got, x, y):
+    # the circulant product sums each entry's d terms in another order than
+    # the dense @; measured within 0.58 of d u (|x| |y|) entrywise (u = 2^-53),
+    # at worst at s=2, over the radial roots, phase braces and n_tilde at
+    # s <= 512 and random circulants at d <= 1025; asserted at twice that
+    d = len(x)
+    dense = np.asarray(x) @ np.asarray(y)
+    assert _lags_of(got) is not None
+    assert np.all(np.abs(got - dense) <= 2 * d * 2.0**-53 * (np.abs(x) @ np.abs(y)))
+
+
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 64, 128, 256])
+def test_circulant_products_match_the_dense_products(s):
+    # the squares eq19 forms, and mixed products of the set's circulants,
+    # against the dense route, which stays the specification
+    for cfg in _grid_configs(s) if s > 16 else [
+            AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]:
+        ops = build_operator_set(cfg)
+        r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
+        for x, y in ((r_down, r_down), (r_up, r_up), (r_down, r_up), (ops.n_tilde, r_up),
+                     (ops.brace_hdag, ops.brace_hdag1)):
+            _assert_circulant_product_bound(_NUMPY.mul(x, y), x, y)
+            _assert_circulant_product_bound(_workspace_arithmetic(cfg.dim).mul(x, y), x, y)
+
+
+@pytest.mark.parametrize("s", [4, 256])
+def test_dense_products_per_verification(monkeypatch, s):
+    # the d^3 products of run_all plus polar_decompose: F F†, F† F, F g⁻¹ F†,
+    # F g F† and eq17's two, and ã, ã† when the set is built; eq19's squares
+    # are circulants, at every d
+    cfg = AlgebraConfig(s)
+    matmul, counted = np.matmul, []
+
+    def counting(x, y, *args, **kwargs):
+        counted.append(np.ndim(x) == np.ndim(y) == 2)
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    per_op = []
+    for _ in range(2):  # a miss, then a repeat on the kept set
+        counted.clear()
+        run_all(cfg)
+        polar_decompose(cfg)
+        per_op.append(sum(counted))
+    assert per_op == [8, 6]
+    eq19 = dict(_catalog(_workspace_arithmetic(cfg.dim), _closed_operators(
+        build_operator_set(cfg)), cfg))["eq19_polar"]
+    assert all(_lags_of(lhs) is not None and _lags_of(rhs) is not None for lhs, rhs in eq19[4:])
 
 
 def test_small_dimensions_use_numpy_arithmetic():
@@ -408,6 +463,7 @@ def test_radial_hermiticity_error_is_the_dense_deviation(s):
     for cfg in _grid_configs(s):
         r = build_operator_set(cfg).sqrt_brace_hdag
         assert _hermiticity_error(r) == max_abs_diff(r, dag(r)), cfg.k
+        assert _hermiticity_error(r.copy()) == max_abs_diff(r, dag(r)), cfg.k  # not a circulant
 
 
 def test_two_threads_verify_different_configurations():
