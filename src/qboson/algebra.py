@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (_band_rows, _circulant, _ColumnMap, _diagonal, _lags_of, _map_of,
-                      _Workspace, dag, dyad, max_abs_diff)
+from .cmatrix import (_band_rows, _Circulant, _ColumnMap, _diagonal, _frozen, _Structure,
+                      _structure_of, _Workspace, dag, dyad, max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -190,10 +190,10 @@ def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     return quotient
 
 
-def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> _Circulant:
     # f @ diag(x) @ f† is the circulant whose column 0 is (f @ x) / sqrt(d):
     # entry (m, n) sums q^((m - n) j) x_j / d, one matrix-vector product
-    return _circulant(_rotated_lags(f, x))
+    return _Circulant(_rotated_lags(f, x))
 
 
 def _rotated_lags(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -239,7 +239,7 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     happens for every s >= 2.
     """
     f, roots = fourier(cfg), _q_tables(cfg)[1]
-    return _rotate_diagonal(f, roots[:-1]).copy(), _rotate_diagonal(f, roots[1:]).copy()
+    return tuple(_rotate_diagonal(f, x).kept().copy() for x in (roots[:-1], roots[1:]))
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
         radial=ops.sqrt_brace_hdag,
         reconstruction_error=errors["down_unitary_radial"],
         factor_errors=errors,
-        radial_hermiticity_error=_hermiticity_error(ops.sqrt_brace_hdag),
+        radial_hermiticity_error=_hermiticity_error(vars(ops)["sqrt_brace_hdag"].lags),
     )
 
 
@@ -328,22 +328,19 @@ def _factor_errors(ops: OperatorSet) -> list[float]:
     ]
 
 
-def _hermiticity_error(r: np.ndarray) -> float:
-    # max_abs_diff(r, dag(r)), bit for bit; of a circulant in O(d): entry
-    # (m, n) is lags[d - 1 + l] at lag l = n - m, and dag(r) holds
-    # conj(lags[d - 1 - l]) there
-    lags = _lags_of(r)
-    if lags is None:
-        return max_abs_diff(r, dag(r))
+def _hermiticity_error(lags: np.ndarray) -> float:
+    # max_abs_diff(r, dag(r)) of the circulant r of these lags, bit for bit,
+    # in O(d): entry (m, n) is lags[d - 1 + l] at lag l = n - m, and dag(r)
+    # holds conj(lags[d - 1 - l]) there
     return float(np.abs(lags - lags[::-1].conj()).max())
 
 
-class _Monomial:
-    """An ``OperatorSet`` field stored as a column map and read as its matrix.
+class _StructureField:
+    """An ``OperatorSet`` field stored as a structure and read as its matrix.
 
-    ``vars(ops)`` holds the map; a read forms the read-only matrix once and
-    keeps it on the map, and a formed matrix assigned to the field is stored
-    as its map again.
+    A read returns the kept matrix of the structure ``vars(ops)`` holds.  That
+    very matrix assigned to the field, as ``dataclasses.replace`` passes it,
+    is stored as its structure again; any other array is stored as given.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -353,12 +350,11 @@ class _Monomial:
         if ops is None:
             raise AttributeError(self.name)  # so the dataclass field has no default
         value = vars(ops)[self.name]
-        return value.kept() if isinstance(value, _ColumnMap) else value
+        return value.kept() if isinstance(value, _Structure) else value
 
     def __set__(self, ops, value) -> None:
-        # a formed matrix, as dataclasses.replace reads it, is stored as its map
         if isinstance(value, np.ndarray):
-            value = _map_of(value) or value
+            value = _structure_of(value) or value
         vars(ops)[self.name] = value
 
 
@@ -366,33 +362,33 @@ class _Monomial:
 class OperatorSet:
     """The full operator family of one configuration, all of dimension s+1.
 
-    Every field reads as a read-only complex array.  The ten monomials (a,
-    a†, N, g, h, h†, H, H†, [N], [N+1]) are stored as column maps, which
-    ``vars(ops)`` returns, and each is formed as a matrix on its first read.
-    ``n_tilde``, the two phase braces and the two radial roots are
-    circulants, views of 2(s+1) read-only entries each, so ``fourier``, ``a_tilde`` and
-    ``a_tilde_dag`` are the only dense d x d fields.
+    Every field reads as a read-only complex array.  ``vars(ops)`` holds 15
+    structures, which ``dataclasses.replace`` keeps: the ten monomials (a, a†,
+    N, g, h, h†, H, H†, [N], [N+1]) as column maps, each formed as a matrix on
+    its first read, and ``n_tilde``, the phase braces and the radial roots as
+    circulants, read as views of 2(s+1) entries.  So ``fourier``, ``a_tilde``
+    and ``a_tilde_dag`` are the only dense d x d fields.
     """
 
     config: AlgebraConfig
-    a: np.ndarray = _Monomial()
-    a_dag: np.ndarray = _Monomial()
-    n_op: np.ndarray = _Monomial()
-    g: np.ndarray = _Monomial()
-    h: np.ndarray = _Monomial()
-    h_dag: np.ndarray = _Monomial()
-    brace_g: np.ndarray = _Monomial()
-    brace_g1: np.ndarray = _Monomial()
+    a: np.ndarray = _StructureField()
+    a_dag: np.ndarray = _StructureField()
+    n_op: np.ndarray = _StructureField()
+    g: np.ndarray = _StructureField()
+    h: np.ndarray = _StructureField()
+    h_dag: np.ndarray = _StructureField()
+    brace_g: np.ndarray = _StructureField()
+    brace_g1: np.ndarray = _StructureField()
     fourier: np.ndarray
-    big_h: np.ndarray = _Monomial()
-    big_h_dag: np.ndarray = _Monomial()
+    big_h: np.ndarray = _StructureField()
+    big_h_dag: np.ndarray = _StructureField()
     a_tilde: np.ndarray
     a_tilde_dag: np.ndarray
-    n_tilde: np.ndarray
-    brace_hdag: np.ndarray
-    brace_hdag1: np.ndarray
-    sqrt_brace_hdag: np.ndarray
-    sqrt_brace_hdag1: np.ndarray
+    n_tilde: np.ndarray = _StructureField()
+    brace_hdag: np.ndarray = _StructureField()
+    brace_hdag1: np.ndarray = _StructureField()
+    sqrt_brace_hdag: np.ndarray = _StructureField()
+    sqrt_brace_hdag1: np.ndarray = _StructureField()
 
 
 # The last set build_operator_set returned; a set for another configuration
@@ -410,7 +406,8 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     on it), so a call with an equal configuration returns that same object:
     ``run_all``, ``polar_decompose`` and ``brute_force_oracle`` on one
     configuration share one build.  Every array, a column map's rows and
-    weights included, is read-only.  A different configuration drops the kept
+    weights and a circulant's lags included, is made over immutable memory,
+    so no reader can write to it.  A different configuration drops the kept
     set before the new one is built, so at most one set is held at a time.
     """
     global _last_set
@@ -418,12 +415,7 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     if ops is not None and ops.config == cfg:
         return ops
     _last_set = ops = None  # let the kept set go before a second one is built
-    ops = _build_operator_set(cfg)
-    for value in vars(ops).values():
-        for array in (value.rows, value.weights) if isinstance(value, _ColumnMap) else (value,):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-    _last_set = ops
+    ops = _last_set = _build_operator_set(cfg)
     return ops
 
 
@@ -434,28 +426,30 @@ _CONJ_ZERO = 0j.conjugate()
 
 def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     # the monomials as column maps, straight from the q-integer and root
-    # tables: each weight is the entry its dense builder puts at (rows[j], j)
+    # tables: each weight is the entry its dense builder puts at (rows[j], j);
+    # every array the set keeps is made over immutable memory
     s, d = cfg.s, cfg.dim
-    brackets, roots = _q_tables(cfg)
+    brackets, roots = map(_frozen, _q_tables(cfg))
     down, up = _band_rows(d, 1), _band_rows(d, -1)  # rows j - 1 and j + 1 of column j
-    a = _ColumnMap(down, np.concatenate(([0], roots[1:-1])))  # nothing below |0>
-    a_dag = _ColumnMap(up, np.concatenate((roots[1:-1], [0])))  # nothing above |s>
-    ones = np.ones(d, dtype=complex)
-    big_h_dag = _ColumnMap(down, ones.conj(), _CONJ_ZERO)
+    a = _ColumnMap(down, _frozen(np.concatenate(([0], roots[1:-1]))))  # nothing below |0>
+    a_dag = _ColumnMap(up, _frozen(np.concatenate((roots[1:-1], [0]))))  # nothing above |s>
+    ones = _frozen(np.ones(d, dtype=complex))
+    big_h_dag = _ColumnMap(down, _frozen(ones.conj()), _CONJ_ZERO)
     f = fourier(cfg)
     lags = _band_quotients(cfg, big_h_dag)
     _check_braces(cfg, lags, (_rotated_lags(f, brackets[:-1]), _rotated_lags(f, brackets[1:])))
-    ws = _Workspace(d)  # F†, the gathers F a, F a†, and ã, ã†, which the set keeps
+    ws = _Workspace(d)  # F†, the gathers F a, F a†, and ã, ã†, which the set copies
     fdag = ws.dag(f)
-    n = np.arange(d, dtype=complex)
+    f = _frozen(f)  # the built matrix goes, so that a buffer can take its memory
+    n = _frozen(np.arange(d, dtype=complex))
     return OperatorSet(
         config=cfg,
         a=a,
         a_dag=a_dag,
         n_op=_diagonal(n),
-        g=_diagonal(_clock_diagonal(cfg)),
-        h=_ColumnMap(up, np.concatenate((ones[:s], [0]))),  # nothing leaves |s>
-        h_dag=_ColumnMap(down, np.concatenate(([0], ones[:s])).conj(), _CONJ_ZERO),
+        g=_diagonal(_frozen(_clock_diagonal(cfg))),
+        h=_ColumnMap(up, _frozen(np.concatenate((ones[:s], [0])))),  # nothing leaves |s>
+        h_dag=_ColumnMap(down, _frozen(np.concatenate(([0], ones[:s])).conj()), _CONJ_ZERO),
         brace_g=_diagonal(brackets[:-1]),
         brace_g1=_diagonal(brackets[1:]),
         fourier=f,
@@ -463,11 +457,11 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         big_h_dag=big_h_dag,
         # rotated, not formed as clock times circulant: that is eq19's
         # right side, and the check would become a tautology
-        a_tilde=ws.mul(ws.mul(f, a), fdag),
-        a_tilde_dag=ws.mul(ws.mul(f, a_dag), fdag),
+        a_tilde=_frozen(ws.mul(ws.mul(f, a), fdag)),
+        a_tilde_dag=_frozen(ws.mul(ws.mul(f, a_dag), fdag)),
         n_tilde=_rotate_diagonal(f, n),
-        brace_hdag=_circulant(lags[0]),
-        brace_hdag1=_circulant(lags[1]),
+        brace_hdag=_Circulant(lags[0]),
+        brace_hdag1=_Circulant(lags[1]),
         sqrt_brace_hdag=_rotate_diagonal(f, roots[:-1]),
         sqrt_brace_hdag1=_rotate_diagonal(f, roots[1:]),
     )

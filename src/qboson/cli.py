@@ -31,7 +31,7 @@ BUILD_OPS = {
     "atildedag": lambda cfg: algebra.fourier_conjugate(algebra.creation(cfg), cfg),
     # the operator set's expression for its n_tilde, without the rest of the set
     "ntilde": lambda cfg: algebra._rotate_diagonal(
-        algebra.fourier(cfg), algebra.number(cfg).diagonal()),
+        algebra.fourier(cfg), algebra.number(cfg).diagonal()).kept(),
     "braceHdag": lambda cfg: algebra.phase_braces(cfg)[0],
     "braceHdag1": lambda cfg: algebra.phase_braces(cfg)[1],
     "sqrtBraceHdag": lambda cfg: algebra.phase_brace_roots(cfg)[0],

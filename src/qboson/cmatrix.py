@@ -2,17 +2,17 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  Products, sums and
-scalings are numpy's own operators.  A matrix with at most one nonzero per
-column (a diagonal, a step operator, a shift, a dyad) may also be held as a
-``_ColumnMap``: against another map its products, differences, powers and
-deviations cost O(d); against a dense matrix a product is a gather, and a
-difference or a deviation reads the dense matrix and the map's d entries,
-never a d x d form of the map.  A circulant made by ``_circulant`` is a
-read-only view of its 2d entries, which ``_lags_of`` reads back: the product
-of two circulants is the circulant of one matrix-vector product, in O(d^2),
-and their deviation is reduced over their 2d - 1 distinct entries, in O(d).
-A ``_Workspace`` writes one call's dense temporaries into d x d buffers that
-it reuses.
+scalings are numpy's own operators.  A matrix may also be held as one of two
+structures, value types whose rules ``_mul`` and ``max_abs_diff`` pick by
+type.  A ``_ColumnMap`` has at most one nonzero per column (a diagonal, a
+step operator, a shift, a dyad): against another map its products,
+differences, powers and deviations cost O(d); against a dense matrix a
+product is a gather, and a difference or a deviation reads the dense matrix
+and the map's d entries, never a d x d form of the map.  A ``_Circulant``
+holds its 2d - 1 distinct entries: the product of two circulants is the
+circulant of one matrix-vector product, in O(d^2), and their deviation is
+reduced over those entries, in O(d).  A ``_Workspace`` writes one call's
+dense temporaries into d x d buffers that it reuses.
 """
 
 from __future__ import annotations
@@ -31,43 +31,76 @@ import numpy as np
 _BLOCK_ENTRIES = 1 << 14
 
 
-class _ColumnMap:
+class _Structure:
+    """A d x d matrix held in a compact format: a column map or a circulant.
+
+    ``np.asarray`` reads the matrix.  ``kept()`` returns the one read-only
+    matrix the structure keeps, the only array ``_structure_of`` leads back.
+    """
+
+    __slots__ = ("shape", "dense", "__weakref__")
+    __array_ufunc__ = None  # ndarray @, - and * return NotImplemented, so these run
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = self.dense if self.dense is not None else self._formed()
+        if dtype is None and copy is None:
+            return dense
+        return np.array(dense, dtype=dtype, copy=copy)
+
+    def kept(self) -> np.ndarray:
+        """The matrix, formed on the first call, kept and read-only."""
+        if self.dense is None:
+            formed = self._formed()
+            self.dense = self._keep(formed.tobytes(), formed.dtype)
+        return self.dense
+
+    def _keep(self, entries: bytes, dtype: np.dtype, offset=0, strides=None) -> np.ndarray:
+        # the kept matrix over entries, which its owner holds as immutable bytes
+        owner = _Kept(len(entries) // dtype.itemsize, dtype, entries)
+        owner.structure = weakref.ref(self)  # weak: structure -> matrix -> owner is no cycle
+        return np.ndarray(self.shape, dtype, owner, offset, strides)
+
+
+class _Kept(np.ndarray):
+    # owns the entries of one structure's kept matrix, which leads back to
+    # them through .base
+    def structure(self) -> _Structure | None:
+        return None  # a view of an owner; _keep sets a weak reference in its place
+
+
+def _structure_of(x: np.ndarray) -> _Structure | None:
+    """The structure whose kept matrix x is, or None for any other array:
+    a transpose, a copy, ``x[:]`` or another view of the same entries."""
+    owner = x.base
+    structure = owner.structure() if isinstance(owner, _Kept) else None
+    return structure if structure is not None and structure.dense is x else None
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    # a copy of x over immutable bytes: no flag makes it writeable again
+    return np.frombuffer(x.tobytes(), x.dtype).reshape(x.shape)
+
+
+class _ColumnMap(_Structure):
     """Column j is ``weights[j] * |rows[j]>``; every other entry is ``zero``.
 
     An empty column has weight exactly 0, and its row changes no result.  Each
     product entry is the one nonzero term of the dense sum, so it equals the
     dense ``@`` wherever one factor's weights are real or imaginary.  The
     matrix is formed afresh by ``np.asarray``, except once ``kept()`` has
-    formed it: then that read-only array is the map's matrix, and
-    ``_map_of`` reads the map back from it.
+    formed it.
     """
 
-    __slots__ = ("rows", "weights", "zero", "dense", "shape")
-    __array_ufunc__ = None  # ndarray @, - and * return NotImplemented, so these run
+    __slots__ = ("rows", "weights", "zero")
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray, zero: complex = 0):
         self.rows, self.weights, self.zero = rows, weights, zero
         self.dense, self.shape = None, (rows.size,) * 2
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = self.dense
-        if dense is None:
-            dense = np.full(self.shape, self.zero, dtype=self.weights.dtype)
-            dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
-        if dtype is None and copy is None:
-            return dense
-        return np.array(dense, dtype=dtype, copy=copy)
-
-    def kept(self) -> np.ndarray:
-        """The matrix, formed on the first call, kept on the map and read-only."""
-        if self.dense is None:
-            owner = _Formed(self.shape, dtype=self.weights.dtype)
-            owner[...] = self.zero
-            owner[self.rows, _band_rows(self.rows.size, 0)] = self.weights
-            owner.flags.writeable = False
-            owner.parts = (self.rows, self.weights, self.zero)
-            self.dense = owner.view(np.ndarray)
-        return self.dense
+    def _formed(self) -> np.ndarray:
+        dense = np.full(self.shape, self.zero, dtype=self.weights.dtype)
+        dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
+        return dense
 
     def __matmul__(self, other):
         if isinstance(other, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
@@ -116,55 +149,22 @@ class _ColumnMap:
         return out
 
 
-class _Formed(np.ndarray):
-    # owns the matrix a map's kept() hands out as a plain view, and holds the
-    # map's parts, so the matrix leads back to its map through .base
-    parts: tuple
+class _Circulant(_Structure):
+    """The circulant ``c[(m - n) mod d]`` of column 0 ``c = column``.
 
-
-def _map_of(x: np.ndarray) -> _ColumnMap | None:
-    """The column map whose kept matrix x is, or None."""
-    owner = x.base
-    if not (isinstance(owner, _Formed) and x.__array_interface__ == owner.__array_interface__):
-        return None  # a view of another layout, even of the same memory, is not the matrix
-    m = _ColumnMap(*owner.parts)
-    m.dense = x
-    return m
-
-
-class _Lagged(np.ndarray):
-    # owns, read-only, the 2d entries of a _circulant view, which leads back
-    # to them through .base, and holds a weak reference to that one view
-    circulant: weakref.ref
-
-
-def _circulant(column: np.ndarray) -> np.ndarray:
-    """The read-only circulant ``c[(m - n) mod d]`` of column 0 ``c = column``.
-
-    A view of u, the reversed c written twice: entry (m, n) is u[d - 1 - m + n].
+    Entry (m, n) is ``lags[d - 1 - m + n]``; ``lags`` holds the 2d - 1
+    distinct entries.  The kept matrix, also its ``np.asarray``, is a view of
+    2d read-only entries, the reversed column written twice: no d x d array.
     """
-    d = len(column)
-    owner = _Lagged((2, d), dtype=column.dtype)
-    owner[...] = column[::-1]
-    owner.flags.writeable = False
-    step = owner.itemsize
-    view = np.ndarray((d, d), owner.dtype, owner, (d - 1) * step, (-step, step))
-    owner.circulant = weakref.ref(view)
-    return view
 
+    __slots__ = ("lags",)
 
-def _lags_of(x) -> np.ndarray | None:
-    """The 2d - 1 distinct entries of the circulant x, or None.
-
-    Entry (m, n) of x is ``lags[d - 1 - m + n]``, so column 0 is
-    ``lags[d - 1::-1]``.  Only the view that ``_circulant`` handed out is
-    read: any other array, even a view of the same entries, is not the
-    circulant.
-    """
-    owner = getattr(x, "base", None)
-    if isinstance(owner, _Lagged) and owner.circulant() is x:
-        return np.asarray(owner).ravel()[:-1]  # a plain array: ufuncs skip the subclass
-    return None
+    def __init__(self, column: np.ndarray) -> None:
+        d, step = len(column), column.itemsize
+        entries = column[::-1].tobytes() * 2
+        self.shape = (d, d)
+        self.lags = np.frombuffer(entries, column.dtype, 2 * d - 1)
+        self.dense = self._keep(entries, column.dtype, (d - 1) * step, (-step, step))
 
 
 def _no_buffer() -> None:
@@ -178,15 +178,19 @@ def _mul(x, y, take=_no_buffer):
     placement.  Two circulants give the circulant whose column 0 is x times
     y's column 0, one matrix-vector product in place of a d^3 one; it sums
     the terms of each entry in another order than ``@``, so it agrees with it
-    within rounding, not bit for bit.
+    within rounding, not bit for bit.  A circulant against anything else is
+    its kept matrix.
     """
+    if isinstance(x, _Circulant):
+        if isinstance(y, _Circulant):
+            return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
+        x = x.dense
+    elif isinstance(y, _Circulant):
+        y = y.dense
     if isinstance(x, _ColumnMap):
         return x @ y if isinstance(y, _ColumnMap) else x._placed(y, take())
     if isinstance(y, _ColumnMap):
         return y._gathered(x, take())
-    lags = _lags_of(y)
-    if lags is not None and _lags_of(x) is not None:
-        return _circulant(x @ lags[len(x) - 1::-1])
     return np.matmul(x, y, out=take())
 
 
@@ -248,9 +252,7 @@ class _Workspace:
 @functools.lru_cache(maxsize=16)
 def _band_rows(dim: int, offset: int) -> np.ndarray:
     # row j - offset mod dim of each column j: a cyclic band, shared and read-only
-    rows = (np.arange(dim) - offset) % dim
-    rows.flags.writeable = False
-    return rows
+    return _frozen((np.arange(dim) - offset) % dim)
 
 
 def _diagonal(weights: np.ndarray) -> _ColumnMap:
@@ -340,23 +342,26 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     against a dense matrix it is read off the dense entries and the map's d.
     Two circulants are compared on their 2d - 1 distinct entries, in O(d).
     """
-    if isinstance(a, _ColumnMap) and isinstance(b, _ColumnMap) and a.shape == b.shape:
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if isinstance(a, _ColumnMap) and isinstance(b, _ColumnMap):
         gap = np.abs(a.weights - b.weights)  # in O(d), bit for bit the dense reduction
         apart = a.rows != b.rows  # there the deviation is the larger of two entries
         if np.count_nonzero(apart):
             gap[apart] = np.maximum(np.abs(a.weights[apart]), np.abs(b.weights[apart]))
         return float(gap.max())
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if isinstance(a, _Circulant) and isinstance(b, _Circulant):
+        return float(np.abs(a.lags - b.lags).max())  # each distinct entry once
     if 0 in a.shape:
         return 0.0
     if isinstance(a, _ColumnMap):
         a, b = b, a  # |x - y| is |y - x| bit for bit
+    if isinstance(a, _Circulant):
+        a = a.dense
+    if isinstance(b, _Circulant):
+        b = b.dense
     if isinstance(b, _ColumnMap):
         return _map_deviation(a, b)
-    lags = _lags_of(a)
-    if lags is not None and (other := _lags_of(b)) is not None:
-        return float(np.abs(lags - other).max())  # each distinct entry once
     if a.size <= _BLOCK_ENTRIES:
         return float(np.abs(a - b).max())
     blocks = _row_blocks(a)

@@ -119,15 +119,15 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     arithmetic ``ar`` (mul, sub, scale, dag, pow, eye, zeros, dyad) and one
     route's operators ``x``: ``_NUMPY`` with ``_closed_operators`` for the
     closed-form route, ``_NAIVE`` with ``_naive_operators`` for the naive
-    one.  There the monomials, the identity, the zero and the dyads are
-    column maps, so a check of them alone costs O(d), and the phase braces
-    and radial roots are circulants, so each of eq19's squares is one
-    matrix-vector product and is compared with its brace in O(d).  The phase
-    states are the columns of the Fourier matrix, and a product that two
-    checks share is formed once and dropped after its last use, so a caller
-    that reduces each check as it arrives holds a few sides at a time.
-    Products associate as they would written with numpy's ``@`` and ``*``:
-    ``q a† a`` is ``(q a†) a``.
+    one.  There, as the set stores them, the monomials, the identity, the
+    zero and the dyads are column maps, so a check of them alone costs O(d),
+    and the phase braces and radial roots are circulants, so each of eq19's
+    squares is one matrix-vector product, compared with its brace in O(d).
+    The phase states are the columns of the Fourier matrix, and a product
+    that two checks share is formed once and dropped after its last use, so
+    a caller that reduces each check as it arrives holds a few sides at a
+    time.  Products associate as they would written with numpy's ``@`` and
+    ``*``: ``q a† a`` is ``(q a†) a``.
     """
     mul, sub, scale = ar.mul, ar.sub, ar.scale
     d, s, q = cfg.dim, cfg.s, x.q
@@ -232,7 +232,7 @@ def _workspace_arithmetic(dim: int) -> SimpleNamespace:
 
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
-    # the set as stored, its monomials column maps, with g⁻¹, √[N] and √[N+1]
+    # the set as stored, its structures as they are, with g⁻¹, √[N] and √[N+1]
     # (the weights a and a† carry) as the naive route has them
     stored = vars(ops)
     return SimpleNamespace(
@@ -481,7 +481,7 @@ def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:
     naive_ops = SimpleNamespace(**_naive_operators(cfg))
 
     results = []
-    stored = vars(ops)  # a monomial is compared as its column map, which stays unformed
+    stored = vars(ops)  # a structure is compared as stored, and a map stays unformed
     for name in _ORACLE_OPERATORS:
         dev = max_abs_diff(stored[name], np.array(getattr(naive_ops, name)))
         results.append(_result(f"op_{name}", dev, ORACLE_TOL))

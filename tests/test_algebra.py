@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import weakref
 
@@ -37,7 +38,7 @@ from qboson import (
     sqrt_q_number_matrix,
 )
 from qboson.algebra import _rotate_diagonal
-from qboson.cmatrix import _ColumnMap, _Workspace
+from qboson.cmatrix import _Circulant, _ColumnMap, _Workspace
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -505,6 +506,51 @@ def test_another_config_drops_the_kept_set_before_building(monkeypatch):
     assert alive_at_build == [False]
 
 
+def test_another_config_frees_the_set_without_the_collector():
+    # a structure's kept matrix refers to the owner of its entries, and the
+    # owner to the structure only weakly; with no cycle, the previous set,
+    # its structures, their owners and every formed monomial matrix go as
+    # soon as another configuration's set replaces it, collector or not
+    cfg = AlgebraConfig(64)
+    gc.collect()
+    gc.disable()
+    try:
+        verify.run_all(cfg)
+        polar_decompose(cfg)
+        ops = build_operator_set(cfg)
+        structures = [value for value in vars(ops).values()
+                      if isinstance(value, (_ColumnMap, _Circulant))]
+        assert len(structures) == 15
+        held = [weakref.ref(ops), *map(weakref.ref, structures),
+                *(weakref.ref(x.kept().base) for x in structures)]  # forms every monomial
+        del ops, structures
+        build_operator_set(AlgebraConfig(65))
+        assert [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("s", [4, 256])
+def test_no_array_of_the_set_can_be_made_writeable(s):
+    # every array the set keeps is made over immutable memory: a field, the
+    # array it views, a map's rows and weights, a circulant's lags and the
+    # radial factor polar_decompose hands out, so a later verification of the
+    # same set sees what the first one saw
+    cfg = AlgebraConfig(s)
+    ops = build_operator_set(cfg)
+    before = verify.run_all(cfg)
+    fields = [getattr(ops, f.name) for f in dataclasses.fields(ops) if f.name != "config"]
+    stored = vars(ops).values()
+    arrays = [*fields, *(x.base for x in fields), polar_decompose(cfg).radial,
+              *(x for m in stored if isinstance(m, _ColumnMap) for x in (m.rows, m.weights)),
+              *(c.lags for c in stored if isinstance(c, _Circulant))]
+    assert len(arrays) == 2 * 18 + 1 + 2 * 10 + 5
+    for x in arrays:
+        with pytest.raises(ValueError):
+            x.flags.writeable = True
+    assert verify.run_all(cfg) == before
+
+
 @pytest.mark.parametrize("s", [4, 64])
 def test_operator_set_arrays_are_read_only(s):
     ops = build_operator_set(AlgebraConfig(s))
@@ -677,7 +723,7 @@ def test_diagonal_rotations_match_the_dense_products(s):
                                      sqrt_q_number_matrix(cfg, offset=1).diagonal())
         for offset in (0, 1):  # the spectral route of the phase-brace self-check
             x = q_number_matrix(cfg, offset=offset).diagonal()
-            _assert_within_product_bound(_rotate_diagonal(f, x), f, x)
+            _assert_within_product_bound(_rotate_diagonal(f, x).kept(), f, x)
 
 
 def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):

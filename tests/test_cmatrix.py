@@ -22,12 +22,12 @@ from qboson.algebra import (
 )
 from qboson.cmatrix import (
     _band_rows,
-    _circulant,
+    _Circulant,
     _ColumnMap,
     _diagonal,
     _dyad,
-    _lags_of,
     _mul,
+    _structure_of,
     _Workspace,
     dag,
     dyad,
@@ -548,35 +548,46 @@ class TestCirculant:
 
     @staticmethod
     def _pair(rng, d):
-        return [_circulant(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(2)]
+        return [_Circulant(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(2)]
 
     @pytest.mark.parametrize("d", [1, 2, 5, 129])
     def test_lags_are_the_distinct_entries(self, d):
-        x = _circulant(np.arange(d) + 1j)
-        lags = _lags_of(x)
-        assert not x.flags.writeable and not x.base.flags.writeable
+        c = _Circulant(np.arange(d) + 1j)
+        x, lags = c.kept(), c.lags
+        assert np.asarray(c) is x and c.shape == x.shape == (d, d) and lags.shape == (2 * d - 1,)
+        assert not x.flags.writeable and not x.base.flags.writeable and not lags.flags.writeable
+        assert _bit_equal(x[:, 0], np.arange(d) + 1j)
         assert _bit_equal(lags[d - 1::-1], x[:, 0]) and _bit_equal(lags[d - 1:], x[0])
         m, n = np.indices((d, d))
         assert _bit_equal(lags[d - 1 - m + n], x)
 
     @pytest.mark.parametrize("d", [3, 64, 200])
     def test_other_layouts_are_dense(self, d):
-        # a Toeplitz view of random entries, a transposed view, a copy, a view
-        # at another offset and a second view of the same layout are not
-        # circulants: products and deviations take the dense route, bit for bit
+        # every ndarray takes the dense route, bit for bit: a circulant's kept
+        # matrix itself, a Toeplitz view of random entries, a transposed view,
+        # a copy, views of the kept entries at another offset or at the same
+        # one, and a view of a slice of them.  Only the kept matrix leads back
+        # to its circulant
         rng = np.random.default_rng(d)
-        x, y = self._pair(rng, d)
+        c, y = self._pair(rng, d)
+        x = c.kept()
         step = x.itemsize
-        shifted = np.ndarray((d, d), dtype=x.dtype, buffer=x.base, offset=d * step,
-                             strides=(-step, step))
-        mutants = [_circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)),
-                   x.T, x.copy(), np.array(x), shifted, x[:], x.real.astype(complex)]
+
+        def view(buffer, offset):
+            return np.ndarray((d, d), dtype=x.dtype, buffer=buffer, offset=offset,
+                              strides=(-step, step))
+
+        mutants = [x, _circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)),
+                   x.T, x.copy(), np.array(x), view(x.base, d * step), view(x.base, (d - 1) * step),
+                   view(x.base[:], (d - 1) * step), x[:], x.real.astype(complex)]
+        assert _structure_of(x) is c and _structure_of(y.kept()) is y
+        assert all(_structure_of(z) is None for z in mutants[1:])
         ws = _Workspace(d)
         for z in mutants:
-            assert _lags_of(z) is None
-            for a, b in ((z, y), (y, z), (z, z)):
-                assert _lags_of(_mul(a, b)) is None and _bit_equal(_mul(a, b), a @ b)
-                assert _lags_of(ws.mul(a, b)) is None and _bit_equal(ws.mul(a, b), a @ b)
+            for a, b in ((z, y), (y, z), (z, z), (z, y.kept())):
+                dense = np.asarray(a) @ np.asarray(b)
+                for got in (_mul(a, b), ws.mul(a, b)):
+                    assert isinstance(got, np.ndarray) and _bit_equal(got, dense)
                 assert _same_float(max_abs_diff(a, b), _dense_deviation(a, b))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 129, 300])
@@ -584,29 +595,29 @@ class TestCirculant:
         rng = np.random.default_rng(d)
         x, y = self._pair(rng, d)
         for got in (_mul(x, y), _Workspace(d).mul(x, y)):
-            assert _lags_of(got) is not None and not got.base.flags.writeable
-            assert _bit_equal(got[:, 0], x @ y[:, 0])
-            assert _bit_equal(got, _circulant(got[:, 0].copy()))
+            assert isinstance(got, _Circulant) and not got.kept().base.flags.writeable
+            assert _bit_equal(got.kept()[:, 0], x.kept() @ y.kept()[:, 0])
+            assert _bit_equal(got.kept(), _Circulant(got.kept()[:, 0].copy()).kept())
 
     @pytest.mark.parametrize("d", [1, 3, 129, 300])
     def test_deviation_is_the_dense_reduction(self, d):
         # on the 2d - 1 distinct entries, bit for bit, a nan or inf entry included
         rng = np.random.default_rng(d)
         x, y = self._pair(rng, d)
-        cases = [(x, y), (x, x), (x, _circulant(x[:, 0] + 1e-9))]
+        cases = [(x, y), (x, x), (x, _Circulant(x.kept()[:, 0] + 1e-9))]
         for value in (math.nan, math.inf, complex(math.nan, 1.0), complex(0.0, -math.inf)):
             for lag in {0, d - 1}:
-                column = y[:, 0].copy()
+                column = y.kept()[:, 0].copy()
                 column[lag] = value
-                cases.append((x, _circulant(column)))
+                cases.append((x, _Circulant(column)))
         for a, b in cases:
-            assert _lags_of(a) is not None and _lags_of(b) is not None
+            assert isinstance(a, _Circulant) and isinstance(b, _Circulant)
             assert _same_float(max_abs_diff(a, b), _dense_deviation(a, b))
             assert _same_float(max_abs_diff(b, a), _dense_deviation(b, a))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            max_abs_diff(*(_circulant(np.ones(d, dtype=complex)) for d in (3, 4)))
+            max_abs_diff(*(_Circulant(np.ones(d, dtype=complex)) for d in (3, 4)))
 
 
 def _same_float(a, b):
@@ -614,8 +625,8 @@ def _same_float(a, b):
 
 
 def _circulant_view(u):
-    # the read-only d x d view of 2d entries that cmatrix._circulant makes, of
-    # a plain array of random entries: not a circulant
+    # the read-only d x d view of 2d entries that a circulant keeps, of a
+    # plain array of random entries: not a circulant
     d = len(u) // 2
     view = np.ndarray((d, d), dtype=u.dtype, buffer=u, offset=(d - 1) * u.itemsize,
                       strides=(-u.itemsize, u.itemsize))

@@ -29,7 +29,7 @@ from qboson import (
     sweep,
 )
 from qboson.algebra import _hermiticity_error
-from qboson.cmatrix import _ColumnMap, _lags_of, dag
+from qboson.cmatrix import _Circulant, _ColumnMap, dag
 from qboson.verify import (
     _NUMPY,
     ORACLE_TOL,
@@ -125,27 +125,45 @@ def test_sharpness_violation_reports_unit_deviation(monkeypatch):
             assert not report.overall_pass
 
 
-# every admissible root is sharp, at 46..64 too, where the product of m-1
-# weights falls below the floor for some k: the check reads each weight
+# the fields a set stores as structures, each with its type
+_STRUCTURES = {
+    **dict.fromkeys(("a", "a_dag", "n_op", "g", "h", "h_dag", "brace_g", "brace_g1", "big_h",
+                     "big_h_dag"), _ColumnMap),
+    **dict.fromkeys(("n_tilde", "brace_hdag", "brace_hdag1", "sqrt_brace_hdag",
+                     "sqrt_brace_hdag1"), _Circulant),
+}
+
+
 def test_replace_keeps_the_monomials_as_column_maps(monkeypatch):
-    # dataclasses.replace reads every other field, a formed matrix for a
-    # monomial, and the new set stores that matrix as its map again
+    # dataclasses.replace reads every other field, the kept matrix of each of
+    # the fifteen structures (ten column maps, five circulants), and the new
+    # set stores that matrix as the same structure object again
     cfg = AlgebraConfig(6)
     ops = build_operator_set(cfg)
     for name in vars(ops):
         getattr(ops, name)  # form every monomial first
+    assert {name: type(value) for name, value in vars(ops).items()
+            if isinstance(value, (_ColumnMap, _Circulant))} == _STRUCTURES
+    for name, kind in _STRUCTURES.items():
+        new = (0 * vars(ops)[name] if kind is _ColumnMap
+               else _Circulant(np.zeros(cfg.dim, dtype=complex)))
+        mutant = dataclasses.replace(ops, **{name: new})
+        assert vars(mutant)[name] is new
+        assert all(vars(mutant)[other] is vars(ops)[other]
+                   and getattr(mutant, other) is getattr(ops, other)
+                   for other in _STRUCTURES if other != name), name
+        # a matrix that is not a kept one, even a view of one, stays as given
+        kept = getattr(ops, name)
+        for view in (kept.T, kept.base.T, kept.copy()):
+            assert vars(dataclasses.replace(ops, **{name: view}))[name] is view, name
     mutant = dataclasses.replace(ops, a_dag=0 * vars(ops)["a_dag"])
-    maps = {name for name, value in vars(ops).items() if isinstance(value, _ColumnMap)}
-    assert {name for name, value in vars(mutant).items() if isinstance(value, _ColumnMap)} == maps
-    assert all(getattr(mutant, name) is getattr(ops, name) for name in maps - {"a_dag"})
     monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _cfg: mutant)
     eq5 = {c.name: c for c in run_all(cfg).checks}["eq5_nilpotency"]
     assert not eq5.passed and eq5.deviation == 1.0
-    # a matrix that is not a formed one, even a view of one, stays as given
-    for view in (ops.a_dag.T, ops.a_dag.base.T, ops.a_dag.copy()):
-        assert isinstance(vars(dataclasses.replace(ops, a=view))["a"], np.ndarray)
 
 
+# every admissible root is sharp, at 46..64 too, where the product of m-1
+# weights falls below the floor for some k: the check reads each weight
 @pytest.mark.parametrize("s", [*range(2, 33), 46, 48, 50, 64])
 def test_sharpness_in_log_magnitude_matches_dense_powers(s):
     for k in range(1, s + 1):
@@ -229,18 +247,19 @@ def _assert_matches_dense(got, dense):
 
 @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64])
 def test_diagonal_shortcuts_match_the_dense_products(s):
-    # every product of the catalog, column maps included, against the dense
-    # product of the matrices it stands for, at every root; a product of two
-    # circulants (eq19's squares) within the circulant product's bound
+    # every product of the catalog, on the structures the set stores, against
+    # the dense product of the matrices they stand for, at every root; a
+    # product of two circulants (eq19's squares) within the circulant
+    # product's bound
     products = []
 
     def against_dense(x, y):
         got = _NUMPY.mul(x, y)
-        if _lags_of(got) is not None:
+        if isinstance(got, _Circulant):
             _assert_circulant_product_bound(got, x, y)
         else:
             _assert_matches_dense(np.asarray(got), np.asarray(x) @ np.asarray(y))
-        products.append(isinstance(x, np.ndarray) and isinstance(y, np.ndarray))
+        products.append(not isinstance(x, _ColumnMap) and not isinstance(y, _ColumnMap))
         return got
 
     ar = SimpleNamespace(**{**vars(_NUMPY), "mul": against_dense})
@@ -250,7 +269,7 @@ def test_diagonal_shortcuts_match_the_dense_products(s):
             products.clear()
             for _ in _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg):
                 pass
-            # 38 products, 8 of them of two arrays: 6 dense, eq19's 2 squares
+            # 38 products, 8 of them of two non-maps: 6 dense, eq19's 2 squares
             assert (len(products), sum(products)) == (38, 8)
 
 
@@ -322,22 +341,22 @@ def _assert_circulant_product_bound(got, x, y):
     # the dense @; measured within 0.58 of d u (|x| |y|) entrywise (u = 2^-53),
     # at worst at s=2, over the radial roots, phase braces and n_tilde at
     # s <= 512 and random circulants at d <= 1025; asserted at twice that
+    x, y = np.asarray(x), np.asarray(y)
     d = len(x)
-    dense = np.asarray(x) @ np.asarray(y)
-    assert _lags_of(got) is not None
-    assert np.all(np.abs(got - dense) <= 2 * d * 2.0**-53 * (np.abs(x) @ np.abs(y)))
+    assert isinstance(got, _Circulant)
+    assert np.all(np.abs(np.asarray(got) - x @ y) <= 2 * d * 2.0**-53 * (np.abs(x) @ np.abs(y)))
 
 
 @pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 64, 128, 256])
 def test_circulant_products_match_the_dense_products(s):
-    # the squares eq19 forms, and mixed products of the set's circulants,
-    # against the dense route, which stays the specification
+    # the squares eq19 forms, and mixed products of the set's circulants as
+    # it stores them, against the dense route, which stays the specification
     for cfg in _grid_configs(s) if s > 16 else [
             AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]:
-        ops = build_operator_set(cfg)
-        r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
-        for x, y in ((r_down, r_down), (r_up, r_up), (r_down, r_up), (ops.n_tilde, r_up),
-                     (ops.brace_hdag, ops.brace_hdag1)):
+        stored = vars(build_operator_set(cfg))
+        r_down, r_up = stored["sqrt_brace_hdag"], stored["sqrt_brace_hdag1"]
+        for x, y in ((r_down, r_down), (r_up, r_up), (r_down, r_up), (stored["n_tilde"], r_up),
+                     (stored["brace_hdag"], stored["brace_hdag1"])):
             _assert_circulant_product_bound(_NUMPY.mul(x, y), x, y)
             _assert_circulant_product_bound(_workspace_arithmetic(cfg.dim).mul(x, y), x, y)
 
@@ -364,7 +383,7 @@ def test_dense_products_per_verification(monkeypatch, s):
     assert per_op == [8, 6]
     eq19 = dict(_catalog(_workspace_arithmetic(cfg.dim), _closed_operators(
         build_operator_set(cfg)), cfg))["eq19_polar"]
-    assert all(_lags_of(lhs) is not None and _lags_of(rhs) is not None for lhs, rhs in eq19[4:])
+    assert all(isinstance(lhs, _Circulant) and isinstance(rhs, _Circulant) for lhs, rhs in eq19[4:])
 
 
 def test_small_dimensions_use_numpy_arithmetic():
@@ -459,11 +478,12 @@ def test_oracle_equals_plain_numpy_arithmetic(monkeypatch, s):
 
 @pytest.mark.parametrize("s", [*range(2, 70), 128, 255, 256])
 def test_radial_hermiticity_error_is_the_dense_deviation(s):
-    # read off the circulant's 2(s+1) entries, one per lag, bit for bit
+    # read off the stored circulant's 2(s+1) entries, one per lag, bit for bit
     for cfg in _grid_configs(s):
-        r = build_operator_set(cfg).sqrt_brace_hdag
-        assert _hermiticity_error(r) == max_abs_diff(r, dag(r)), cfg.k
-        assert _hermiticity_error(r.copy()) == max_abs_diff(r, dag(r)), cfg.k  # not a circulant
+        ops = build_operator_set(cfg)
+        r = ops.sqrt_brace_hdag
+        assert _hermiticity_error(vars(ops)["sqrt_brace_hdag"].lags) == max_abs_diff(r, dag(r)), cfg.k
+        assert polar_decompose(cfg).radial_hermiticity_error == max_abs_diff(r, dag(r)), cfg.k
 
 
 def test_two_threads_verify_different_configurations():
