@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import (_band_rows, _Circulant, _ColumnMap, _diagonal, _frozen, _Structure,
-                      _structure_of, _Workspace, dag, dyad, max_abs_diff)
+                      _Workspace, dag, dyad, max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -278,8 +278,8 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     Right after ``run_all`` on an equal configuration the set is the one
     that call built: nothing is constructed again, the four errors are the
     ones that call reduced, and only the unitary is formed.  On a set that
-    ``run_all`` has not reduced (a fresh build, or a ``dataclasses.replace``
-    copy), the errors are computed here, with the same result.  The radial
+    ``run_all`` has not reduced (a fresh build, or a copy with some fields
+    changed), the errors are computed here, with the same result.  The radial
     factor is the set's read-only ``sqrt_brace_hdag``.
     """
     ops = build_operator_set(cfg)
@@ -336,11 +336,10 @@ def _hermiticity_error(lags: np.ndarray) -> float:
 
 
 class _StructureField:
-    """An ``OperatorSet`` field stored as a structure and read as its matrix.
+    """An ``OperatorSet`` field stored as given and read as a matrix.
 
-    A read returns the kept matrix of the structure ``vars(ops)`` holds.  That
-    very matrix assigned to the field, as ``dataclasses.replace`` passes it,
-    is stored as its structure again; any other array is stored as given.
+    A read returns the kept matrix of the structure ``vars(ops)`` holds, or
+    the array stored there.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -353,8 +352,6 @@ class _StructureField:
         return value.kept() if isinstance(value, _Structure) else value
 
     def __set__(self, ops, value) -> None:
-        if isinstance(value, np.ndarray):
-            value = _structure_of(value) or value
         vars(ops)[self.name] = value
 
 
@@ -363,11 +360,13 @@ class OperatorSet:
     """The full operator family of one configuration, all of dimension s+1.
 
     Every field reads as a read-only complex array.  ``vars(ops)`` holds 15
-    structures, which ``dataclasses.replace`` keeps: the ten monomials (a, a†,
-    N, g, h, h†, H, H†, [N], [N+1]) as column maps, each formed as a matrix on
-    its first read, and ``n_tilde``, the phase braces and the radial roots as
-    circulants, read as views of 2(s+1) entries.  So ``fourier``, ``a_tilde``
-    and ``a_tilde_dag`` are the only dense d x d fields.
+    structures: the ten monomials (a, a†, N, g, h, h†, H, H†, [N], [N+1]) as
+    column maps, each formed as a matrix on its first read, and ``n_tilde``,
+    the phase braces and the radial roots as circulants, read as views of
+    2(s+1) entries.  So ``fourier``, ``a_tilde`` and ``a_tilde_dag`` are the
+    only dense d x d fields.  A copy with some fields changed is made from
+    the stored values, ``OperatorSet(**{**vars(ops), **changes})``, which
+    keeps every other structure as it is.
     """
 
     config: AlgebraConfig

@@ -1,18 +1,18 @@
 """Dense complex matrix kernel sized for the (s+1)-dimensional number basis.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
-is a pure function and all inputs are left untouched.  Products, sums and
-scalings are numpy's own operators.  A matrix may also be held as one of two
-structures, value types whose rules ``_mul`` and ``max_abs_diff`` pick by
-type.  A ``_ColumnMap`` has at most one nonzero per column (a diagonal, a
-step operator, a shift, a dyad): against another map its products,
-differences, powers and deviations cost O(d); against a dense matrix a
-product is a gather, and a difference or a deviation reads the dense matrix
-and the map's d entries, never a d x d form of the map.  A ``_Circulant``
-holds its 2d - 1 distinct entries: the product of two circulants is the
-circulant of one matrix-vector product, in O(d^2), and their deviation is
-reduced over those entries, in O(d).  A ``_Workspace`` writes one call's
-dense temporaries into d x d buffers that it reuses.
+is a pure function and all inputs are left untouched.  A matrix may also be
+held as one of two structures, plain data with no arithmetic of its own.  A
+``_ColumnMap`` has at most one nonzero per column (a diagonal, a step
+operator, a shift, a dyad): against another map its products, differences,
+powers and deviations cost O(d); against a dense matrix a product is a
+gather, and a difference or a deviation reads the dense matrix and the map's
+d entries, never a d x d form of the map.  A ``_Circulant`` holds its 2d - 1
+distinct entries: the product of two circulants is the circulant of one
+matrix-vector product, in O(d^2), and their deviation is reduced over those
+entries, in O(d).  ``_Workspace`` is the one numpy arithmetic that combines
+them, and it writes one call's dense results into d x d buffers that it
+reuses; ``mat_pow`` and ``max_abs_diff`` pick their routes by type.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import functools
 import itertools
 import operator
 import sys
-import weakref
 
 import numpy as np
 
@@ -34,12 +33,14 @@ _BLOCK_ENTRIES = 1 << 14
 class _Structure:
     """A d x d matrix held in a compact format: a column map or a circulant.
 
-    ``np.asarray`` reads the matrix.  ``kept()`` returns the one read-only
-    matrix the structure keeps, the only array ``_structure_of`` leads back.
+    ``np.asarray`` reads the matrix, and ``kept()`` returns it read-only.  A
+    structure has no arithmetic: ``_Workspace`` holds every rule that
+    combines it, and numpy raises ``TypeError`` on ``@``, ``-`` or ``*`` of a
+    structure rather than take a dense route.
     """
 
     __slots__ = ("shape", "dense", "__weakref__")
-    __array_ufunc__ = None  # ndarray @, - and * return NotImplemented, so these run
+    __array_ufunc__ = None  # so ndarray arithmetic on a structure raises
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = self.dense if self.dense is not None else self._formed()
@@ -55,25 +56,8 @@ class _Structure:
         return self.dense
 
     def _keep(self, entries: bytes, dtype: np.dtype, offset=0, strides=None) -> np.ndarray:
-        # the kept matrix over entries, which its owner holds as immutable bytes
-        owner = _Kept(len(entries) // dtype.itemsize, dtype, entries)
-        owner.structure = weakref.ref(self)  # weak: structure -> matrix -> owner is no cycle
-        return np.ndarray(self.shape, dtype, owner, offset, strides)
-
-
-class _Kept(np.ndarray):
-    # owns the entries of one structure's kept matrix, which leads back to
-    # them through .base
-    def structure(self) -> _Structure | None:
-        return None  # a view of an owner; _keep sets a weak reference in its place
-
-
-def _structure_of(x: np.ndarray) -> _Structure | None:
-    """The structure whose kept matrix x is, or None for any other array:
-    a transpose, a copy, ``x[:]`` or another view of the same entries."""
-    owner = x.base
-    structure = owner.structure() if isinstance(owner, _Kept) else None
-    return structure if structure is not None and structure.dense is x else None
+        # the kept matrix, a view over the immutable bytes entries
+        return np.ndarray(self.shape, dtype, np.frombuffer(entries, dtype), offset, strides)
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -102,26 +86,7 @@ class _ColumnMap(_Structure):
         dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
         return dense
 
-    def __matmul__(self, other):
-        if isinstance(other, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
-            return _ColumnMap(self.rows[other.rows], self.weights[other.rows] * other.weights)
-        return self._placed(other)
-
-    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
-        return self._gathered(other)
-
-    def __rmul__(self, alpha) -> _ColumnMap:
-        return _ColumnMap(self.rows, alpha * self.weights)
-
-    def __sub__(self, other):
-        if isinstance(other, _ColumnMap) and not np.count_nonzero(self.rows != other.rows):
-            return _ColumnMap(self.rows, self.weights - other.weights)
-        return np.asarray(self) - np.asarray(other)
-
-    def __rsub__(self, other: np.ndarray) -> np.ndarray:
-        return self._subtracted_from(other)
-
-    # the dense results, written into out when it is given
+    # the dense results against a dense matrix, written into out unless it is None
     def _placed(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # self @ other, a row placement: row rows[j] of the product is w[j] other[j]
         if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps rows
@@ -167,33 +132,6 @@ class _Circulant(_Structure):
         self.dense = self._keep(entries, column.dtype, (d - 1) * step, (-step, step))
 
 
-def _no_buffer() -> None:
-    return None
-
-
-def _mul(x, y, take=_no_buffer):
-    """x @ y, a dense result written into the buffer ``take()`` returns.
-
-    A map times a map is a map; a product with one map is a gather or a row
-    placement.  Two circulants give the circulant whose column 0 is x times
-    y's column 0, one matrix-vector product in place of a d^3 one; it sums
-    the terms of each entry in another order than ``@``, so it agrees with it
-    within rounding, not bit for bit.  A circulant against anything else is
-    its kept matrix.
-    """
-    if isinstance(x, _Circulant):
-        if isinstance(y, _Circulant):
-            return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
-        x = x.dense
-    elif isinstance(y, _Circulant):
-        y = y.dense
-    if isinstance(x, _ColumnMap):
-        return x @ y if isinstance(y, _ColumnMap) else x._placed(y, take())
-    if isinstance(y, _ColumnMap):
-        return y._gathered(x, take())
-    return np.matmul(x, y, out=take())
-
-
 def _refcounts(arrays: list) -> list[int]:
     # every count is read through this one function, so the references that
     # the reading itself adds are the same for _UNHELD and for take()
@@ -205,17 +143,15 @@ _UNHELD = _refcounts([np.empty(0)])[0]
 
 
 class _Workspace:
-    """One call's d x d complex buffers, for the dense matrices it forms.
+    """The catalog's numpy arithmetic, with one call's d x d complex buffers.
 
-    ``take`` returns a buffer that nothing outside the workspace references,
-    or a new one, so a side that a caller still holds, or a view of it, is
-    never overwritten.  At or below ``_BLOCK_ENTRIES`` entries it returns
-    None, and numpy allocates each result as usual.  ``sub``, ``scale`` and
-    ``dag`` compute what ``-``, ``*`` and ``dag`` do, bit for bit, and ``mul``
-    what ``_mul`` does: ``@`` bit for bit, except that two circulants give a
-    circulant, within rounding of ``@``.  A dense result goes into a taken
-    buffer.  The buffers go with the workspace, so each call makes its own
-    and shares it with nothing.
+    It has the naive arithmetic's eight operations and every rule for the
+    structures; any other result is numpy's ``@``, ``-``, ``*`` or ``dag``
+    bit for bit, and goes into the buffer ``take`` returns: one that nothing
+    outside the workspace references, or a new one, so a side that a caller
+    still holds, or a view of it, is never overwritten.  At or below
+    ``_BLOCK_ENTRIES`` entries ``take`` returns None, and numpy allocates
+    each result as usual.  Each call makes its own workspace.
     """
 
     def __init__(self, dim: int) -> None:
@@ -233,20 +169,58 @@ class _Workspace:
         return self.buffers[-1]
 
     def mul(self, x, y):
-        return _mul(x, y, self.take)
+        """x @ y.  A map times a map is a map; a product with one map is a
+        gather or a row placement.  Two circulants give the circulant whose
+        column 0 is x times y's column 0, one matrix-vector product in place of
+        a d^3 one, which agrees with ``@`` within rounding, not bit for bit.  A
+        circulant against anything else is its kept matrix."""
+        if isinstance(x, _Circulant):
+            if isinstance(y, _Circulant):
+                return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
+            x = x.dense
+        elif isinstance(y, _Circulant):
+            y = y.dense
+        if isinstance(x, _ColumnMap):
+            if isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
+                return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights)
+            return x._placed(y, self.take())
+        if isinstance(y, _ColumnMap):
+            return y._gathered(x, self.take())
+        return np.matmul(x, y, out=self.take())
 
     def sub(self, x, y):
-        if isinstance(y, _ColumnMap) and not isinstance(x, _ColumnMap):
+        """x - y; two maps on the same rows give a map."""
+        if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):
+            if not np.count_nonzero(x.rows != y.rows):
+                return _ColumnMap(x.rows, x.weights - y.weights)
+        elif isinstance(y, _ColumnMap):
             return y._subtracted_from(x, self.take())
-        if isinstance(x, _ColumnMap):
-            return x - y
-        return np.subtract(x, y, out=self.take())
+        return np.subtract(np.asarray(x), np.asarray(y), out=self.take())
 
     def scale(self, alpha, x):
-        return alpha * x if isinstance(x, _ColumnMap) else np.multiply(alpha, x, out=self.take())
+        """alpha * x; a scaled map is a map."""
+        if isinstance(x, _ColumnMap):
+            return _ColumnMap(x.rows, alpha * x.weights)
+        return np.multiply(alpha, x, out=self.take())
 
     def dag(self, x: np.ndarray) -> np.ndarray:
         return np.conjugate(x, out=self.take()).T
+
+    @staticmethod
+    def pow(x, p: int):
+        return mat_pow(x, p)  # looked up when called, so a wrapper put on it sees every power
+
+    @staticmethod
+    def eye(dim: int) -> _ColumnMap:
+        return _diagonal(np.ones(dim, dtype=complex))
+
+    @staticmethod
+    def zeros(dim: int) -> _ColumnMap:
+        return _diagonal(np.zeros(dim, dtype=complex))
+
+    @staticmethod
+    def dyad(m: int, n: int, dim: int) -> _ColumnMap:
+        return _dyad(m, n, dim)
 
 
 @functools.lru_cache(maxsize=16)

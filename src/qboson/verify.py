@@ -2,8 +2,9 @@
 
 The 14-check catalog is written once, in ``_catalog``, over a small
 arithmetic interface, and runs in two independent arithmetics.  ``run_all``
-evaluates it with numpy on the closed-form operator set for one
-configuration, and ``sweep`` repeats that over a range of cutoffs.
+evaluates it in ``cmatrix._Workspace``, the numpy arithmetic, on the
+closed-form operator set for one configuration, and ``sweep`` repeats that
+over a range of cutoffs.
 ``brute_force_oracle`` also evaluates it with a deliberately naive
 pure-Python list kernel (triple-loop products) on operators re-derived by
 dyad sums (complex-quotient q-integers, direct exponentials), and reports
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, _record_factor_errors, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import _diagonal, _dyad, _mul, _Workspace, dag, mat_pow, max_abs_diff
+from .cmatrix import _diagonal, _Workspace, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -111,14 +111,14 @@ class VerificationReport:
         }
 
 
-def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
+def _catalog(ar: _Workspace | SimpleNamespace, x: SimpleNamespace,
              cfg: AlgebraConfig) -> Iterator[tuple[str, list[tuple]]]:
     """Yield ``(name, pairs)`` for every catalog check, in ``CHECK_NAMES`` order.
 
     ``pairs`` holds the check's (lhs, rhs) sides.  Written once over an
     arithmetic ``ar`` (mul, sub, scale, dag, pow, eye, zeros, dyad) and one
-    route's operators ``x``: ``_NUMPY`` with ``_closed_operators`` for the
-    closed-form route, ``_NAIVE`` with ``_naive_operators`` for the naive
+    route's operators ``x``: a ``_Workspace`` with ``_closed_operators`` for
+    the closed-form route, ``_NAIVE`` with ``_naive_operators`` for the naive
     one.  There, as the set stores them, the monomials, the identity, the
     zero and the dyads are column maps, so a check of them alone costs O(d),
     and the phase braces and radial roots are circulants, so each of eq19's
@@ -212,25 +212,6 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     ]
 
 
-# numpy arithmetic of the closed-form route; mat_pow is looked up when a power
-# is taken, so whatever this module's binding holds at that time runs
-_NUMPY = SimpleNamespace(
-    mul=_mul, sub=operator.sub, scale=operator.mul, dag=dag,
-    pow=lambda x, p: mat_pow(x, p), eye=lambda d: _diagonal(np.ones(d, dtype=complex)),
-    zeros=lambda d: _diagonal(np.zeros(d, dtype=complex)), dyad=_dyad,
-)
-
-
-def _workspace_arithmetic(dim: int) -> SimpleNamespace:
-    # _NUMPY with every dense side written into one workspace, whose buffers
-    # go with this namespace; at or below _BLOCK_ENTRIES entries, _NUMPY itself
-    ws = _Workspace(dim)
-    if not ws.reused:
-        return _NUMPY
-    return SimpleNamespace(**{**vars(_NUMPY), "mul": ws.mul, "sub": ws.sub, "scale": ws.scale,
-                              "dag": ws.dag})
-
-
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
     # the set as stored, its structures as they are, with g⁻¹, √[N] and √[N+1]
     # (the weights a and a† carry) as the naive route has them
@@ -256,7 +237,7 @@ def _step_chain_is_sharp(ops: OperatorSet) -> bool:
 def _shift_is_sharp(eq10_pairs: list[tuple], threshold: float) -> bool:
     # the eq10 left sides are h h† and h† h; the bare shift is visibly
     # non-unitary when either one misses the identity by more than threshold
-    eye = _NUMPY.eye(eq10_pairs[0][0].shape[0])
+    eye = _Workspace.eye(eq10_pairs[0][0].shape[0])
     return any(max_abs_diff(lhs, eye) > threshold for lhs, _ in eq10_pairs)
 
 
@@ -279,7 +260,7 @@ def run_all(cfg: AlgebraConfig) -> VerificationReport:
     ops = build_operator_set(cfg)
     threshold = cfg.tol * cfg.dim
     checks = []
-    for name, pairs in _catalog(_workspace_arithmetic(cfg.dim), _closed_operators(ops), cfg):
+    for name, pairs in _catalog(_Workspace(cfg.dim), _closed_operators(ops), cfg):
         deviations = [max_abs_diff(lhs, rhs) for lhs, rhs in pairs]
         deviation = max(deviations)
         if name == "eq19_polar":  # the four clock pairs', which polar_decompose reads
@@ -485,7 +466,7 @@ def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:
     for name in _ORACLE_OPERATORS:
         dev = max_abs_diff(stored[name], np.array(getattr(naive_ops, name)))
         results.append(_result(f"op_{name}", dev, ORACLE_TOL))
-    routes = zip(_catalog(_NUMPY, _closed_operators(ops), cfg),
+    routes = zip(_catalog(_Workspace(cfg.dim), _closed_operators(ops), cfg),
                  _catalog(_NAIVE, naive_ops, cfg), strict=True)
     for (name, closed), (_, naive) in routes:
         dev = 0.0

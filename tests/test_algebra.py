@@ -431,7 +431,7 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
         pd = polar_decompose(cfg)
         assert _bit_equal(pd.radial, ops.sqrt_brace_hdag), cfg.k
         assert _bit_equal(pd.unitary, dag(ops.g)), cfg.k
-        catalog = verify._catalog(verify._NUMPY, verify._closed_operators(ops), cfg)
+        catalog = verify._catalog(_Workspace(cfg.dim), verify._closed_operators(ops), cfg)
         eq19 = dict(catalog)["eq19_polar"]
         assert list(pd.factor_errors.values()) == [max_abs_diff(lhs, rhs) for lhs, rhs in eq19[:4]]
 

@@ -47,27 +47,29 @@ def test_every_qboson_name_the_workloads_call_exists():
 
 def test_the_flop_counter_reads_what_run_all_powers(monkeypatch):
     # run_all powers column maps, which the tracer's counter reads through .shape
-    import qboson.verify
+    import qboson.cmatrix
     flops = _load_tracing()._mat_pow_flops
     seen = []
-    power = qboson.verify.mat_pow
+    power = qboson.cmatrix.mat_pow
 
     def recording(a, p):
         result = power(a, p)
         seen.append(flops((a, p), result))
         return result
 
-    monkeypatch.setattr(qboson.verify, "mat_pow", recording)
+    monkeypatch.setattr(qboson.cmatrix, "mat_pow", recording)
     qboson.run_all(qboson.AlgebraConfig(4))
     assert seen == [("cmatrix.mat_pow.flop_computed", 8 * 5**3 * 3)] * 5
 
 
 def test_the_bindings_the_tracer_wraps_are_the_package_functions():
     # the tracer replaces a function in every namespace that holds it, so the
-    # catalog's powers and deviations are seen only through these bindings
+    # catalog's powers and deviations are seen only through these bindings:
+    # the workspace looks mat_pow up in cmatrix when it takes a power
     import qboson.algebra
     import qboson.cmatrix
     import qboson.verify
-    assert qboson.verify.mat_pow is qboson.cmatrix.mat_pow
+    assert qboson.cmatrix._Workspace.pow.__globals__ is vars(qboson.cmatrix)
+    assert qboson.mat_pow is qboson.cmatrix.mat_pow
     assert qboson.verify.max_abs_diff is qboson.cmatrix.max_abs_diff
     assert qboson.algebra.max_abs_diff is qboson.cmatrix.max_abs_diff

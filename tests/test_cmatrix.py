@@ -26,8 +26,6 @@ from qboson.cmatrix import (
     _ColumnMap,
     _diagonal,
     _dyad,
-    _mul,
-    _structure_of,
     _Workspace,
     dag,
     dyad,
@@ -328,26 +326,27 @@ class TestMulSparse:
             f = fourier(cfg)
             q = primitive_root(cfg)
             maps = _column_maps(cfg)
+            ws = _Workspace(cfg.dim)
             for x in (f, q * np.asarray(maps["a†"]), np.asarray(maps["H†"])):
                 for name, m in maps.items():
                     dense = np.asarray(m)
-                    _assert_equals_dense(x @ m, x @ dense, name)  # column gather
-                    _assert_equals_dense(m @ x, dense @ x, name)  # row placement
+                    _assert_equals_dense(ws.mul(x, m), x @ dense, name)  # column gather
+                    _assert_equals_dense(ws.mul(m, x), dense @ x, name)  # row placement
 
     @pytest.mark.parametrize("s", range(2, 17))
     def test_gather_below_the_crossover(self, s):
         # once F† is applied the gather gives the BLAS product bit for bit, so
         # an export by the plain F a F† is the operator set's field
         for cfg in _admissible_configs(s):
-            f = fourier(cfg)
+            f, ws = fourier(cfg), _Workspace(cfg.dim)
             for step, m in ((annihilation(cfg), _band(annihilation(cfg), 1)),
                             (creation(cfg), _band(creation(cfg), -1))):
-                assert _bit_equal(f @ m @ dag(f), f @ step @ dag(f)), cfg.k
+                assert _bit_equal(ws.mul(f, m) @ dag(f), f @ step @ dag(f)), cfg.k
 
     def test_small_dimension_is_the_dense_product(self):
         cfg = AlgebraConfig(46)
         f, a = fourier(cfg), annihilation(cfg)
-        assert np.array_equal(f @ _band(a, 1), f @ a)
+        assert np.array_equal(_Workspace(cfg.dim).mul(f, _band(a, 1)), f @ a)
 
     def test_two_nonzeros_in_a_column_go_to_dense(self):
         # the column read of a dense operand finds no map, so it is powered densely
@@ -361,7 +360,9 @@ class TestMulSparse:
         cfg = AlgebraConfig(63, k=3)
         f, m = fourier(cfg), _band(creation(cfg), -1)
         before = f.copy(), m.rows.copy(), m.weights.copy()
-        for _ in (f @ m, m @ f, m @ m, 2.0 * m, m - m, mat_pow(m, 5), np.asarray(m)):
+        ws = _Workspace(cfg.dim)
+        for _ in (ws.mul(f, m), ws.mul(m, f), ws.mul(m, m), ws.scale(2.0, m), ws.sub(m, m),
+                  mat_pow(m, 5), np.asarray(m)):
             pass
         assert _bit_equal(f, before[0])
         assert _bit_equal(m.rows, before[1]) and _bit_equal(m.weights, before[2])
@@ -386,19 +387,20 @@ class TestColumnMap:
         for cfg in _map_configs(s):
             maps = _column_maps(cfg)
             q = primitive_root(cfg)
+            ws = _Workspace(cfg.dim)
             for xn, x in maps.items():
                 dx = np.asarray(x)
                 assert x.shape == dx.shape == (cfg.dim, cfg.dim)
-                scaled = q * x
+                scaled = ws.scale(q, x)
                 assert isinstance(scaled, _ColumnMap)
                 assert np.array_equal(np.asarray(scaled), q * dx)
                 for yn, y in maps.items():
                     dy = np.asarray(y)
-                    product = x @ y
+                    product = ws.mul(x, y)
                     assert isinstance(product, _ColumnMap)
                     _assert_equals_dense(product, dx @ dy,
                                          xn if xn in _DIAGONALS else yn)
-                    difference = x - y
+                    difference = ws.sub(x, y)
                     if np.array_equal(x.rows, y.rows):
                         assert isinstance(difference, _ColumnMap)
                     assert np.array_equal(np.asarray(difference), dx - dy)
@@ -436,7 +438,7 @@ class TestColumnMap:
         # |s><0| with every empty column pointed at row s as well
         sink = _ColumnMap(np.full(d, s), np.asarray(_dyad(s, 0, d))[s])
         for m in (_dyad(s, 0, d), a2, sink):
-            assert np.array_equal(m @ x, np.asarray(m) @ x)
+            assert np.array_equal(_Workspace(d).mul(m, x), np.asarray(m) @ x)
 
     def test_weights_of_both_factors_in_their_places(self):
         # a random map with repeated rows and empty columns, against the dense @
@@ -447,8 +449,18 @@ class TestColumnMap:
                                np.where(rng.uniform(size=d) < 0.3, 0,
                                         rng.choice([1.5, -2.0, 0.5j, -1j], size=d)))
                     for _ in range(2))
-            assert np.array_equal(np.asarray(x @ y), np.asarray(x) @ np.asarray(y))
+            assert np.array_equal(np.asarray(_Workspace(d).mul(x, y)), np.asarray(x) @ np.asarray(y))
             assert max_abs_diff(x, y) == _dense_deviation(x, y)
+
+    def test_structures_have_no_arithmetic(self):
+        # every rule is the workspace's: numpy raises rather than form a map
+        # or take the dense route of a circulant
+        x = np.ones((4, 4), dtype=complex)
+        m, c = _dyad(1, 2, 4), _Circulant(np.arange(4) + 1j)
+        for case in (lambda: x @ m, lambda: m @ x, lambda: m @ m, lambda: 2.0 * m,
+                     lambda: m - m, lambda: x - m, lambda: x @ c):
+            with pytest.raises(TypeError):
+                case()
 
     def test_dense_form(self):
         m = _dyad(2, 0, 3)
@@ -502,7 +514,7 @@ class TestMaxAbsDiff:
                         want = _dense_deviation(x, dense)
                         _assert_same_float(max_abs_diff(x, m), want)
                         _assert_same_float(max_abs_diff(m, x), want)
-                    assert _bit_equal(a - m, a - dense)
+                    assert _bit_equal(_Workspace(n).sub(a, m), a - dense)
 
     @pytest.mark.parametrize("shape", [(40000,), (300, 3), (3, 300), (70, 30, 20)])
     def test_blocks_of_any_shape(self, monkeypatch, shape):
@@ -540,7 +552,7 @@ class TestMaxAbsDiff:
         rows = _band_rows(d, 1)
         for zero in (0, 0j.conjugate()):
             m = _ColumnMap(rows, np.full(d, 1 - 0j), zero)
-            assert _bit_equal(x - m, x - np.asarray(m)), zero
+            assert _bit_equal(_Workspace(d).sub(x, m), x - np.asarray(m)), zero
 
 
 class TestCirculant:
@@ -566,8 +578,7 @@ class TestCirculant:
         # every ndarray takes the dense route, bit for bit: a circulant's kept
         # matrix itself, a Toeplitz view of random entries, a transposed view,
         # a copy, views of the kept entries at another offset or at the same
-        # one, and a view of a slice of them.  Only the kept matrix leads back
-        # to its circulant
+        # one, and a view of a slice of them
         rng = np.random.default_rng(d)
         c, y = self._pair(rng, d)
         x = c.kept()
@@ -580,24 +591,21 @@ class TestCirculant:
         mutants = [x, _circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)),
                    x.T, x.copy(), np.array(x), view(x.base, d * step), view(x.base, (d - 1) * step),
                    view(x.base[:], (d - 1) * step), x[:], x.real.astype(complex)]
-        assert _structure_of(x) is c and _structure_of(y.kept()) is y
-        assert all(_structure_of(z) is None for z in mutants[1:])
         ws = _Workspace(d)
         for z in mutants:
             for a, b in ((z, y), (y, z), (z, z), (z, y.kept())):
-                dense = np.asarray(a) @ np.asarray(b)
-                for got in (_mul(a, b), ws.mul(a, b)):
-                    assert isinstance(got, np.ndarray) and _bit_equal(got, dense)
+                got = ws.mul(a, b)
+                assert isinstance(got, np.ndarray) and _bit_equal(got, np.asarray(a) @ np.asarray(b))
                 assert _same_float(max_abs_diff(a, b), _dense_deviation(a, b))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 129, 300])
     def test_product_is_a_circulant_of_one_matrix_vector_product(self, d):
         rng = np.random.default_rng(d)
         x, y = self._pair(rng, d)
-        for got in (_mul(x, y), _Workspace(d).mul(x, y)):
-            assert isinstance(got, _Circulant) and not got.kept().base.flags.writeable
-            assert _bit_equal(got.kept()[:, 0], x.kept() @ y.kept()[:, 0])
-            assert _bit_equal(got.kept(), _Circulant(got.kept()[:, 0].copy()).kept())
+        got = _Workspace(d).mul(x, y)
+        assert isinstance(got, _Circulant) and not got.kept().base.flags.writeable
+        assert _bit_equal(got.kept()[:, 0], x.kept() @ y.kept()[:, 0])
+        assert _bit_equal(got.kept(), _Circulant(got.kept()[:, 0].copy()).kept())
 
     @pytest.mark.parametrize("d", [1, 3, 129, 300])
     def test_deviation_is_the_dense_reduction(self, d):
@@ -653,30 +661,49 @@ class TestWorkspace:
         x = np.ones((128, 128), dtype=complex)
         assert ws.take() is None and _bit_equal(ws.mul(x, x), x @ x) and ws.buffers == []
 
-    @pytest.mark.parametrize("d", [129, 200, 257])
+    # at d <= 128 no buffer is taken, above it every dense result goes into one
+    @pytest.mark.parametrize("d", [5, 128, 129, 200, 257])
     def test_arithmetic_is_numpy_bit_for_bit(self, d):
+        # against numpy, and a product with a map against the same arithmetic
+        # with fresh arrays; a difference with a map against numpy's on the
+        # formed matrices, with the map on either side and two maps on the
+        # same or on different rows
         rng = np.random.default_rng(d)
         x, y = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
         c = _circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d))
         w = rng.normal(size=d) + 1j * rng.normal(size=d)
-        maps = [_diagonal(w), _ColumnMap(_band_rows(d, 1), w), _ColumnMap(rng.permutation(d), w),
+        maps = [_diagonal(w), _ColumnMap(_band_rows(d, 1), w), _ColumnMap(_band_rows(d, 1), w[::-1]),
+                _ColumnMap(rng.permutation(d), w),
                 _ColumnMap(rng.integers(0, d, size=d), w, 0j.conjugate()), _dyad(0, d - 1, d)]
         q = primitive_root(AlgebraConfig(d - 1, k=7))
-        ws = _Workspace(d)
+        ws, plain = _Workspace(d), _plain_workspace(d)
         for a, b in ((x, y), (x, dag(y)), (dag(x), x), (c, c), (x, c), (c, x)):
             assert _bit_equal(ws.mul(a, b), a @ b)
             assert _bit_equal(ws.sub(a, b), a - b)
         for m in maps:
+            dense = np.asarray(m)
             for a in (x, dag(x), c):
-                assert _bit_equal(ws.mul(m, a), m @ a)
-                assert _bit_equal(ws.mul(a, m), a @ m)
-                assert _bit_equal(ws.sub(a, m), a - m)
+                assert _bit_equal(ws.mul(m, a), plain.mul(m, a))
+                assert _bit_equal(ws.mul(a, m), plain.mul(a, m))
+                assert _bit_equal(ws.sub(a, m), a - dense)
+                assert _bit_equal(ws.sub(m, a), dense - a)
+                if d > 128:  # with the map on either side, into a buffer
+                    assert all(any(z is b for b in ws.buffers) for z in (ws.sub(a, m), ws.sub(m, a)))
+            for other in maps:
+                want = dense - np.asarray(other)
+                if np.array_equal(m.rows, other.rows):  # a map, its zeros unsigned
+                    assert isinstance(ws.sub(m, other), _ColumnMap)
+                    assert np.array_equal(np.asarray(ws.sub(m, other)), want)
+                else:
+                    assert _bit_equal(ws.sub(m, other), want)
             assert isinstance(ws.mul(m, m), _ColumnMap) and isinstance(ws.scale(q, m), _ColumnMap)
-            assert _bit_equal(np.asarray(ws.mul(m, m)), np.asarray(m @ m))
+            assert _bit_equal(np.asarray(ws.mul(m, m)), np.asarray(plain.mul(m, m)))
+            assert np.array_equal(np.asarray(ws.scale(q, m)), q * dense)
         for a in (x, dag(x), c):
             assert _bit_equal(ws.scale(q, a), q * a)
             assert _bit_equal(ws.dag(a), dag(a))
-        assert 0 < len(ws.buffers) <= 3  # every result above was dropped once compared
+        # every result above was dropped once compared
+        assert 0 < len(ws.buffers) <= 3 if d > 128 else ws.buffers == []
 
     def test_inputs_left_untouched(self):
         d = 150
@@ -689,6 +716,13 @@ class TestWorkspace:
                     ws.scale(2j, x), ws.dag(x)):
             assert all(out is not b and out.base is not b for b in (x, m.rows, m.weights))
         assert all(np.array_equal(a, b) for a, b in zip(before, (x, m.rows, m.weights)))
+
+
+def _plain_workspace(d):
+    # the workspace's arithmetic with fresh numpy arrays: it takes no buffer
+    ws = _Workspace(d)
+    ws.take = lambda: None
+    return ws
 
 
 def _deviation_cases(rng, n, rows):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qboson.cmatrix
 import qboson.verify
 from qboson import cli
 from qboson import (
@@ -28,10 +29,10 @@ from qboson import (
     run_all,
     sweep,
 )
-from qboson.algebra import _hermiticity_error
-from qboson.cmatrix import _Circulant, _ColumnMap, dag
+from qboson.algebra import OperatorSet, _hermiticity_error
+from qboson.cmatrix import _Circulant, _ColumnMap, _Workspace, dag
 from qboson.verify import (
-    _NUMPY,
+    _NAIVE,
     ORACLE_TOL,
     SHARPNESS_FLOOR,
     _catalog,
@@ -39,7 +40,6 @@ from qboson.verify import (
     _result,
     _shift_is_sharp,
     _step_chain_is_sharp,
-    _workspace_arithmetic,
 )
 
 
@@ -86,13 +86,18 @@ def test_power_below_index_has_unit_magnitude_at_s2():
     assert max_abs_diff(mat_pow(a, 2), np.zeros((3, 3))) == pytest.approx(1.0, abs=1e-12)
 
 
+def _mutant(ops, **changes):
+    # the set with these stored values changed and every other kept as it is
+    return OperatorSet(**{**vars(ops), **changes})
+
+
 def _with_step_weights(ops, weights_of):
     # the operator set with both step operators' band weights replaced; a's
     # column 0 and a†'s column s stay empty
     a, a_dag = vars(ops)["a"], vars(ops)["a_dag"]
     w = weights_of(a.weights[1:].copy())
-    return dataclasses.replace(ops, a=_ColumnMap(a.rows, np.concatenate(([0], w))),
-                               a_dag=_ColumnMap(a_dag.rows, np.concatenate((w, [0]))))
+    return _mutant(ops, a=_ColumnMap(a.rows, np.concatenate(([0], w))),
+                   a_dag=_ColumnMap(a_dag.rows, np.concatenate((w, [0]))))
 
 
 def _zero_at(index):
@@ -112,7 +117,7 @@ def test_sharpness_violation_reports_unit_deviation(monkeypatch):
             "all-zero a": _with_step_weights(ops, np.zeros_like),
             "chain broken before the index": _with_step_weights(ops, _zero_at(1)),
             "power vanishing too early": _with_step_weights(ops, lambda w: 1e-7 * w),
-            "a† alone broken": dataclasses.replace(ops, a_dag=0 * vars(ops)["a_dag"]),
+            "a† alone broken": _mutant(ops, a_dag=_Workspace(cfg.dim).scale(0, vars(ops)["a_dag"])),
         }
         if (s + 1) % 2 == 0:
             mutants["midpoint zero filled in"] = _with_step_weights(
@@ -135,28 +140,27 @@ _STRUCTURES = {
 
 
 def test_replace_keeps_the_monomials_as_column_maps(monkeypatch):
-    # dataclasses.replace reads every other field, the kept matrix of each of
-    # the fifteen structures (ten column maps, five circulants), and the new
-    # set stores that matrix as the same structure object again
+    # a mutant made from the stored values keeps every other value, the
+    # fifteen structures (ten column maps, five circulants) included, as the
+    # same object, and forms no monomial; dataclasses.replace, which reads
+    # every field as a matrix, gives a set whose every field reads the same
     cfg = AlgebraConfig(6)
     ops = build_operator_set(cfg)
-    for name in vars(ops):
-        getattr(ops, name)  # form every monomial first
     assert {name: type(value) for name, value in vars(ops).items()
             if isinstance(value, (_ColumnMap, _Circulant))} == _STRUCTURES
+    maps = [value for value in vars(ops).values() if isinstance(value, _ColumnMap)]
+    ws = _Workspace(cfg.dim)
     for name, kind in _STRUCTURES.items():
-        new = (0 * vars(ops)[name] if kind is _ColumnMap
+        new = (ws.scale(0, vars(ops)[name]) if kind is _ColumnMap
                else _Circulant(np.zeros(cfg.dim, dtype=complex)))
-        mutant = dataclasses.replace(ops, **{name: new})
+        mutant = _mutant(ops, **{name: new})
         assert vars(mutant)[name] is new
-        assert all(vars(mutant)[other] is vars(ops)[other]
-                   and getattr(mutant, other) is getattr(ops, other)
-                   for other in _STRUCTURES if other != name), name
-        # a matrix that is not a kept one, even a view of one, stays as given
-        kept = getattr(ops, name)
-        for view in (kept.T, kept.base.T, kept.copy()):
-            assert vars(dataclasses.replace(ops, **{name: view}))[name] is view, name
-    mutant = dataclasses.replace(ops, a_dag=0 * vars(ops)["a_dag"])
+        assert all(vars(mutant)[other] is vars(ops)[other] for other in vars(ops) if other != name)
+    assert all(m.dense is None for m in maps)
+    copy = dataclasses.replace(ops)
+    assert all(_bit_equal(getattr(copy, f.name), getattr(ops, f.name))
+               for f in dataclasses.fields(ops) if f.name != "config")
+    mutant = _mutant(ops, a_dag=ws.scale(0, vars(ops)["a_dag"]))
     monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _cfg: mutant)
     eq5 = {c.name: c for c in run_all(cfg).checks}["eq5_nilpotency"]
     assert not eq5.passed and eq5.deviation == 1.0
@@ -228,15 +232,22 @@ def test_non_finite_deviation_fails_with_a_finite_value(deviation):
     json.dumps(check.to_json_dict(), allow_nan=False)
 
 
+def test_both_arithmetics_have_the_same_operations():
+    # the catalog runs on either, so neither may gain or lose an operation
+    operations = {"mul", "sub", "scale", "dag", "pow", "eye", "zeros", "dyad"}
+    assert set(vars(_NAIVE)) == operations
+    assert {name for name in vars(_Workspace) if not name.startswith("_")} == operations | {"take"}
+
+
 def test_catalog_powers_go_through_the_module_binding(monkeypatch):
-    # a wrapper put on verify.mat_pow (as a tracer does) sees every power
+    # a wrapper put on cmatrix.mat_pow (as a tracer does) sees every power
     calls = []
 
     def counting(x, p):
         calls.append(p)
         return mat_pow(x, p)
 
-    monkeypatch.setattr(qboson.verify, "mat_pow", counting)
+    monkeypatch.setattr(qboson.cmatrix, "mat_pow", counting)
     run_all(AlgebraConfig(4))
     assert calls == [5] * 5
 
@@ -252,9 +263,11 @@ def test_diagonal_shortcuts_match_the_dense_products(s):
     # product of two circulants (eq19's squares) within the circulant
     # product's bound
     products = []
+    ar = _Workspace(s + 1)
+    mul = ar.mul
 
     def against_dense(x, y):
-        got = _NUMPY.mul(x, y)
+        got = mul(x, y)
         if isinstance(got, _Circulant):
             _assert_circulant_product_bound(got, x, y)
         else:
@@ -262,7 +275,7 @@ def test_diagonal_shortcuts_match_the_dense_products(s):
         products.append(not isinstance(x, _ColumnMap) and not isinstance(y, _ColumnMap))
         return got
 
-    ar = SimpleNamespace(**{**vars(_NUMPY), "mul": against_dense})
+    ar.mul = against_dense
     for k in range(1, s + 1):
         if math.gcd(k, s + 1) == 1:
             cfg = AlgebraConfig(s=s, k=k)
@@ -284,7 +297,7 @@ def test_monomial_checks_form_no_dense_matrix():
     # than one d x d complex matrix
     cfg = AlgebraConfig(512)
     d = cfg.dim
-    catalog = _catalog(_NUMPY, _closed_operators(build_operator_set(cfg)), cfg)
+    catalog = _catalog(_plain_workspace(d), _closed_operators(build_operator_set(cfg)), cfg)
     peaks = {}
     tracemalloc.start()
     try:
@@ -327,13 +340,13 @@ def test_catalog_reuses_six_buffers_at_s256():
     # comes back once its side is dropped: eq14 holds six at a time, eq19 four
     cfg = AlgebraConfig(256)
     ops = build_operator_set(cfg)
-    ar = _workspace_arithmetic(cfg.dim)
+    ar = _Workspace(cfg.dim)
     dense_sides = 0
     for _, pairs in _catalog(ar, _closed_operators(ops), cfg):
         dense_sides += sum(isinstance(x, np.ndarray) and all(x is not v for v in vars(ops).values())
                            for pair in pairs for x in pair)
         del pairs
-    assert len(ar.mul.__self__.buffers) == 6 < dense_sides
+    assert len(ar.buffers) == 6 < dense_sides
 
 
 def _assert_circulant_product_bound(got, x, y):
@@ -357,8 +370,8 @@ def test_circulant_products_match_the_dense_products(s):
         r_down, r_up = stored["sqrt_brace_hdag"], stored["sqrt_brace_hdag1"]
         for x, y in ((r_down, r_down), (r_up, r_up), (r_down, r_up), (stored["n_tilde"], r_up),
                      (stored["brace_hdag"], stored["brace_hdag1"])):
-            _assert_circulant_product_bound(_NUMPY.mul(x, y), x, y)
-            _assert_circulant_product_bound(_workspace_arithmetic(cfg.dim).mul(x, y), x, y)
+            _assert_circulant_product_bound(_plain_workspace(cfg.dim).mul(x, y), x, y)
+            _assert_circulant_product_bound(_Workspace(cfg.dim).mul(x, y), x, y)
 
 
 @pytest.mark.parametrize("s", [4, 256])
@@ -381,14 +394,9 @@ def test_dense_products_per_verification(monkeypatch, s):
         polar_decompose(cfg)
         per_op.append(sum(counted))
     assert per_op == [8, 6]
-    eq19 = dict(_catalog(_workspace_arithmetic(cfg.dim), _closed_operators(
+    eq19 = dict(_catalog(_Workspace(cfg.dim), _closed_operators(
         build_operator_set(cfg)), cfg))["eq19_polar"]
     assert all(isinstance(lhs, _Circulant) and isinstance(rhs, _Circulant) for lhs, rhs in eq19[4:])
-
-
-def test_small_dimensions_use_numpy_arithmetic():
-    assert _workspace_arithmetic(129) is not _NUMPY
-    assert _workspace_arithmetic(128) is _NUMPY
 
 
 def test_a_side_held_past_its_check_keeps_its_values():
@@ -396,19 +404,26 @@ def test_a_side_held_past_its_check_keeps_its_values():
     # dropped ones' buffers are reused, the kept ones are never written again
     cfg = AlgebraConfig(128, k=2)
     ops = build_operator_set(cfg)
-    plain = dict(_catalog(_NUMPY, _closed_operators(ops), cfg))
-    ar = _workspace_arithmetic(cfg.dim)
+    plain = dict(_catalog(_plain_workspace(cfg.dim), _closed_operators(ops), cfg))
+    ar = _Workspace(cfg.dim)
     kept = {}
     for i, (name, pairs) in enumerate(_catalog(ar, _closed_operators(ops), cfg)):
         if i % 2:
             kept[name] = pairs
         del pairs
-    assert len(ar.mul.__self__.buffers) < sum(
+    assert len(ar.buffers) < sum(
         isinstance(x, np.ndarray) for pairs in plain.values() for pair in pairs for x in pair)
     assert kept and all(np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True)
                         for name, pairs in kept.items()
                         for pair, want in zip(pairs, plain[name], strict=True)
                         for x, y in zip(pair, want))
+
+
+def _plain_workspace(d):
+    # the workspace's arithmetic with fresh numpy arrays: it takes no buffer
+    ws = _Workspace(d)
+    ws.take = lambda: None
+    return ws
 
 
 def _plain_deviation(a, b):
@@ -447,7 +462,7 @@ def test_outputs_equal_plain_numpy_arithmetic(monkeypatch, s):
         report, pd = run_all(cfg), polar_decompose(cfg)
         ops = build_operator_set(cfg)
         with monkeypatch.context() as plain:
-            plain.setattr(qboson.verify, "_workspace_arithmetic", lambda _dim: _NUMPY)
+            plain.setattr(_Workspace, "take", lambda _ws: None)
             plain.setattr(qboson.verify, "max_abs_diff", _plain_deviation)
             assert run_all(cfg) == report, cfg.k
         errors, unitary, hermiticity = _plain_polar(ops)
@@ -562,14 +577,14 @@ def test_errors_recorded_for_another_configuration_are_not_read(s):
 
 @pytest.mark.parametrize("s", [4, 64, 256])
 def test_errors_recorded_for_a_set_are_not_read_for_its_replace_mutant(monkeypatch, s):
-    # a dataclasses.replace copy with a perturbed a_tilde is another set
+    # a copy with a perturbed a_tilde is another set
     # object: its errors are computed, and they show the perturbation
     cfg = AlgebraConfig(s, k=-1)
     run_all(cfg)
     ops = build_operator_set(cfg)
     a_tilde = ops.a_tilde.copy()
     a_tilde[1, 2] += 1e-3
-    mutant = dataclasses.replace(ops, a_tilde=a_tilde)
+    mutant = _mutant(ops, a_tilde=a_tilde)
     monkeypatch.setattr(qboson.algebra, "build_operator_set", lambda _cfg: mutant)
     pd = polar_decompose(cfg)
     _assert_plain_factor_errors(pd, mutant)
@@ -583,7 +598,7 @@ def test_shift_sharpness_passes_the_bare_shift_and_flags_a_unitary_one(s):
     bare = _closed_operators(build_operator_set(cfg))
     unitary = SimpleNamespace(**{**vars(bare), "h": bare.big_h, "h_dag": bare.big_h_dag})
     for shift_set, sharp in ((bare, True), (unitary, False)):
-        pairs = dict(_catalog(_NUMPY, shift_set, cfg))["eq10_partial_isometry"]
+        pairs = dict(_catalog(_Workspace(cfg.dim), shift_set, cfg))["eq10_partial_isometry"]
         assert _shift_is_sharp(pairs, cfg.tol * cfg.dim) == sharp
 
 
