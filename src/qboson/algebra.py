@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (_band_rows, _Circulant, _ColumnMap, _diagonal, _frozen, _Structure,
-                      _Workspace, dag, dyad, max_abs_diff)
+from .cmatrix import (_band_rows, _Circulant, _CLOSED, _ColumnMap, _diagonal, _frozen, dag,
+                      dyad, max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -314,17 +314,16 @@ def _record_factor_errors(ops: OperatorSet, deviations: list[float]) -> None:
 
 
 def _factor_errors(ops: OperatorSet) -> list[float]:
-    # the clock is diagonal, so its four products are broadcast, each into the
-    # buffer the last one left; its diagonal is the weights of the set's map
+    # the clock is diagonal, so its four products are broadcasts; its
+    # diagonal is the weights of the set's map
     z = vars(ops)["g"].weights
     z_inv = z.conj()
     r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
-    take = _Workspace(len(z)).take
     return [
-        max_abs_diff(ops.a_tilde, np.multiply(z_inv[:, None], r_down, out=take())),
-        max_abs_diff(ops.a_tilde, np.multiply(r_up, z_inv, out=take())),
-        max_abs_diff(ops.a_tilde_dag, np.multiply(r_down, z, out=take())),
-        max_abs_diff(ops.a_tilde_dag, np.multiply(z[:, None], r_up, out=take())),
+        max_abs_diff(ops.a_tilde, z_inv[:, None] * r_down),
+        max_abs_diff(ops.a_tilde, r_up * z_inv),
+        max_abs_diff(ops.a_tilde_dag, r_down * z),
+        max_abs_diff(ops.a_tilde_dag, z[:, None] * r_up),
     ]
 
 
@@ -336,11 +335,14 @@ def _hermiticity_error(lags: np.ndarray) -> float:
 
 
 class _StructureField:
-    """An ``OperatorSet`` field stored as given and read as a matrix.
+    """An ``OperatorSet`` field that stores a structure and reads as a matrix.
 
-    A read returns the kept matrix of the structure ``vars(ops)`` holds, or
-    the array stored there.
+    A read returns the kept matrix of the structure ``vars(ops)`` holds.  A
+    value of any other type, a formed matrix included, is a ``TypeError``.
     """
+
+    def __init__(self, kind: type) -> None:
+        self.kind = kind
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -348,10 +350,13 @@ class _StructureField:
     def __get__(self, ops, owner=None):
         if ops is None:
             raise AttributeError(self.name)  # so the dataclass field has no default
-        value = vars(ops)[self.name]
-        return value.kept() if isinstance(value, _Structure) else value
+        return vars(ops)[self.name].kept()
 
     def __set__(self, ops, value) -> None:
+        if not isinstance(value, self.kind):
+            raise TypeError(
+                f"OperatorSet.{self.name} stores a {self.kind.__name__}, got "
+                f"{type(value).__name__}; copy a set as OperatorSet(**{{**vars(ops), **changes}})")
         vars(ops)[self.name] = value
 
 
@@ -366,28 +371,29 @@ class OperatorSet:
     2(s+1) entries.  So ``fourier``, ``a_tilde`` and ``a_tilde_dag`` are the
     only dense d x d fields.  A copy with some fields changed is made from
     the stored values, ``OperatorSet(**{**vars(ops), **changes})``, which
-    keeps every other structure as it is.
+    keeps every other structure as it is; a structured field given a matrix,
+    as ``dataclasses.replace`` gives it, is a ``TypeError``.
     """
 
     config: AlgebraConfig
-    a: np.ndarray = _StructureField()
-    a_dag: np.ndarray = _StructureField()
-    n_op: np.ndarray = _StructureField()
-    g: np.ndarray = _StructureField()
-    h: np.ndarray = _StructureField()
-    h_dag: np.ndarray = _StructureField()
-    brace_g: np.ndarray = _StructureField()
-    brace_g1: np.ndarray = _StructureField()
+    a: np.ndarray = _StructureField(_ColumnMap)
+    a_dag: np.ndarray = _StructureField(_ColumnMap)
+    n_op: np.ndarray = _StructureField(_ColumnMap)
+    g: np.ndarray = _StructureField(_ColumnMap)
+    h: np.ndarray = _StructureField(_ColumnMap)
+    h_dag: np.ndarray = _StructureField(_ColumnMap)
+    brace_g: np.ndarray = _StructureField(_ColumnMap)
+    brace_g1: np.ndarray = _StructureField(_ColumnMap)
     fourier: np.ndarray
-    big_h: np.ndarray = _StructureField()
-    big_h_dag: np.ndarray = _StructureField()
+    big_h: np.ndarray = _StructureField(_ColumnMap)
+    big_h_dag: np.ndarray = _StructureField(_ColumnMap)
     a_tilde: np.ndarray
     a_tilde_dag: np.ndarray
-    n_tilde: np.ndarray = _StructureField()
-    brace_hdag: np.ndarray = _StructureField()
-    brace_hdag1: np.ndarray = _StructureField()
-    sqrt_brace_hdag: np.ndarray = _StructureField()
-    sqrt_brace_hdag1: np.ndarray = _StructureField()
+    n_tilde: np.ndarray = _StructureField(_Circulant)
+    brace_hdag: np.ndarray = _StructureField(_Circulant)
+    brace_hdag1: np.ndarray = _StructureField(_Circulant)
+    sqrt_brace_hdag: np.ndarray = _StructureField(_Circulant)
+    sqrt_brace_hdag1: np.ndarray = _StructureField(_Circulant)
 
 
 # The last set build_operator_set returned; a set for another configuration
@@ -437,9 +443,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     f = fourier(cfg)
     lags = _band_quotients(cfg, big_h_dag)
     _check_braces(cfg, lags, (_rotated_lags(f, brackets[:-1]), _rotated_lags(f, brackets[1:])))
-    ws = _Workspace(d)  # F†, the gathers F a, F a†, and ã, ã†, which the set copies
-    fdag = ws.dag(f)
-    f = _frozen(f)  # the built matrix goes, so that a buffer can take its memory
+    fdag, mul = dag(f), _CLOSED.mul
+    f = _frozen(f)
     n = _frozen(np.arange(d, dtype=complex))
     return OperatorSet(
         config=cfg,
@@ -456,8 +461,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         big_h_dag=big_h_dag,
         # rotated, not formed as clock times circulant: that is eq19's
         # right side, and the check would become a tautology
-        a_tilde=_frozen(ws.mul(ws.mul(f, a), fdag)),
-        a_tilde_dag=_frozen(ws.mul(ws.mul(f, a_dag), fdag)),
+        a_tilde=_frozen(mul(mul(f, a), fdag)),
+        a_tilde_dag=_frozen(mul(mul(f, a_dag), fdag)),
         n_tilde=_rotate_diagonal(f, n),
         brace_hdag=_Circulant(lags[0]),
         brace_hdag1=_Circulant(lags[1]),

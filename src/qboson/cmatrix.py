@@ -10,9 +10,9 @@ gather, and a difference or a deviation reads the dense matrix and the map's
 d entries, never a d x d form of the map.  A ``_Circulant`` holds its 2d - 1
 distinct entries: the product of two circulants is the circulant of one
 matrix-vector product, in O(d^2), and their deviation is reduced over those
-entries, in O(d).  ``_Workspace`` is the one numpy arithmetic that combines
-them, and it writes one call's dense results into d x d buffers that it
-reuses; ``mat_pow`` and ``max_abs_diff`` pick their routes by type.
+entries, in O(d).  ``_CLOSED`` is the one numpy arithmetic that combines
+them, and numpy allocates each of its dense results; ``mat_pow`` and
+``max_abs_diff`` pick their routes by type.
 """
 
 from __future__ import annotations
@@ -20,21 +20,16 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import sys
+from types import SimpleNamespace
 
 import numpy as np
-
-# max_abs_diff reduces a matrix larger than this many entries in blocks of
-# rows, so its temporaries are two blocks, not two whole matrices; a
-# _Workspace reuses buffers only for matrices larger than this
-_BLOCK_ENTRIES = 1 << 14
 
 
 class _Structure:
     """A d x d matrix held in a compact format: a column map or a circulant.
 
     ``np.asarray`` reads the matrix, and ``kept()`` returns it read-only.  A
-    structure has no arithmetic: ``_Workspace`` holds every rule that
+    structure has no arithmetic: ``_CLOSED`` holds every rule that
     combines it, and numpy raises ``TypeError`` on ``@``, ``-`` or ``*`` of a
     structure rather than take a dense route.
     """
@@ -86,29 +81,24 @@ class _ColumnMap(_Structure):
         dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
         return dense
 
-    # the dense results against a dense matrix, written into out unless it is None
-    def _placed(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # self @ other, a row placement: row rows[j] of the product is w[j] other[j]
-        if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps rows
-            return np.multiply(self.weights[:, None], other, out=out)
-        if np.bincount(self.rows, minlength=1).max() > 1:  # two columns share a row
-            return np.matmul(np.asarray(self), other, out=out)
-        source = np.argsort(self.rows)  # row i of the product is w[j] other[j], rows[j] = i
-        out = np.take(other, source, axis=0, out=out, mode="clip")
-        return np.multiply(self.weights[source, None], out, out=out)
+    # the dense results against a dense matrix
+    def _placed(self, other: np.ndarray) -> np.ndarray:
+        # self @ other: a diagonal scales other's rows; any other map is formed
+        if self.rows is _band_rows(self.rows.size, 0):
+            return self.weights[:, None] * other
+        return np.matmul(np.asarray(self), other)
 
-    def _gathered(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # other @ self
-        if self.rows is _band_rows(self.rows.size, 0):  # a diagonal keeps every column in place
-            return np.multiply(other, self.weights, out=out)
-        # column gather: column j is other's column rows[j]
-        out = np.take(other, self.rows, axis=1, out=out, mode="clip")
-        return np.multiply(out, self.weights, out=out)
+    def _gathered(self, other: np.ndarray) -> np.ndarray:
+        # other @ self: a diagonal scales other's columns; any other map
+        # gathers them, column j being other's column rows[j]
+        if self.rows is _band_rows(self.rows.size, 0):
+            return other * self.weights
+        return other[:, self.rows] * self.weights
 
-    def _subtracted_from(self, other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _subtracted_from(self, other: np.ndarray) -> np.ndarray:
         # other - zero off the map, as against the formed matrix; on it, the d
         # entries other[rows[j], j] - weights[j]
-        out = np.subtract(other, self.zero, out=out, dtype=np.result_type(other, self.weights))
+        out = np.subtract(other, self.zero, dtype=np.result_type(other, self.weights))
         cols = _band_rows(self.rows.size, 0)
         out[self.rows, cols] = other[self.rows, cols] - self.weights
         return out
@@ -132,95 +122,43 @@ class _Circulant(_Structure):
         self.dense = self._keep(entries, column.dtype, (d - 1) * step, (-step, step))
 
 
-def _refcounts(arrays: list) -> list[int]:
-    # every count is read through this one function, so the references that
-    # the reading itself adds are the same for _UNHELD and for take()
-    return [sys.getrefcount(x) for x in arrays]
+def _closed_mul(x, y):
+    """x @ y.  A map times a map is a map; a dense matrix times a map is a
+    column gather, and a diagonal times a dense matrix scales its rows.  Two
+    circulants give the circulant whose column 0 is x times y's column 0,
+    one matrix-vector product in place of a d^3 one, which agrees with ``@``
+    within rounding, not bit for bit.  A circulant against anything else is
+    its kept matrix."""
+    if isinstance(x, _Circulant):
+        if isinstance(y, _Circulant):
+            return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
+        x = x.dense
+    elif isinstance(y, _Circulant):
+        y = y.dense
+    if isinstance(x, _ColumnMap):
+        if isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
+            return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights)
+        return x._placed(y)
+    if isinstance(y, _ColumnMap):
+        return y._gathered(x)
+    return np.matmul(x, y)
 
 
-# the count _refcounts reads for an array that only its list holds
-_UNHELD = _refcounts([np.empty(0)])[0]
+def _closed_sub(x, y):
+    """x - y; two maps on the same rows give a map."""
+    if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):
+        if not np.count_nonzero(x.rows != y.rows):
+            return _ColumnMap(x.rows, x.weights - y.weights)
+    elif isinstance(y, _ColumnMap):
+        return y._subtracted_from(x)
+    return np.subtract(np.asarray(x), np.asarray(y))
 
 
-class _Workspace:
-    """The catalog's numpy arithmetic, with one call's d x d complex buffers.
-
-    It has the naive arithmetic's eight operations and every rule for the
-    structures; any other result is numpy's ``@``, ``-``, ``*`` or ``dag``
-    bit for bit, and goes into the buffer ``take`` returns: one that nothing
-    outside the workspace references, or a new one, so a side that a caller
-    still holds, or a view of it, is never overwritten.  At or below
-    ``_BLOCK_ENTRIES`` entries ``take`` returns None, and numpy allocates
-    each result as usual.  Each call makes its own workspace.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self.shape = (dim, dim)
-        self.reused = dim * dim > _BLOCK_ENTRIES
-        self.buffers: list[np.ndarray] = []
-
-    def take(self) -> np.ndarray | None:
-        if not self.reused:
-            return None
-        for buffer, refs in zip(self.buffers, _refcounts(self.buffers)):
-            if refs == _UNHELD:
-                return buffer
-        self.buffers.append(np.empty(self.shape, dtype=complex))
-        return self.buffers[-1]
-
-    def mul(self, x, y):
-        """x @ y.  A map times a map is a map; a product with one map is a
-        gather or a row placement.  Two circulants give the circulant whose
-        column 0 is x times y's column 0, one matrix-vector product in place of
-        a d^3 one, which agrees with ``@`` within rounding, not bit for bit.  A
-        circulant against anything else is its kept matrix."""
-        if isinstance(x, _Circulant):
-            if isinstance(y, _Circulant):
-                return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
-            x = x.dense
-        elif isinstance(y, _Circulant):
-            y = y.dense
-        if isinstance(x, _ColumnMap):
-            if isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
-                return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights)
-            return x._placed(y, self.take())
-        if isinstance(y, _ColumnMap):
-            return y._gathered(x, self.take())
-        return np.matmul(x, y, out=self.take())
-
-    def sub(self, x, y):
-        """x - y; two maps on the same rows give a map."""
-        if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):
-            if not np.count_nonzero(x.rows != y.rows):
-                return _ColumnMap(x.rows, x.weights - y.weights)
-        elif isinstance(y, _ColumnMap):
-            return y._subtracted_from(x, self.take())
-        return np.subtract(np.asarray(x), np.asarray(y), out=self.take())
-
-    def scale(self, alpha, x):
-        """alpha * x; a scaled map is a map."""
-        if isinstance(x, _ColumnMap):
-            return _ColumnMap(x.rows, alpha * x.weights)
-        return np.multiply(alpha, x, out=self.take())
-
-    def dag(self, x: np.ndarray) -> np.ndarray:
-        return np.conjugate(x, out=self.take()).T
-
-    @staticmethod
-    def pow(x, p: int):
-        return mat_pow(x, p)  # looked up when called, so a wrapper put on it sees every power
-
-    @staticmethod
-    def eye(dim: int) -> _ColumnMap:
-        return _diagonal(np.ones(dim, dtype=complex))
-
-    @staticmethod
-    def zeros(dim: int) -> _ColumnMap:
-        return _diagonal(np.zeros(dim, dtype=complex))
-
-    @staticmethod
-    def dyad(m: int, n: int, dim: int) -> _ColumnMap:
-        return _dyad(m, n, dim)
+def _closed_scale(alpha, x):
+    """alpha * x; a scaled map is a map."""
+    if isinstance(x, _ColumnMap):
+        return _ColumnMap(x.rows, alpha * x.weights)
+    return np.multiply(alpha, x)
 
 
 @functools.lru_cache(maxsize=16)
@@ -254,6 +192,18 @@ def identity(dim: int) -> np.ndarray:
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
+
+
+# The catalog's numpy arithmetic: the naive arithmetic's eight operations,
+# with every rule for the structures; any other result is numpy's ``@``,
+# ``-``, ``*`` or ``dag`` bit for bit
+_CLOSED = SimpleNamespace(
+    mul=_closed_mul, sub=_closed_sub, scale=_closed_scale, dag=dag,
+    pow=lambda x, p: mat_pow(x, p),  # looked up when called, so a wrapper put on it sees every power
+    eye=lambda dim: _diagonal(np.ones(dim, dtype=complex)),
+    zeros=lambda dim: _diagonal(np.zeros(dim, dtype=complex)),
+    dyad=_dyad,
+)
 
 
 def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
@@ -336,44 +286,20 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         b = b.dense
     if isinstance(b, _ColumnMap):
         return _map_deviation(a, b)
-    if a.size <= _BLOCK_ENTRIES:
-        return float(np.abs(a - b).max())
-    blocks = _row_blocks(a)
-    diff = np.empty((blocks[0][1], *a.shape[1:]), dtype=np.result_type(a, b))
-    size = np.empty(diff.shape, dtype=diff.real.dtype)
-    peaks = [np.abs(np.subtract(a[i:j], b[i:j], out=diff[:j - i]), out=size[:j - i]).max()
-             for i, j in blocks]
-    return float(np.max(peaks))  # np.max keeps a nan block maximum; max() would drop it
+    return float(np.abs(a - b).max())
 
 
 def _map_deviation(x: np.ndarray, m: _ColumnMap) -> float:
     # |x - m|: |x - weights[j]| at the map's entry (rows[j], j), and |x - zero|,
     # which is |x|, everywhere else
     cols = _band_rows(len(x), 0)
-    if x.size <= _BLOCK_ENTRIES:
-        if m.rows is cols:  # a diagonal map: x's diagonal, read and written as a view
-            size = np.abs(x, order="C")
-            np.abs(x.diagonal() - m.weights, out=size.reshape(-1)[::len(x) + 1])
-        else:
-            size = np.abs(x)
-            size[m.rows, cols] = np.abs(x[m.rows, cols] - m.weights)
-        return float(np.maximum.reduce(size, axis=None))
-    on_map = np.abs(x[m.rows, cols] - m.weights)
-    blocks = _row_blocks(x)
-    size = np.empty((blocks[0][1], len(x)), dtype=on_map.dtype)
-    peaks = []
-    for i, j in blocks:
-        block = np.abs(x[i:j], out=size[:j - i])
-        here = np.flatnonzero((m.rows >= i) & (m.rows < j))
-        block[m.rows[here] - i, here] = on_map[here]
-        peaks.append(block.max())
-    return float(np.max(peaks))
-
-
-def _row_blocks(x: np.ndarray) -> list[tuple[int, int]]:
-    # row ranges of x of at most _BLOCK_ENTRIES entries each, one row at least
-    rows = max(1, _BLOCK_ENTRIES // (x.size // len(x)))
-    return [(i, min(i + rows, len(x))) for i in range(0, len(x), rows)]
+    if m.rows is cols:  # a diagonal map: x's diagonal, read and written as a view
+        size = np.abs(x, order="C")
+        np.abs(x.diagonal() - m.weights, out=size.reshape(-1)[::len(x) + 1])
+    else:
+        size = np.abs(x)
+        size[m.rows, cols] = np.abs(x[m.rows, cols] - m.weights)
+    return float(np.maximum.reduce(size, axis=None))
 
 
 def is_unitary(a: np.ndarray, tol: float) -> bool:

@@ -2,7 +2,7 @@
 
 The 14-check catalog is written once, in ``_catalog``, over a small
 arithmetic interface, and runs in two independent arithmetics.  ``run_all``
-evaluates it in ``cmatrix._Workspace``, the numpy arithmetic, on the
+evaluates it in ``cmatrix._CLOSED``, the numpy arithmetic, on the
 closed-form operator set for one configuration, and ``sweep`` repeats that
 over a range of cutoffs.
 ``brute_force_oracle`` also evaluates it with a deliberately naive
@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, _record_factor_errors, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import _diagonal, _Workspace, max_abs_diff
+from .cmatrix import _CLOSED, _diagonal, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -111,13 +111,13 @@ class VerificationReport:
         }
 
 
-def _catalog(ar: _Workspace | SimpleNamespace, x: SimpleNamespace,
+def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
              cfg: AlgebraConfig) -> Iterator[tuple[str, list[tuple]]]:
     """Yield ``(name, pairs)`` for every catalog check, in ``CHECK_NAMES`` order.
 
     ``pairs`` holds the check's (lhs, rhs) sides.  Written once over an
     arithmetic ``ar`` (mul, sub, scale, dag, pow, eye, zeros, dyad) and one
-    route's operators ``x``: a ``_Workspace`` with ``_closed_operators`` for
+    route's operators ``x``: ``_CLOSED`` with ``_closed_operators`` for
     the closed-form route, ``_NAIVE`` with ``_naive_operators`` for the naive
     one.  There, as the set stores them, the monomials, the identity, the
     zero and the dyads are column maps, so a check of them alone costs O(d),
@@ -178,7 +178,7 @@ def _catalog(ar: _Workspace | SimpleNamespace, x: SimpleNamespace,
     ]
     f_ginv_fdag = mul(mul(f, x.g_inv), fdag)
     h_dag_side = sub(mul(mul(f, x.g), fdag), ar.dyad(s, 0, d))
-    del fdag  # so that the other difference can take its buffer
+    del fdag  # every side is dropped after its last use
     yield "eq14_h_via_f", [
         (x.h, sub(f_ginv_fdag, ar.dyad(0, s, d))),
         (x.h_dag, h_dag_side),
@@ -237,7 +237,7 @@ def _step_chain_is_sharp(ops: OperatorSet) -> bool:
 def _shift_is_sharp(eq10_pairs: list[tuple], threshold: float) -> bool:
     # the eq10 left sides are h h† and h† h; the bare shift is visibly
     # non-unitary when either one misses the identity by more than threshold
-    eye = _Workspace.eye(eq10_pairs[0][0].shape[0])
+    eye = _CLOSED.eye(eq10_pairs[0][0].shape[0])
     return any(max_abs_diff(lhs, eye) > threshold for lhs, _ in eq10_pairs)
 
 
@@ -252,15 +252,12 @@ def run_all(cfg: AlgebraConfig) -> VerificationReport:
     violation reports deviation ``1.0``.  A non-finite deviation fails its
     check and is reported as the largest finite float, so every report
     serializes as strict JSON.  Each check is reduced as the catalog forms
-    it, and its sides are dropped before the next check is formed; above
-    ``_BLOCK_ENTRIES`` entries the dense sides are written into buffers of
-    this call's own workspace, which a later check reuses once they are
-    dropped.
+    it, and its sides are dropped before the next check is formed.
     """
     ops = build_operator_set(cfg)
     threshold = cfg.tol * cfg.dim
     checks = []
-    for name, pairs in _catalog(_Workspace(cfg.dim), _closed_operators(ops), cfg):
+    for name, pairs in _catalog(_CLOSED, _closed_operators(ops), cfg):
         deviations = [max_abs_diff(lhs, rhs) for lhs, rhs in pairs]
         deviation = max(deviations)
         if name == "eq19_polar":  # the four clock pairs', which polar_decompose reads
@@ -466,7 +463,7 @@ def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:
     for name in _ORACLE_OPERATORS:
         dev = max_abs_diff(stored[name], np.array(getattr(naive_ops, name)))
         results.append(_result(f"op_{name}", dev, ORACLE_TOL))
-    routes = zip(_catalog(_Workspace(cfg.dim), _closed_operators(ops), cfg),
+    routes = zip(_catalog(_CLOSED, _closed_operators(ops), cfg),
                  _catalog(_NAIVE, naive_ops, cfg), strict=True)
     for (name, closed), (_, naive) in routes:
         dev = 0.0

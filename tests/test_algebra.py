@@ -38,7 +38,7 @@ from qboson import (
     sqrt_q_number_matrix,
 )
 from qboson.algebra import _rotate_diagonal
-from qboson.cmatrix import _Circulant, _ColumnMap, _Workspace
+from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -431,7 +431,7 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
         pd = polar_decompose(cfg)
         assert _bit_equal(pd.radial, ops.sqrt_brace_hdag), cfg.k
         assert _bit_equal(pd.unitary, dag(ops.g)), cfg.k
-        catalog = verify._catalog(_Workspace(cfg.dim), verify._closed_operators(ops), cfg)
+        catalog = verify._catalog(_CLOSED, verify._closed_operators(ops), cfg)
         eq19 = dict(catalog)["eq19_polar"]
         assert list(pd.factor_errors.values()) == [max_abs_diff(lhs, rhs) for lhs, rhs in eq19[:4]]
 
@@ -439,7 +439,7 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
 def _count_constructions(monkeypatch, cfg, *builds):
     # calls of the phase-basis builders during build(cfg) for each of builds
     # in turn, and how many times dag is taken of a matrix that fourier
-    # returned, by algebra.dag or by a workspace
+    # returned, by algebra.dag or by the closed-form arithmetic
     counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "dag_of_f": 0}
     built = []
 
@@ -455,13 +455,13 @@ def _count_constructions(monkeypatch, cfg, *builds):
     for name in ("fourier", "_q_tables", "cyclic_shift"):
         monkeypatch.setattr(algebra, name, counted(name, getattr(algebra, name)))
     def dag_counted(dag):
-        def wrapper(*args):  # (a) or (workspace, a)
-            counts["dag_of_f"] += any(args[-1] is f for f in built)
-            return dag(*args)
+        def wrapper(a):
+            counts["dag_of_f"] += any(a is f for f in built)
+            return dag(a)
         return wrapper
 
     monkeypatch.setattr(algebra, "dag", dag_counted(algebra.dag))
-    monkeypatch.setattr(_Workspace, "dag", dag_counted(_Workspace.dag))
+    monkeypatch.setattr(_CLOSED, "dag", dag_counted(_CLOSED.dag))
     for build in builds:
         build(cfg)
     return counts
@@ -731,7 +731,7 @@ def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
     calls = []
     gather = _ColumnMap._gathered
     monkeypatch.setattr(_ColumnMap, "_gathered",
-                        lambda m, other, out=None: calls.append(m) or gather(m, other, out))
+                        lambda m, other: calls.append(m) or gather(m, other))
     cfg = AlgebraConfig(64)
     phase_brace_roots(cfg)
     assert len(calls) == 0

@@ -65,11 +65,11 @@ def test_the_flop_counter_reads_what_run_all_powers(monkeypatch):
 def test_the_bindings_the_tracer_wraps_are_the_package_functions():
     # the tracer replaces a function in every namespace that holds it, so the
     # catalog's powers and deviations are seen only through these bindings:
-    # the workspace looks mat_pow up in cmatrix when it takes a power
+    # the closed-form arithmetic looks mat_pow up in cmatrix when it takes a power
     import qboson.algebra
     import qboson.cmatrix
     import qboson.verify
-    assert qboson.cmatrix._Workspace.pow.__globals__ is vars(qboson.cmatrix)
+    assert qboson.cmatrix._CLOSED.pow.__globals__ is vars(qboson.cmatrix)
     assert qboson.mat_pow is qboson.cmatrix.mat_pow
     assert qboson.verify.max_abs_diff is qboson.cmatrix.max_abs_diff
     assert qboson.algebra.max_abs_diff is qboson.cmatrix.max_abs_diff

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qboson import cmatrix
 from qboson.algebra import (
     annihilation,
     clock,
@@ -23,10 +22,10 @@ from qboson.algebra import (
 from qboson.cmatrix import (
     _band_rows,
     _Circulant,
+    _CLOSED,
     _ColumnMap,
     _diagonal,
     _dyad,
-    _Workspace,
     dag,
     dyad,
     identity,
@@ -326,27 +325,26 @@ class TestMulSparse:
             f = fourier(cfg)
             q = primitive_root(cfg)
             maps = _column_maps(cfg)
-            ws = _Workspace(cfg.dim)
             for x in (f, q * np.asarray(maps["a†"]), np.asarray(maps["H†"])):
                 for name, m in maps.items():
                     dense = np.asarray(m)
-                    _assert_equals_dense(ws.mul(x, m), x @ dense, name)  # column gather
-                    _assert_equals_dense(ws.mul(m, x), dense @ x, name)  # row placement
+                    _assert_equals_dense(_CLOSED.mul(x, m), x @ dense, name)  # column gather
+                    _assert_equals_dense(_CLOSED.mul(m, x), dense @ x, name)  # row scaling or dense
 
     @pytest.mark.parametrize("s", range(2, 17))
     def test_gather_below_the_crossover(self, s):
         # once F† is applied the gather gives the BLAS product bit for bit, so
         # an export by the plain F a F† is the operator set's field
         for cfg in _admissible_configs(s):
-            f, ws = fourier(cfg), _Workspace(cfg.dim)
+            f = fourier(cfg)
             for step, m in ((annihilation(cfg), _band(annihilation(cfg), 1)),
                             (creation(cfg), _band(creation(cfg), -1))):
-                assert _bit_equal(ws.mul(f, m) @ dag(f), f @ step @ dag(f)), cfg.k
+                assert _bit_equal(_CLOSED.mul(f, m) @ dag(f), f @ step @ dag(f)), cfg.k
 
     def test_small_dimension_is_the_dense_product(self):
         cfg = AlgebraConfig(46)
         f, a = fourier(cfg), annihilation(cfg)
-        assert np.array_equal(_Workspace(cfg.dim).mul(f, _band(a, 1)), f @ a)
+        assert np.array_equal(_CLOSED.mul(f, _band(a, 1)), f @ a)
 
     def test_two_nonzeros_in_a_column_go_to_dense(self):
         # the column read of a dense operand finds no map, so it is powered densely
@@ -360,8 +358,8 @@ class TestMulSparse:
         cfg = AlgebraConfig(63, k=3)
         f, m = fourier(cfg), _band(creation(cfg), -1)
         before = f.copy(), m.rows.copy(), m.weights.copy()
-        ws = _Workspace(cfg.dim)
-        for _ in (ws.mul(f, m), ws.mul(m, f), ws.mul(m, m), ws.scale(2.0, m), ws.sub(m, m),
+        ar = _CLOSED
+        for _ in (ar.mul(f, m), ar.mul(m, f), ar.mul(m, m), ar.scale(2.0, m), ar.sub(m, m),
                   mat_pow(m, 5), np.asarray(m)):
             pass
         assert _bit_equal(f, before[0])
@@ -387,20 +385,19 @@ class TestColumnMap:
         for cfg in _map_configs(s):
             maps = _column_maps(cfg)
             q = primitive_root(cfg)
-            ws = _Workspace(cfg.dim)
             for xn, x in maps.items():
                 dx = np.asarray(x)
                 assert x.shape == dx.shape == (cfg.dim, cfg.dim)
-                scaled = ws.scale(q, x)
+                scaled = _CLOSED.scale(q, x)
                 assert isinstance(scaled, _ColumnMap)
                 assert np.array_equal(np.asarray(scaled), q * dx)
                 for yn, y in maps.items():
                     dy = np.asarray(y)
-                    product = ws.mul(x, y)
+                    product = _CLOSED.mul(x, y)
                     assert isinstance(product, _ColumnMap)
                     _assert_equals_dense(product, dx @ dy,
                                          xn if xn in _DIAGONALS else yn)
-                    difference = ws.sub(x, y)
+                    difference = _CLOSED.sub(x, y)
                     if np.array_equal(x.rows, y.rows):
                         assert isinstance(difference, _ColumnMap)
                     assert np.array_equal(np.asarray(difference), dx - dy)
@@ -438,7 +435,7 @@ class TestColumnMap:
         # |s><0| with every empty column pointed at row s as well
         sink = _ColumnMap(np.full(d, s), np.asarray(_dyad(s, 0, d))[s])
         for m in (_dyad(s, 0, d), a2, sink):
-            assert np.array_equal(_Workspace(d).mul(m, x), np.asarray(m) @ x)
+            assert np.array_equal(_CLOSED.mul(m, x), np.asarray(m) @ x)
 
     def test_weights_of_both_factors_in_their_places(self):
         # a random map with repeated rows and empty columns, against the dense @
@@ -449,11 +446,11 @@ class TestColumnMap:
                                np.where(rng.uniform(size=d) < 0.3, 0,
                                         rng.choice([1.5, -2.0, 0.5j, -1j], size=d)))
                     for _ in range(2))
-            assert np.array_equal(np.asarray(_Workspace(d).mul(x, y)), np.asarray(x) @ np.asarray(y))
+            assert np.array_equal(np.asarray(_CLOSED.mul(x, y)), np.asarray(x) @ np.asarray(y))
             assert max_abs_diff(x, y) == _dense_deviation(x, y)
 
     def test_structures_have_no_arithmetic(self):
-        # every rule is the workspace's: numpy raises rather than form a map
+        # every rule is the closed-form arithmetic's: numpy raises rather than form a map
         # or take the dense route of a circulant
         x = np.ones((4, 4), dtype=complex)
         m, c = _dyad(1, 2, 4), _Circulant(np.arange(4) + 1j)
@@ -491,13 +488,11 @@ class TestMaxAbsDiff:
         if max_abs_diff(a, b) == 0.0:
             np.testing.assert_array_equal(a, b)
 
-    # with 1024 entries a block, n <= 32 is reduced in one shot and n >= 33 in
-    # row blocks; at the default size, n = 129 is the first to be blocked
+    # every size is reduced in one shot; with a block of 1024 entries, the
+    # leading rows that hold at most that many are also reduced, as views
     @pytest.mark.parametrize("n, block", [*((n, 1024) for n in (1, 2, 31, 32, 33, 64, 65, 100)),
                                           (128, None), (129, None), (200, None)])
-    def test_blocked_reduction_is_the_dense_one(self, monkeypatch, n, block):
-        if block is not None:
-            monkeypatch.setattr(cmatrix, "_BLOCK_ENTRIES", block)
+    def test_blocked_reduction_is_the_dense_one(self, n, block):
         rng = np.random.default_rng(n)
         rows = rng.integers(0, n, size=n)  # repeated rows and, so, empty ones
         rows[: n // 2] = rng.permutation(n)[: n // 2]
@@ -506,6 +501,9 @@ class TestMaxAbsDiff:
                 want = _dense_deviation(a, b)
                 _assert_same_float(max_abs_diff(a, b), want)
                 _assert_same_float(max_abs_diff(b, a), want)
+                if block is not None:
+                    r = max(1, block // n)
+                    _assert_same_float(max_abs_diff(a[:r], b[:r]), _dense_deviation(a[:r], b[:r]))
                 # one side a column map: the dense deviation, nan included;
                 # a diagonal map reads a's diagonal, of either memory order
                 for m in (m, _diagonal(m.weights)):
@@ -514,11 +512,10 @@ class TestMaxAbsDiff:
                         want = _dense_deviation(x, dense)
                         _assert_same_float(max_abs_diff(x, m), want)
                         _assert_same_float(max_abs_diff(m, x), want)
-                    assert _bit_equal(_Workspace(n).sub(a, m), a - dense)
+                    assert _bit_equal(_CLOSED.sub(a, m), a - dense)
 
     @pytest.mark.parametrize("shape", [(40000,), (300, 3), (3, 300), (70, 30, 20)])
-    def test_blocks_of_any_shape(self, monkeypatch, shape):
-        monkeypatch.setattr(cmatrix, "_BLOCK_ENTRIES", 512)
+    def test_blocks_of_any_shape(self, shape):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(2, *shape))
         _assert_same_float(max_abs_diff(a, b), _dense_deviation(a, b))
@@ -526,20 +523,17 @@ class TestMaxAbsDiff:
         _assert_same_float(max_abs_diff(a, b), math.nan)
 
     def test_map_deviation_forms_no_matrix(self):
-        # a dense matrix against a column map or another dense matrix: the
-        # temporaries are blocks, far below one d x d matrix
+        # a dense matrix against a column map: the temporaries stay below one
+        # d x d complex matrix, so the map is never formed
         d = 513
         rng = np.random.default_rng(0)
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        y = x.copy()
         m = _ColumnMap(_band_rows(d, 1), np.ones(d, dtype=complex))
         tracemalloc.start()
         try:
-            for other in (m, y):
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                max_abs_diff(x, other)
-                assert tracemalloc.get_traced_memory()[1] - start < 2 * d * d
+            start = tracemalloc.get_traced_memory()[0]
+            max_abs_diff(x, m)
+            assert tracemalloc.get_traced_memory()[1] - start < 16 * d * d
         finally:
             tracemalloc.stop()
 
@@ -552,7 +546,7 @@ class TestMaxAbsDiff:
         rows = _band_rows(d, 1)
         for zero in (0, 0j.conjugate()):
             m = _ColumnMap(rows, np.full(d, 1 - 0j), zero)
-            assert _bit_equal(_Workspace(d).sub(x, m), x - np.asarray(m)), zero
+            assert _bit_equal(_CLOSED.sub(x, m), x - np.asarray(m)), zero
 
 
 class TestCirculant:
@@ -591,10 +585,9 @@ class TestCirculant:
         mutants = [x, _circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)),
                    x.T, x.copy(), np.array(x), view(x.base, d * step), view(x.base, (d - 1) * step),
                    view(x.base[:], (d - 1) * step), x[:], x.real.astype(complex)]
-        ws = _Workspace(d)
         for z in mutants:
             for a, b in ((z, y), (y, z), (z, z), (z, y.kept())):
-                got = ws.mul(a, b)
+                got = _CLOSED.mul(a, b)
                 assert isinstance(got, np.ndarray) and _bit_equal(got, np.asarray(a) @ np.asarray(b))
                 assert _same_float(max_abs_diff(a, b), _dense_deviation(a, b))
 
@@ -602,7 +595,7 @@ class TestCirculant:
     def test_product_is_a_circulant_of_one_matrix_vector_product(self, d):
         rng = np.random.default_rng(d)
         x, y = self._pair(rng, d)
-        got = _Workspace(d).mul(x, y)
+        got = _CLOSED.mul(x, y)
         assert isinstance(got, _Circulant) and not got.kept().base.flags.writeable
         assert _bit_equal(got.kept()[:, 0], x.kept() @ y.kept()[:, 0])
         assert _bit_equal(got.kept(), _Circulant(got.kept()[:, 0].copy()).kept())
@@ -643,31 +636,13 @@ def _circulant_view(u):
 
 
 class TestWorkspace:
-    """Dense results written into buffers that one call reuses."""
+    """The closed-form arithmetic against numpy on the formed matrices."""
 
-    def test_a_buffer_is_reused_only_when_nothing_else_holds_it(self):
-        ws = _Workspace(200)
-        first, view, third = ws.take(), ws.take().T, ws.take()
-        assert len({id(b) for b in ws.buffers}) == len(ws.buffers) == 3
-        del third
-        assert ws.take() is ws.buffers[2]
-        del first
-        again, last, new = ws.take(), ws.take(), ws.take()
-        assert again is ws.buffers[0] and last is ws.buffers[2] and new is ws.buffers[3]
-        assert view.base is ws.buffers[1]  # held through a view, never handed out
-
-    def test_small_dimensions_take_no_buffer(self):
-        ws = _Workspace(128)
-        x = np.ones((128, 128), dtype=complex)
-        assert ws.take() is None and _bit_equal(ws.mul(x, x), x @ x) and ws.buffers == []
-
-    # at d <= 128 no buffer is taken, above it every dense result goes into one
     @pytest.mark.parametrize("d", [5, 128, 129, 200, 257])
     def test_arithmetic_is_numpy_bit_for_bit(self, d):
-        # against numpy, and a product with a map against the same arithmetic
-        # with fresh arrays; a difference with a map against numpy's on the
-        # formed matrices, with the map on either side and two maps on the
-        # same or on different rows
+        # against numpy, a product with a map within 1e-12 relative unless the
+        # map's weights are real or imaginary; a difference with a map, on
+        # either side, and of two maps on the same or on different rows
         rng = np.random.default_rng(d)
         x, y = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
         c = _circulant_view(rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d))
@@ -676,34 +651,31 @@ class TestWorkspace:
                 _ColumnMap(rng.permutation(d), w),
                 _ColumnMap(rng.integers(0, d, size=d), w, 0j.conjugate()), _dyad(0, d - 1, d)]
         q = primitive_root(AlgebraConfig(d - 1, k=7))
-        ws, plain = _Workspace(d), _plain_workspace(d)
+        ar = _CLOSED
         for a, b in ((x, y), (x, dag(y)), (dag(x), x), (c, c), (x, c), (c, x)):
-            assert _bit_equal(ws.mul(a, b), a @ b)
-            assert _bit_equal(ws.sub(a, b), a - b)
+            assert _bit_equal(ar.mul(a, b), a @ b)
+            assert _bit_equal(ar.sub(a, b), a - b)
         for m in maps:
             dense = np.asarray(m)
+            exact = np.all((m.weights.real == 0) | (m.weights.imag == 0))
             for a in (x, dag(x), c):
-                assert _bit_equal(ws.mul(m, a), plain.mul(m, a))
-                assert _bit_equal(ws.mul(a, m), plain.mul(a, m))
-                assert _bit_equal(ws.sub(a, m), a - dense)
-                assert _bit_equal(ws.sub(m, a), dense - a)
-                if d > 128:  # with the map on either side, into a buffer
-                    assert all(any(z is b for b in ws.buffers) for z in (ws.sub(a, m), ws.sub(m, a)))
+                _assert_product(ar.mul(m, a), dense @ a, exact)
+                _assert_product(ar.mul(a, m), a @ dense, exact)
+                assert _bit_equal(ar.sub(a, m), a - dense)
+                assert _bit_equal(ar.sub(m, a), dense - a)
             for other in maps:
                 want = dense - np.asarray(other)
                 if np.array_equal(m.rows, other.rows):  # a map, its zeros unsigned
-                    assert isinstance(ws.sub(m, other), _ColumnMap)
-                    assert np.array_equal(np.asarray(ws.sub(m, other)), want)
+                    assert isinstance(ar.sub(m, other), _ColumnMap)
+                    assert np.array_equal(np.asarray(ar.sub(m, other)), want)
                 else:
-                    assert _bit_equal(ws.sub(m, other), want)
-            assert isinstance(ws.mul(m, m), _ColumnMap) and isinstance(ws.scale(q, m), _ColumnMap)
-            assert _bit_equal(np.asarray(ws.mul(m, m)), np.asarray(plain.mul(m, m)))
-            assert np.array_equal(np.asarray(ws.scale(q, m)), q * dense)
+                    assert _bit_equal(ar.sub(m, other), want)
+            assert isinstance(ar.mul(m, m), _ColumnMap) and isinstance(ar.scale(q, m), _ColumnMap)
+            _assert_product(ar.mul(m, m), dense @ dense, exact)
+            assert np.array_equal(np.asarray(ar.scale(q, m)), q * dense)
         for a in (x, dag(x), c):
-            assert _bit_equal(ws.scale(q, a), q * a)
-            assert _bit_equal(ws.dag(a), dag(a))
-        # every result above was dropped once compared
-        assert 0 < len(ws.buffers) <= 3 if d > 128 else ws.buffers == []
+            assert _bit_equal(ar.scale(q, a), q * a)
+            assert _bit_equal(ar.dag(a), dag(a))
 
     def test_inputs_left_untouched(self):
         d = 150
@@ -711,18 +683,21 @@ class TestWorkspace:
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = _ColumnMap(rng.permutation(d), rng.normal(size=d) + 0j)
         before = x.copy(), m.rows.copy(), m.weights.copy()
-        ws = _Workspace(d)
-        for out in (ws.mul(x, x), ws.mul(x, m), ws.mul(m, x), ws.sub(x, m), ws.sub(x, x),
-                    ws.scale(2j, x), ws.dag(x)):
+        ar = _CLOSED
+        for out in (ar.mul(x, x), ar.mul(x, m), ar.mul(m, x), ar.sub(x, m), ar.sub(x, x),
+                    ar.scale(2j, x), ar.dag(x)):
             assert all(out is not b and out.base is not b for b in (x, m.rows, m.weights))
         assert all(np.array_equal(a, b) for a, b in zip(before, (x, m.rows, m.weights)))
 
 
-def _plain_workspace(d):
-    # the workspace's arithmetic with fresh numpy arrays: it takes no buffer
-    ws = _Workspace(d)
-    ws.take = lambda: None
-    return ws
+def _assert_product(got, want, exact):
+    # a product with a map of real or imaginary weights equals the dense @;
+    # of complex weights, it may differ from BLAS's in the last bits
+    got = np.asarray(got)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def _deviation_cases(rng, n, rows):

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -30,7 +31,7 @@ from qboson import (
     sweep,
 )
 from qboson.algebra import OperatorSet, _hermiticity_error
-from qboson.cmatrix import _Circulant, _ColumnMap, _Workspace, dag
+from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap, dag
 from qboson.verify import (
     _NAIVE,
     ORACLE_TOL,
@@ -117,7 +118,7 @@ def test_sharpness_violation_reports_unit_deviation(monkeypatch):
             "all-zero a": _with_step_weights(ops, np.zeros_like),
             "chain broken before the index": _with_step_weights(ops, _zero_at(1)),
             "power vanishing too early": _with_step_weights(ops, lambda w: 1e-7 * w),
-            "a† alone broken": _mutant(ops, a_dag=_Workspace(cfg.dim).scale(0, vars(ops)["a_dag"])),
+            "a† alone broken": _mutant(ops, a_dag=_CLOSED.scale(0, vars(ops)["a_dag"])),
         }
         if (s + 1) % 2 == 0:
             mutants["midpoint zero filled in"] = _with_step_weights(
@@ -143,24 +144,28 @@ def test_replace_keeps_the_monomials_as_column_maps(monkeypatch):
     # a mutant made from the stored values keeps every other value, the
     # fifteen structures (ten column maps, five circulants) included, as the
     # same object, and forms no monomial; dataclasses.replace, which reads
-    # every field as a matrix, gives a set whose every field reads the same
+    # every field as a matrix, is refused, as is a structured field given a
+    # matrix or the other kind of structure
     cfg = AlgebraConfig(6)
     ops = build_operator_set(cfg)
     assert {name: type(value) for name, value in vars(ops).items()
             if isinstance(value, (_ColumnMap, _Circulant))} == _STRUCTURES
     maps = [value for value in vars(ops).values() if isinstance(value, _ColumnMap)]
-    ws = _Workspace(cfg.dim)
+    circulant = _Circulant(np.zeros(cfg.dim, dtype=complex))
     for name, kind in _STRUCTURES.items():
-        new = (ws.scale(0, vars(ops)[name]) if kind is _ColumnMap
-               else _Circulant(np.zeros(cfg.dim, dtype=complex)))
+        new = _CLOSED.scale(0, vars(ops)[name]) if kind is _ColumnMap else circulant
         mutant = _mutant(ops, **{name: new})
         assert vars(mutant)[name] is new
         assert all(vars(mutant)[other] is vars(ops)[other] for other in vars(ops) if other != name)
     assert all(m.dense is None for m in maps)
-    copy = dataclasses.replace(ops)
-    assert all(_bit_equal(getattr(copy, f.name), getattr(ops, f.name))
-               for f in dataclasses.fields(ops) if f.name != "config")
-    mutant = _mutant(ops, a_dag=ws.scale(0, vars(ops)["a_dag"]))
+    idiom = re.escape("OperatorSet(**{**vars(ops), **changes})")
+    with pytest.raises(TypeError, match=idiom):
+        dataclasses.replace(ops)
+    for name, wrong in (("a_dag", ops.a_dag), ("a_dag", circulant),
+                        ("sqrt_brace_hdag", ops.sqrt_brace_hdag), ("n_tilde", vars(ops)["g"])):
+        with pytest.raises(TypeError, match=f"OperatorSet.{name} .*{idiom}"):
+            _mutant(ops, **{name: wrong})
+    mutant = _mutant(ops, a_dag=_CLOSED.scale(0, vars(ops)["a_dag"]))
     monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _cfg: mutant)
     eq5 = {c.name: c for c in run_all(cfg).checks}["eq5_nilpotency"]
     assert not eq5.passed and eq5.deviation == 1.0
@@ -236,7 +241,7 @@ def test_both_arithmetics_have_the_same_operations():
     # the catalog runs on either, so neither may gain or lose an operation
     operations = {"mul", "sub", "scale", "dag", "pow", "eye", "zeros", "dyad"}
     assert set(vars(_NAIVE)) == operations
-    assert {name for name in vars(_Workspace) if not name.startswith("_")} == operations | {"take"}
+    assert set(vars(_CLOSED)) == operations
 
 
 def test_catalog_powers_go_through_the_module_binding(monkeypatch):
@@ -263,7 +268,7 @@ def test_diagonal_shortcuts_match_the_dense_products(s):
     # product of two circulants (eq19's squares) within the circulant
     # product's bound
     products = []
-    ar = _Workspace(s + 1)
+    ar = SimpleNamespace(**vars(_CLOSED))
     mul = ar.mul
 
     def against_dense(x, y):
@@ -297,7 +302,7 @@ def test_monomial_checks_form_no_dense_matrix():
     # than one d x d complex matrix
     cfg = AlgebraConfig(512)
     d = cfg.dim
-    catalog = _catalog(_plain_workspace(d), _closed_operators(build_operator_set(cfg)), cfg)
+    catalog = _catalog(_CLOSED, _closed_operators(build_operator_set(cfg)), cfg)
     peaks = {}
     tracemalloc.start()
     try:
@@ -317,12 +322,12 @@ def test_monomial_checks_form_no_dense_matrix():
 
 
 def test_verification_and_polar_decomposition_memory_at_s256():
-    # numpy's buffers are traced, so these figures repeat exactly.  Measured:
-    # 4.14 MiB held after the op (the kept set with its three dense fields,
-    # the polar factors) and 9.58 MiB at the peak, in eq19 (the set, the
-    # workspace's six d x d buffers, which eq14 fills, and the row blocks of
-    # eq19's dense-against-dense reductions; its circulant squares are 2d
-    # entries each); the pins leave about 15% over each
+    # numpy's allocations are traced, so these figures repeat exactly.
+    # Measured: 4.14 MiB held after the op (the kept set with its three dense
+    # fields, the polar factors) and 9.20 MiB at the peak, in eq14 (the set
+    # and six d x d matrices held at once: F†, F F†, F† F, F g⁻¹ F†, F g F†
+    # and its difference with a dyad); the pins leave 15% over the held
+    # figure and 20% over the peak
     cfg = AlgebraConfig(256)
     gc.collect()
     tracemalloc.start()
@@ -333,20 +338,6 @@ def test_verification_and_polar_decomposition_memory_at_s256():
         tracemalloc.stop()
     assert out[0].overall_pass
     assert held <= 4.8 * 2**20 and peak <= 11.0 * 2**20, (held / 2**20, peak / 2**20)
-
-
-def test_catalog_reuses_six_buffers_at_s256():
-    # every dense side of the catalog goes into one workspace, and a buffer
-    # comes back once its side is dropped: eq14 holds six at a time, eq19 four
-    cfg = AlgebraConfig(256)
-    ops = build_operator_set(cfg)
-    ar = _Workspace(cfg.dim)
-    dense_sides = 0
-    for _, pairs in _catalog(ar, _closed_operators(ops), cfg):
-        dense_sides += sum(isinstance(x, np.ndarray) and all(x is not v for v in vars(ops).values())
-                           for pair in pairs for x in pair)
-        del pairs
-    assert len(ar.buffers) == 6 < dense_sides
 
 
 def _assert_circulant_product_bound(got, x, y):
@@ -370,8 +361,7 @@ def test_circulant_products_match_the_dense_products(s):
         r_down, r_up = stored["sqrt_brace_hdag"], stored["sqrt_brace_hdag1"]
         for x, y in ((r_down, r_down), (r_up, r_up), (r_down, r_up), (stored["n_tilde"], r_up),
                      (stored["brace_hdag"], stored["brace_hdag1"])):
-            _assert_circulant_product_bound(_plain_workspace(cfg.dim).mul(x, y), x, y)
-            _assert_circulant_product_bound(_Workspace(cfg.dim).mul(x, y), x, y)
+            _assert_circulant_product_bound(_CLOSED.mul(x, y), x, y)
 
 
 @pytest.mark.parametrize("s", [4, 256])
@@ -394,36 +384,25 @@ def test_dense_products_per_verification(monkeypatch, s):
         polar_decompose(cfg)
         per_op.append(sum(counted))
     assert per_op == [8, 6]
-    eq19 = dict(_catalog(_Workspace(cfg.dim), _closed_operators(
-        build_operator_set(cfg)), cfg))["eq19_polar"]
+    eq19 = dict(_catalog(_CLOSED, _closed_operators(build_operator_set(cfg)), cfg))["eq19_polar"]
     assert all(isinstance(lhs, _Circulant) and isinstance(rhs, _Circulant) for lhs, rhs in eq19[4:])
 
 
 def test_a_side_held_past_its_check_keeps_its_values():
     # a caller that keeps some checks' sides while dropping the others: the
-    # dropped ones' buffers are reused, the kept ones are never written again
+    # kept ones are never written again as later checks are formed
     cfg = AlgebraConfig(128, k=2)
     ops = build_operator_set(cfg)
-    plain = dict(_catalog(_plain_workspace(cfg.dim), _closed_operators(ops), cfg))
-    ar = _Workspace(cfg.dim)
+    plain = dict(_catalog(_CLOSED, _closed_operators(ops), cfg))
     kept = {}
-    for i, (name, pairs) in enumerate(_catalog(ar, _closed_operators(ops), cfg)):
+    for i, (name, pairs) in enumerate(_catalog(_CLOSED, _closed_operators(ops), cfg)):
         if i % 2:
             kept[name] = pairs
         del pairs
-    assert len(ar.buffers) < sum(
-        isinstance(x, np.ndarray) for pairs in plain.values() for pair in pairs for x in pair)
     assert kept and all(np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True)
                         for name, pairs in kept.items()
                         for pair, want in zip(pairs, plain[name], strict=True)
                         for x, y in zip(pair, want))
-
-
-def _plain_workspace(d):
-    # the workspace's arithmetic with fresh numpy arrays: it takes no buffer
-    ws = _Workspace(d)
-    ws.take = lambda: None
-    return ws
 
 
 def _plain_deviation(a, b):
@@ -453,16 +432,14 @@ def _bit_equal(a, b):
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
-# d > 128 runs on the workspace, the rest on numpy's fresh arrays
 @pytest.mark.parametrize("s", [*range(2, 34), 46, 47, 48, 63, 64, 128, 256])
 def test_outputs_equal_plain_numpy_arithmetic(monkeypatch, s):
     # reports, polar results and CLI exports against the same arithmetic
-    # with fresh numpy arrays and dense deviations, bit for bit
+    # with dense deviations in one shot, bit for bit
     for cfg in _grid_configs(s):
         report, pd = run_all(cfg), polar_decompose(cfg)
         ops = build_operator_set(cfg)
         with monkeypatch.context() as plain:
-            plain.setattr(_Workspace, "take", lambda _ws: None)
             plain.setattr(qboson.verify, "max_abs_diff", _plain_deviation)
             assert run_all(cfg) == report, cfg.k
         errors, unitary, hermiticity = _plain_polar(ops)
@@ -471,7 +448,7 @@ def test_outputs_equal_plain_numpy_arithmetic(monkeypatch, s):
         assert _bit_equal(pd.unitary, unitary) and pd.radial_hermiticity_error == hermiticity
         assert pd.radial is ops.sqrt_brace_hdag
         # each export is a public builder's plain product; the set forms the
-        # same operators in its workspace
+        # same operators in the closed-form arithmetic
         for op, field in _EXPORTED_FIELDS.items():
             assert _bit_equal(cli.BUILD_OPS[op](cfg), getattr(ops, field)), (cfg.k, op)
 
@@ -502,7 +479,7 @@ def test_radial_hermiticity_error_is_the_dense_deviation(s):
 
 
 def test_two_threads_verify_different_configurations():
-    # each call has its own workspace; the shared slot only ever hands a
+    # the arithmetic holds no state; the shared slot only ever hands a
     # thread a whole set, and the recorded eq19 errors are read only for the
     # set they were reduced on, so both threads see the single-threaded
     # results, whose factor errors are the ones computed afresh
@@ -598,7 +575,7 @@ def test_shift_sharpness_passes_the_bare_shift_and_flags_a_unitary_one(s):
     bare = _closed_operators(build_operator_set(cfg))
     unitary = SimpleNamespace(**{**vars(bare), "h": bare.big_h, "h_dag": bare.big_h_dag})
     for shift_set, sharp in ((bare, True), (unitary, False)):
-        pairs = dict(_catalog(_Workspace(cfg.dim), shift_set, cfg))["eq10_partial_isometry"]
+        pairs = dict(_catalog(_CLOSED, shift_set, cfg))["eq10_partial_isometry"]
         assert _shift_is_sharp(pairs, cfg.tol * cfg.dim) == sharp
 
 
