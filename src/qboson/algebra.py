@@ -10,7 +10,8 @@ conjugating a diagonal with the Fourier matrix; no eigensolver is used
 anywhere.  Such a conjugate is a circulant, read off one matrix-vector
 product and held as a view of 2(s+1) entries, as are the phase braces,
 quotients of the circulant H†; a step operator, held as a
-column map, is applied to the Fourier matrix as a column gather.
+column map, is applied to the Fourier matrix as a column gather, and the
+rotation's F† is the ideal DFT's adjoint, an FFT at large dimension.
 The polar decomposition reads the operator set.
 """
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (_band_rows, _Circulant, _CLOSED, _ColumnMap, _diagonal, _frozen, dag,
-                      dyad, max_abs_diff)
+from .cmatrix import (_band_rows, _Circulant, _CLOSED, _ColumnMap, _Dft, _diagonal, _frozen,
+                      dag, dyad, max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -146,11 +147,16 @@ def phase_state(m: int, cfg: AlgebraConfig) -> np.ndarray:
 
 
 def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
-    """Rotate an operator into the phase basis: F a F†."""
+    """Rotate an operator into the phase basis: F a F†.
+
+    F† is applied as the operator set applies it to ``F a``, so this equals
+    the set's ``a_tilde`` for the step-down operator, bit for bit: an FFT from
+    ``cmatrix._FFT_MIN_DIM`` on, the dense product below.
+    """
     f = fourier(cfg)
     if a.shape != f.shape:
         raise ValueError(f"operator shape {a.shape} does not match dim {cfg.dim}")
-    return f @ a @ dag(f)
+    return _CLOSED.mul(f @ a, _Dft(cfg.k, f))
 
 
 def q_bracket(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
@@ -443,8 +449,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     f = fourier(cfg)
     lags = _band_quotients(cfg, big_h_dag)
     _check_braces(cfg, lags, (_rotated_lags(f, brackets[:-1]), _rotated_lags(f, brackets[1:])))
-    fdag, mul = dag(f), _CLOSED.mul
     f = _frozen(f)
+    fdag, mul = _Dft(cfg.k, f), _CLOSED.mul
     n = _frozen(np.arange(d, dtype=complex))
     return OperatorSet(
         config=cfg,
@@ -460,7 +466,8 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
         big_h=_ColumnMap(up, ones),
         big_h_dag=big_h_dag,
         # rotated, not formed as clock times circulant: that is eq19's
-        # right side, and the check would become a tautology
+        # right side, and the check would become a tautology; F a is a
+        # gather, and F† the ideal transform's
         a_tilde=_frozen(mul(mul(f, a), fdag)),
         a_tilde_dag=_frozen(mul(mul(f, a_dag), fdag)),
         n_tilde=_rotate_diagonal(f, n),

@@ -2,17 +2,19 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  A matrix may also be
-held as one of two structures, plain data with no arithmetic of its own.  A
-``_ColumnMap`` has at most one nonzero per column (a diagonal, a step
+held as one of three structures, plain data with no arithmetic of its own.
+A ``_ColumnMap`` has at most one nonzero per column (a diagonal, a step
 operator, a shift, a dyad): against another map its products, differences,
 powers and deviations cost O(d); against a dense matrix a product is a
 gather, and a difference or a deviation reads the dense matrix and the map's
 d entries, never a d x d form of the map.  A ``_Circulant`` holds its 2d - 1
 distinct entries: the product of two circulants is the circulant of one
 matrix-vector product, in O(d^2), and their deviation is reduced over those
-entries, in O(d).  ``_CLOSED`` is the one numpy arithmetic that combines
-them, and numpy allocates each of its dense results; ``mat_pow`` and
-``max_abs_diff`` pick their routes by type.
+entries, in O(d).  A ``_Dft`` is the adjoint of the ideal finite Fourier
+transform of one root index: its product with a dense matrix is an FFT, in
+O(d^2 log d), from ``_FFT_MIN_DIM`` on.  ``_CLOSED`` is the one numpy
+arithmetic that combines them, and numpy allocates each of its dense
+results; ``mat_pow`` and ``max_abs_diff`` pick their routes by type.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 
 class _Structure:
-    """A d x d matrix held in a compact format: a column map or a circulant.
+    """A d x d matrix held in a compact format: a column map, a circulant or a DFT.
 
     ``np.asarray`` reads the matrix, and ``kept()`` returns it read-only.  A
     structure has no arithmetic: ``_CLOSED`` holds every rule that
@@ -67,13 +69,16 @@ class _ColumnMap(_Structure):
     product entry is the one nonzero term of the dense sum, so it equals the
     dense ``@`` wherever one factor's weights are real or imaginary.  The
     matrix is formed afresh by ``np.asarray``, except once ``kept()`` has
-    formed it.
+    formed it.  ``diagonal`` is true only for a map whose row j is j, as its
+    maker states it: true of ``_diagonal``'s, and of the products, powers,
+    differences and multiples of diagonals.
     """
 
-    __slots__ = ("rows", "weights", "zero")
+    __slots__ = ("rows", "weights", "zero", "diagonal")
 
-    def __init__(self, rows: np.ndarray, weights: np.ndarray, zero: complex = 0):
-        self.rows, self.weights, self.zero = rows, weights, zero
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, zero: complex = 0,
+                 diagonal: bool = False):
+        self.rows, self.weights, self.zero, self.diagonal = rows, weights, zero, diagonal
         self.dense, self.shape = None, (rows.size,) * 2
 
     def _formed(self) -> np.ndarray:
@@ -84,14 +89,14 @@ class _ColumnMap(_Structure):
     # the dense results against a dense matrix
     def _placed(self, other: np.ndarray) -> np.ndarray:
         # self @ other: a diagonal scales other's rows; any other map is formed
-        if self.rows is _band_rows(self.rows.size, 0):
+        if self.diagonal:
             return self.weights[:, None] * other
         return np.matmul(np.asarray(self), other)
 
     def _gathered(self, other: np.ndarray) -> np.ndarray:
         # other @ self: a diagonal scales other's columns; any other map
         # gathers them, column j being other's column rows[j]
-        if self.rows is _band_rows(self.rows.size, 0):
+        if self.diagonal:
             return other * self.weights
         return other[:, self.rows] * self.weights
 
@@ -122,22 +127,78 @@ class _Circulant(_Structure):
         self.dense = self._keep(entries, column.dtype, (d - 1) * step, (-step, step))
 
 
+# The dimension from which a product with a ``_Dft`` is an FFT.  Below it the
+# product is ``np.matmul`` with the kept matrix, bit for bit: there numpy's FFT
+# costs more per call than a BLAS product (BENCH_fft.json, "break_even")
+_FFT_MIN_DIM = 128
+
+
+class _Dft(_Structure):
+    """F†, the adjoint of the ideal DFT of root index k, of a built Fourier matrix F.
+
+    F's kernel is q^{mn} / sqrt(d) with q = exp(2 pi i k / d), so F†'s entry
+    (m, n) is the unitary DFT's entry (m, k n mod d): F† X is the DFT of X's
+    rows gathered by k^-1 mod d, and X F† the DFT of its gathered columns.
+    The kept matrix is ``dag`` of the built F, formed on first use.  k is
+    reduced mod d here, not read from F or a root table, so against a dense
+    matrix of dimension ``_FFT_MIN_DIM`` or more the product applies the
+    ideal transform, and checks a built F against it; it agrees with the
+    dense product within rounding, not bit for bit.
+    """
+
+    __slots__ = ("k", "built")
+
+    def __init__(self, k: int, built: np.ndarray) -> None:
+        self.shape, self.dense, self.built = built.shape, None, built
+        self.k = k % self.shape[0]
+
+    def kept(self) -> np.ndarray:
+        # the adjoint as dag gives it, a transposed view, so the dense
+        # product below _FFT_MIN_DIM is the one with dag(F), bit for bit
+        if self.dense is None:
+            self.dense = self._formed()
+            self.dense.flags.writeable = False
+        return self.dense
+
+    def _formed(self) -> np.ndarray:
+        return dag(self.built)
+
+    def _applied(self, x: np.ndarray, axis: int) -> np.ndarray:
+        # F† x on axis 0, x F† on axis 1: the gather is a fresh copy, which
+        # the FFT overwrites, so no second d x d array is made
+        d = self.shape[0]
+        if d < _FFT_MIN_DIM:
+            return np.matmul(self.kept(), x) if axis == 0 else np.matmul(x, self.kept())
+        y = np.take(x, pow(self.k, -1, d) * np.arange(d) % d, axis=axis)
+        return np.fft.fft(y, axis=axis, norm="ortho", out=y)
+
+
 def _closed_mul(x, y):
     """x @ y.  A map times a map is a map; a dense matrix times a map is a
     column gather, and a diagonal times a dense matrix scales its rows.  Two
     circulants give the circulant whose column 0 is x times y's column 0,
     one matrix-vector product in place of a d^3 one, which agrees with ``@``
-    within rounding, not bit for bit.  A circulant against anything else is
-    its kept matrix."""
+    within rounding, not bit for bit.  A DFT against a dense matrix is an
+    FFT from ``_FFT_MIN_DIM`` on.  A circulant, or a DFT, against anything
+    else is its kept matrix."""
     if isinstance(x, _Circulant):
         if isinstance(y, _Circulant):
             return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
         x = x.dense
     elif isinstance(y, _Circulant):
         y = y.dense
+    if isinstance(x, _Dft):
+        if isinstance(y, np.ndarray):
+            return x._applied(y, axis=0)
+        x = x.kept()
+    if isinstance(y, _Dft):
+        if isinstance(x, np.ndarray):
+            return y._applied(x, axis=1)
+        y = y.kept()
     if isinstance(x, _ColumnMap):
         if isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
-            return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights)
+            return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights,
+                              diagonal=x.diagonal and y.diagonal)
         return x._placed(y)
     if isinstance(y, _ColumnMap):
         return y._gathered(x)
@@ -148,7 +209,7 @@ def _closed_sub(x, y):
     """x - y; two maps on the same rows give a map."""
     if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):
         if not np.count_nonzero(x.rows != y.rows):
-            return _ColumnMap(x.rows, x.weights - y.weights)
+            return _ColumnMap(x.rows, x.weights - y.weights, diagonal=x.diagonal)
     elif isinstance(y, _ColumnMap):
         return y._subtracted_from(x)
     return np.subtract(np.asarray(x), np.asarray(y))
@@ -157,7 +218,7 @@ def _closed_sub(x, y):
 def _closed_scale(alpha, x):
     """alpha * x; a scaled map is a map."""
     if isinstance(x, _ColumnMap):
-        return _ColumnMap(x.rows, alpha * x.weights)
+        return _ColumnMap(x.rows, alpha * x.weights, diagonal=x.diagonal)
     return np.multiply(alpha, x)
 
 
@@ -168,7 +229,7 @@ def _band_rows(dim: int, offset: int) -> np.ndarray:
 
 
 def _diagonal(weights: np.ndarray) -> _ColumnMap:
-    return _ColumnMap(_band_rows(weights.size, 0), weights)
+    return _ColumnMap(_band_rows(weights.size, 0), weights, diagonal=True)
 
 
 def _dyad(m: int, n: int, dim: int) -> _ColumnMap:
@@ -254,8 +315,9 @@ def _column_map_power(m: _ColumnMap, p: int) -> _ColumnMap:
             if not p:
                 break
             z_rows, z_w = z_rows[z_rows], z_w * z_w[z_rows]
-    dead = r_rows[:dim] == dim
-    return _ColumnMap(np.where(dead, np.arange(dim), r_rows[:dim]), np.where(dead, 0, r_w[:dim]))
+    dead = r_rows[:dim] == dim  # a dead column's row is j, so a diagonal's power is one
+    return _ColumnMap(np.where(dead, np.arange(dim), r_rows[:dim]), np.where(dead, 0, r_w[:dim]),
+                      diagonal=m.diagonal)
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -280,10 +342,10 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     if isinstance(a, _ColumnMap):
         a, b = b, a  # |x - y| is |y - x| bit for bit
-    if isinstance(a, _Circulant):
-        a = a.dense
-    if isinstance(b, _Circulant):
-        b = b.dense
+    if isinstance(a, (_Circulant, _Dft)):
+        a = a.kept()
+    if isinstance(b, (_Circulant, _Dft)):
+        b = b.kept()
     if isinstance(b, _ColumnMap):
         return _map_deviation(a, b)
     return float(np.abs(a - b).max())
@@ -292,12 +354,12 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 def _map_deviation(x: np.ndarray, m: _ColumnMap) -> float:
     # |x - m|: |x - weights[j]| at the map's entry (rows[j], j), and |x - zero|,
     # which is |x|, everywhere else
-    cols = _band_rows(len(x), 0)
-    if m.rows is cols:  # a diagonal map: x's diagonal, read and written as a view
+    if m.diagonal:  # x's diagonal, read and written as a view
         size = np.abs(x, order="C")
         np.abs(x.diagonal() - m.weights, out=size.reshape(-1)[::len(x) + 1])
     else:
         size = np.abs(x)
+        cols = _band_rows(len(x), 0)
         size[m.rows, cols] = np.abs(x[m.rows, cols] - m.weights)
     return float(np.maximum.reduce(size, axis=None))
 

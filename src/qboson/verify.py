@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import OperatorSet, _record_factor_errors, build_operator_set, nilpotency_index
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
-from .cmatrix import _CLOSED, _diagonal, max_abs_diff
+from .cmatrix import _CLOSED, _Dft, _diagonal, max_abs_diff
 from .qnumerics import AlgebraConfig, primitive_root
 
 CHECK_NAMES = (
@@ -122,7 +122,9 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     one.  There, as the set stores them, the monomials, the identity, the
     zero and the dyads are column maps, so a check of them alone costs O(d),
     and the phase braces and radial roots are circulants, so each of eq19's
-    squares is one matrix-vector product, compared with its brace in O(d).
+    squares is one matrix-vector product, compared with its brace in O(d);
+    ``x.fourier_dag`` is the ideal DFT's adjoint, whose products with a
+    dense matrix are FFTs, in O(d^2 log d).
     The phase states are the columns of the Fourier matrix, and a product
     that two checks share is formed once and dropped after its last use, so
     a caller that reduces each check as it arrives holds a few sides at a
@@ -169,8 +171,11 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (ar.pow(x.g, d), eye),
         (ar.pow(x.h, d), zero),
     ]
-    f, fdag = x.fourier, ar.dag(x.fourier)
-    f_fdag = mul(f, fdag)
+    # F F† multiplies the built F by its own adjoint, so eq13 checks that it
+    # is unitary; every other F† is the ideal DFT's adjoint ``fourier_dag``,
+    # so F† F checks that the built F is that transform
+    f, fdag = x.fourier, x.fourier_dag
+    f_fdag = mul(f, ar.dag(f))
     fdag_f = mul(fdag, f)
     yield "eq13_f_unitary", [
         (f_fdag, eye),
@@ -214,12 +219,13 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
     # the set as stored, its structures as they are, with g⁻¹, √[N] and √[N+1]
-    # (the weights a and a† carry) as the naive route has them
+    # (the weights a and a† carry) and F† as the naive route has them; F† is
+    # the ideal DFT's adjoint, which applies as an FFT
     stored = vars(ops)
     return SimpleNamespace(
         **stored, g_inv=_diagonal(stored["g"].weights.conj()),
         sqrt_g=_diagonal(stored["a"].weights), sqrt_g1=_diagonal(stored["a_dag"].weights),
-        q=primitive_root(ops.config))
+        fourier_dag=_Dft(ops.config.k, stored["fourier"]), q=primitive_root(ops.config))
 
 
 def _step_chain_is_sharp(ops: OperatorSet) -> bool:
@@ -430,7 +436,7 @@ def _naive_operators(cfg: AlgebraConfig) -> dict:
     return {
         "a": a, "a_dag": a_dag, "n_op": n_op, "g": g, "g_inv": g_inv,
         "h": h, "h_dag": h_dag, "brace_g": brace_g, "brace_g1": brace_g1,
-        "fourier": f, "big_h": big_h, "big_h_dag": big_h_dag,
+        "fourier": f, "fourier_dag": f_dag, "big_h": big_h, "big_h_dag": big_h_dag,
         "a_tilde": a_tilde, "a_tilde_dag": a_tilde_dag, "n_tilde": n_tilde,
         "brace_hdag": brace_hdag, "brace_hdag1": brace_hdag1,
         "sqrt_g": sqrt_g, "sqrt_g1": sqrt_g1,

@@ -20,10 +20,14 @@ PACKAGE_ROOT = Path(qboson.__file__).resolve().parent.parent
 
 
 def run_cli(*args, cwd=None):
+    return run_python("-m", "qboson", *args, cwd=cwd)
+
+
+def run_python(*args, cwd=None):
     inherited = [os.path.abspath(entry)
                  for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), *inherited])}
     return subprocess.run(
-        [sys.executable, "-m", "qboson", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, cwd=cwd, env=env,
     )

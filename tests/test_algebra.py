@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import qboson.cmatrix
 from qboson import algebra, verify
 
 from qboson import (
@@ -39,6 +40,8 @@ from qboson import (
 )
 from qboson.algebra import _rotate_diagonal
 from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap
+
+from fft_bound import assert_fft_product_bound
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -438,52 +441,44 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
 
 def _count_constructions(monkeypatch, cfg, *builds):
     # calls of the phase-basis builders during build(cfg) for each of builds
-    # in turn, and how many times dag is taken of a matrix that fourier
-    # returned, by algebra.dag or by the closed-form arithmetic
-    counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "dag_of_f": 0}
-    built = []
+    # in turn: the build's F† (a _Dft), and the dense F† it forms, its kept
+    # matrix, which it needs only below the FFT's break-even
+    counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "_Dft": 0, "dense_fdag": 0}
 
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
-            out = fn(*args)
-            if name == "fourier":
-                built.append(out)
-            return out
+            return fn(*args)
         return wrapper
 
-    for name in ("fourier", "_q_tables", "cyclic_shift"):
+    for name in ("fourier", "_q_tables", "cyclic_shift", "_Dft"):
         monkeypatch.setattr(algebra, name, counted(name, getattr(algebra, name)))
-    def dag_counted(dag):
-        def wrapper(a):
-            counts["dag_of_f"] += any(a is f for f in built)
-            return dag(a)
-        return wrapper
-
-    monkeypatch.setattr(algebra, "dag", dag_counted(algebra.dag))
-    monkeypatch.setattr(_CLOSED, "dag", dag_counted(_CLOSED.dag))
+    for namespace in (algebra, qboson.cmatrix, _CLOSED):
+        monkeypatch.setattr(namespace, "dag", counted("dense_fdag", namespace.dag))
     for build in builds:
         build(cfg)
     return counts
 
 
-@pytest.mark.parametrize("s", [4, 64])
+@pytest.mark.parametrize("s", [4, 64, 256])
 def test_operator_set_builds_the_phase_basis_once(monkeypatch, s):
     counts = _count_constructions(monkeypatch, AlgebraConfig(s), build_operator_set)
-    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["_Dft"] == 1
+    assert counts["dense_fdag"] == (s + 1 < qboson.cmatrix._FFT_MIN_DIM)
     assert counts["cyclic_shift"] <= 1
 
 
-@pytest.mark.parametrize("s", [4, 64])
+@pytest.mark.parametrize("s", [4, 64, 256])
 def test_polar_decomposition_builds_the_phase_basis_once(monkeypatch, s):
     counts = _count_constructions(monkeypatch, AlgebraConfig(s), polar_decompose)
-    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["_Dft"] == 1
+    assert counts["dense_fdag"] == (s + 1 < qboson.cmatrix._FFT_MIN_DIM)
 
 
-@pytest.mark.parametrize("s", [4, 64])
+@pytest.mark.parametrize("s", [4, 64, 256])
 def test_verification_and_polar_decomposition_share_one_build(monkeypatch, s):
     counts = _count_constructions(monkeypatch, AlgebraConfig(s), verify.run_all, polar_decompose)
-    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["dag_of_f"] == 1
+    assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["_Dft"] == 1
 
 
 def test_equal_configs_share_one_set():
@@ -763,15 +758,22 @@ def _bit_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-# above dimension 48 the step operators are applied as column gathers
+# the step operators are applied as column gathers; F† is the dense product
+# below the FFT's break-even, bit for bit, and an FFT from it on, within the
+# FFT product bound
 @pytest.mark.parametrize("s", [47, 48, 63, 64, 128])
 def test_rotated_step_operators_are_the_dense_products(s):
     for cfg in _coprime_configs(s):
         ops = build_operator_set(cfg)
         f, fdag = ops.fourier, dag(ops.fourier)
         step_down, step_up = f @ ops.a @ fdag, f @ ops.a_dag @ fdag
-        assert _bit_equal(ops.a_tilde, step_down), cfg.k
-        assert _bit_equal(ops.a_tilde_dag, step_up), cfg.k
+        if cfg.dim < qboson.cmatrix._FFT_MIN_DIM:
+            assert _bit_equal(ops.a_tilde, step_down), cfg.k
+            assert _bit_equal(ops.a_tilde_dag, step_up), cfg.k
+        else:
+            assert_fft_product_bound(ops.a_tilde, f @ ops.a, fdag)
+            assert_fft_product_bound(ops.a_tilde_dag, f @ ops.a_dag, fdag)
+            step_down, step_up = ops.a_tilde, ops.a_tilde_dag
         z, r_down, r_up = ops.g.diagonal(), ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
         dense = {
             "down_unitary_radial": max_abs_diff(step_down, z.conj()[:, None] * r_down),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qboson import algebra, cli
+from qboson import algebra, cli, cmatrix
 from qboson import (
     AlgebraConfig,
     annihilation,
@@ -16,7 +16,7 @@ from qboson import (
     vector_from_dict,
 )
 
-from cli_harness import run_cli
+from cli_harness import run_cli, run_python
 
 # the OperatorSet field each build op exports
 BUILD_OP_FIELDS = {
@@ -93,6 +93,16 @@ class TestBuild:
         mat = matrix_from_dict(json.loads(first))
         from qboson import fourier
         np.testing.assert_array_equal(mat, fourier(AlgebraConfig(7, k=3)))
+
+
+    def test_numpy_fft_is_imported_by_the_first_routed_product_only(self):
+        # a cold process whose products stay below the break-even never loads it
+        code = ("import sys, qboson; qboson.run_all(qboson.AlgebraConfig({s})); "
+                "print('numpy.fft' in sys.modules)")
+        for s, loaded in ((5, "False"), (cmatrix._FFT_MIN_DIM - 2, "False"),
+                          (cmatrix._FFT_MIN_DIM - 1, "True")):
+            proc = run_python("-c", code.format(s=s))
+            assert proc.returncode == 0 and proc.stdout.strip() == loaded, (s, proc.stderr)
 
 
 class TestVerify:

@@ -19,11 +19,13 @@ from qboson.algebra import (
     shift,
     shift_dag,
 )
+from qboson import cmatrix
 from qboson.cmatrix import (
     _band_rows,
     _Circulant,
     _CLOSED,
     _ColumnMap,
+    _Dft,
     _diagonal,
     _dyad,
     dag,
@@ -38,6 +40,8 @@ from qboson.cmatrix import (
     vector_to_dict,
 )
 from qboson.qnumerics import AlgebraConfig, primitive_root
+
+from fft_bound import assert_fft_product_bound
 
 _elements = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -454,8 +458,9 @@ class TestColumnMap:
         # or take the dense route of a circulant
         x = np.ones((4, 4), dtype=complex)
         m, c = _dyad(1, 2, 4), _Circulant(np.arange(4) + 1j)
+        f = _Dft(1, fourier(AlgebraConfig(3)))
         for case in (lambda: x @ m, lambda: m @ x, lambda: m @ m, lambda: 2.0 * m,
-                     lambda: m - m, lambda: x - m, lambda: x @ c):
+                     lambda: m - m, lambda: x - m, lambda: x @ c, lambda: x @ f, lambda: f @ x):
             with pytest.raises(TypeError):
                 case()
 
@@ -466,6 +471,109 @@ class TestColumnMap:
         copied = np.array(m)
         copied[0, 0] = 5
         assert np.asarray(m)[0, 0] == 0
+
+
+    def test_a_diagonal_is_known_by_its_flag_not_by_the_cached_rows(self, monkeypatch):
+        # the diagonal's shared row table may leave its cache; a diagonal made
+        # before still scales rows and columns, with no dense product
+        d = 40
+        g = _diagonal(np.exp(1j * np.arange(d)))
+        _band_rows.cache_clear()
+        assert g.rows is not _band_rows(d, 0)
+        x = fourier(AlgebraConfig(d - 1))
+
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("a diagonal was formed")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "matmul", no_matmul)
+            assert _bit_equal(_CLOSED.mul(g, x), g.weights[:, None] * x)
+            assert _bit_equal(_CLOSED.mul(x, g), x * g.weights)
+            assert max_abs_diff(x, g) == _dense_deviation(x, np.asarray(g))
+        # products, powers, differences and multiples of diagonals are diagonals
+        a = _dyad(1, 2, d)
+        assert all(m.diagonal for m in (g, _CLOSED.mul(g, g), mat_pow(g, 3), mat_pow(g, 0),
+                                        _CLOSED.sub(g, g), _CLOSED.scale(2j, g), _CLOSED.eye(d),
+                                        _CLOSED.zeros(d)))
+        assert not any(m.diagonal for m in (a, _CLOSED.mul(g, a), _CLOSED.mul(a, g), mat_pow(a, 2)))
+
+
+def _coprime_configs(s):
+    return [AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]
+
+
+class TestDft:
+    """The adjoint of the ideal DFT, applied by an FFT, against the dense product."""
+
+    @pytest.mark.parametrize("s", range(2, 17))
+    def test_fft_matches_the_dense_product_at_every_root(self, monkeypatch, s):
+        monkeypatch.setattr(cmatrix, "_FFT_MIN_DIM", 1)  # route every dimension
+        for cfg in _coprime_configs(s):
+            f = fourier(cfg)
+            fdag = _Dft(cfg.k, f)
+            x = f * np.exp(1j * np.arange(cfg.dim))
+            for got, left, right in ((_CLOSED.mul(x, fdag), x, dag(f)),
+                                     (_CLOSED.mul(fdag, f), dag(f), f),
+                                     (_CLOSED.mul(fdag, x), dag(f), x)):
+                assert_fft_product_bound(got, left, right)
+            # the product of F† with F is the identity: the built F is the ideal DFT
+            assert max_abs_diff(_CLOSED.mul(fdag, f), identity(cfg.dim)) <= 4 * 2.0**-53 * cfg.dim
+
+    @pytest.mark.parametrize("s", [256, 511, 512, 1024])
+    def test_fft_matches_the_dense_product_at_large_cutoffs(self, s):
+        for k in (1, -1):
+            cfg = AlgebraConfig(s, k=k)
+            f = fourier(cfg)
+            assert cfg.dim >= cmatrix._FFT_MIN_DIM
+            x = f * np.exp(1j * np.arange(cfg.dim))
+            assert_fft_product_bound(_CLOSED.mul(x, _Dft(k, f)), x, dag(f))
+            assert_fft_product_bound(_CLOSED.mul(_Dft(k, f), f), dag(f), f)
+
+    def test_below_the_break_even_the_product_is_numpy_bit_for_bit(self, monkeypatch):
+        fft_calls = []
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: fft_calls.append(1))
+        for s in (2, 16, 64, cmatrix._FFT_MIN_DIM - 2):
+            cfg = AlgebraConfig(s, k=-1)
+            f = fourier(cfg)
+            x = f * np.exp(1j * np.arange(cfg.dim))
+            assert _bit_equal(_CLOSED.mul(x, _Dft(cfg.k, f)), x @ dag(f))
+            assert _bit_equal(_CLOSED.mul(_Dft(cfg.k, f), x), dag(f) @ x)
+        assert fft_calls == []
+
+    def test_root_index_is_reduced_by_its_own_modulus(self):
+        # k and k + d, or -1 and d - 1, are one transform, whatever F was built with
+        cfg = AlgebraConfig(299, k=7)
+        d = cfg.dim
+        f = fourier(cfg)
+        x = f * np.exp(1j * np.arange(d))
+        want = _CLOSED.mul(x, _Dft(7, f))
+        assert _bit_equal(_CLOSED.mul(x, _Dft(7 + 3 * d, f)), want)
+        assert _bit_equal(_CLOSED.mul(x, _Dft(7 - d, f)), want)
+        # the kept matrix is the built F's adjoint, the transform is the ideal one
+        wrong = fourier(AlgebraConfig(299, k=11))
+        assert _bit_equal(np.asarray(_Dft(7, wrong)), dag(wrong))
+        assert _bit_equal(_CLOSED.mul(x, _Dft(7, wrong)), want)
+
+    def test_kept_matrix_and_other_operands(self):
+        cfg = AlgebraConfig(6, k=2)
+        f = fourier(cfg)
+        fdag = _Dft(cfg.k, f)
+        assert fdag.dense is None and _bit_equal(fdag.kept(), dag(f)) and fdag.kept() is fdag.kept()
+        assert not fdag.kept().flags.writeable
+        assert max_abs_diff(fdag, dag(f)) == 0.0 and max_abs_diff(f, fdag) == max_abs_diff(f, dag(f))
+        m, c = _dyad(1, 2, cfg.dim), _Circulant(np.arange(cfg.dim) + 1j)
+        for other in (m, c, fdag):
+            assert np.array_equal(np.asarray(_CLOSED.mul(fdag, other)), dag(f) @ np.asarray(other))
+            assert np.array_equal(np.asarray(_CLOSED.mul(other, fdag)), np.asarray(other) @ dag(f))
+
+    def test_inputs_left_untouched(self):
+        cfg = AlgebraConfig(199, k=3)
+        f = fourier(cfg)
+        x = f * np.exp(1j * np.arange(cfg.dim))
+        before = x.copy(), f.copy()
+        for got in (_CLOSED.mul(x, _Dft(3, f)), _CLOSED.mul(_Dft(3, f), x)):
+            assert got.base is None and got is not x
+        assert _bit_equal(x, before[0]) and _bit_equal(f, before[1])
 
 
 class TestMaxAbsDiff:

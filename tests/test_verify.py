@@ -23,6 +23,8 @@ from qboson import (
     annihilation,
     brute_force_oracle,
     build_operator_set,
+    dyad,
+    fourier,
     mat_pow,
     max_abs_diff,
     nilpotency_index,
@@ -31,7 +33,7 @@ from qboson import (
     sweep,
 )
 from qboson.algebra import OperatorSet, _hermiticity_error
-from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap, dag
+from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap, _Dft, dag
 from qboson.verify import (
     _NAIVE,
     ORACLE_TOL,
@@ -42,6 +44,8 @@ from qboson.verify import (
     _shift_is_sharp,
     _step_chain_is_sharp,
 )
+
+from fft_bound import assert_fft_product_bound
 
 
 def test_catalog_has_fourteen_named_checks():
@@ -364,28 +368,106 @@ def test_circulant_products_match_the_dense_products(s):
             _assert_circulant_product_bound(_CLOSED.mul(x, y), x, y)
 
 
-@pytest.mark.parametrize("s", [4, 256])
-def test_dense_products_per_verification(monkeypatch, s):
-    # the d^3 products of run_all plus polar_decompose: F F†, F† F, F g⁻¹ F†,
-    # F g F† and eq17's two, and ã, ã† when the set is built; eq19's squares
-    # are circulants, at every d
-    cfg = AlgebraConfig(s)
-    matmul, counted = np.matmul, []
+def _count_products(monkeypatch):
+    # the dense d^3 products and the FFTs numpy forms from here on
+    matmul, fft, counted = np.matmul, np.fft.fft, {"dense": 0, "fft": 0}
 
     def counting(x, y, *args, **kwargs):
-        counted.append(np.ndim(x) == np.ndim(y) == 2)
+        counted["dense"] += np.ndim(x) == np.ndim(y) == 2
         return matmul(x, y, *args, **kwargs)
 
+    def counting_fft(*args, **kwargs):
+        counted["fft"] += 1
+        return fft(*args, **kwargs)
+
     monkeypatch.setattr(np, "matmul", counting)
-    per_op = []
-    for _ in range(2):  # a miss, then a repeat on the kept set
-        counted.clear()
-        run_all(cfg)
-        polar_decompose(cfg)
-        per_op.append(sum(counted))
-    assert per_op == [8, 6]
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    return counted
+
+
+def _products_per_op(counted, cfg):
+    # the products of one run_all plus polar_decompose
+    before = dict(counted)
+    run_all(cfg)
+    polar_decompose(cfg)
+    return tuple(counted[key] - before[key] for key in ("dense", "fft"))
+
+
+@pytest.mark.parametrize("s", [4, 256])
+def test_dense_products_per_verification(monkeypatch, s):
+    # the d^3 products of run_all plus polar_decompose: F F† and eq17's two,
+    # and F† F, F g⁻¹ F†, F g F† and, when the set is built, ã and ã†, which
+    # are FFTs from _FFT_MIN_DIM on; eq19's squares are circulants at every d.
+    # (dense, FFT) on a miss, then on a repeat on the kept set
+    expected = {4: [(8, 0), (6, 0)], 256: [(3, 5), (3, 3)]}[s]
+    cfg = AlgebraConfig(s)
+    counted = _count_products(monkeypatch)
+    assert [_products_per_op(counted, cfg) for _ in range(2)] == expected
     eq19 = dict(_catalog(_CLOSED, _closed_operators(build_operator_set(cfg)), cfg))["eq19_polar"]
     assert all(isinstance(lhs, _Circulant) and isinstance(rhs, _Circulant) for lhs, rhs in eq19[4:])
+
+
+def test_an_evicted_row_table_adds_no_product(monkeypatch):
+    # dyads at 20 offsets push the diagonal's shared row table out of its
+    # cache; the kept set's clock stays a diagonal, so eq19 scales by it
+    cfg = AlgebraConfig(256)
+    counted = _count_products(monkeypatch)
+    per_op = [_products_per_op(counted, cfg) for _ in range(2)]
+    for n in range(20):
+        dyad(0, n, 40)
+    per_op += [_products_per_op(counted, cfg) for _ in range(2)]
+    assert per_op == [(3, 5)] + [(3, 3)] * 3
+
+
+@pytest.mark.parametrize("s", [*range(2, 17), 256, 511, 512, 1024])
+def test_fft_products_match_the_dense_products(monkeypatch, s):
+    # every product with the ideal F†, the set's ã and ã† included, against
+    # the dense product of the kept matrices, which stays the specification:
+    # at every root with every dimension routed for s <= 16, at k = ±1 above
+    if s <= 16:
+        monkeypatch.setattr(qboson.cmatrix, "_FFT_MIN_DIM", 1)
+    mul, checked = _CLOSED.mul, []
+
+    def against_dense(x, y):
+        got = mul(x, y)
+        if isinstance(x, _Dft) or isinstance(y, _Dft):
+            assert_fft_product_bound(got, x, y)
+            checked.append(isinstance(x, _Dft))
+        return got
+
+    monkeypatch.setattr(_CLOSED, "mul", against_dense)
+    counted = _count_products(monkeypatch)
+    for cfg in (AlgebraConfig(s, k=k) for k in (range(1, s + 1) if s <= 16 else (1, -1))
+                if math.gcd(k, s + 1) == 1):
+        checked.clear()
+        qboson.algebra._last_set = None
+        ffts = counted["fft"]
+        assert run_all(cfg).overall_pass, cfg.k
+        # ã, ã†, F g⁻¹ F†, F g F† with F† on the right, F† F on the left
+        assert sorted(checked) == [False] * 4 + [True] and counted["fft"] - ffts == 5
+
+
+@pytest.mark.parametrize("s", [2, 4, 6, 10, 12, 16, 256])
+def test_a_unitary_fourier_of_the_wrong_root_fails(monkeypatch, s):
+    # F built with rows of root k + 1 is unitary, so F F† passes; the ideal
+    # F† of root k exposes it in F† F (eq13, eq15) and in (F g^∓1) F† (eq14,
+    # and eq17's second pair).  Below the break-even F† is the built F's
+    # adjoint, and only the latter fail
+    for routed in (True, False) if s <= 16 else (True,):
+        with monkeypatch.context() as patched:
+            if routed and s <= 16:
+                patched.setattr(qboson.cmatrix, "_FFT_MIN_DIM", 1)
+            for k in range(1, s + 1) if s <= 16 else (1, 2, 37, s - 1):
+                if math.gcd(k, s + 1) != 1 or math.gcd(k + 1, s + 1) != 1:
+                    continue
+                cfg = AlgebraConfig(s, k=k)
+                mutant = _mutant(build_operator_set(cfg),
+                                 fourier=fourier(AlgebraConfig(s, k=k + 1)))
+                patched.setattr(qboson.verify, "build_operator_set", lambda _: mutant)
+                failed = {c.name for c in run_all(cfg).checks if not c.passed}
+                want = {"eq14_h_via_f", "eq17_tilde_ccr"}
+                assert failed == (want | {"eq13_f_unitary", "eq15_phase_orthonormal"} if routed
+                                  else want), (k, routed)
 
 
 def test_a_side_held_past_its_check_keeps_its_values():
