@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import (_band_rows, _Circulant, _CLOSED, _ColumnMap, _Dft, _diagonal, _frozen,
-                      dag, dyad, max_abs_diff)
+                      _read_map, dag, dyad, max_abs_diff)
 from .qnumerics import AlgebraConfig, _principal_sqrt, primitive_root, q_number, sqrt_q_number
 
 
@@ -149,14 +149,15 @@ def phase_state(m: int, cfg: AlgebraConfig) -> np.ndarray:
 def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
     """Rotate an operator into the phase basis: F a F†.
 
-    F† is applied as the operator set applies it to ``F a``, so this equals
-    the set's ``a_tilde`` for the step-down operator, bit for bit: an FFT from
-    ``cmatrix._FFT_MIN_DIM`` on, the dense product below.
+    Both products are the operator set's, so this is its ``a_tilde`` for the
+    step-down operator, bit for bit: F a is a column gather wherever a has at
+    most one nonzero per column, as ``mat_pow`` reads it, and F† applies as
+    an FFT from ``cmatrix._FFT_MIN_DIM`` on, a dense product below.
     """
     f = fourier(cfg)
     if a.shape != f.shape:
         raise ValueError(f"operator shape {a.shape} does not match dim {cfg.dim}")
-    return _CLOSED.mul(f @ a, _Dft(cfg.k, f))
+    return _CLOSED.mul(_CLOSED.mul(f, _read_map(np.asarray(a)) or a), _Dft(cfg.k, f))
 
 
 def q_bracket(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
@@ -279,20 +280,21 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
     with the radial part diagonal in the phase basis; the rotated step-up
     operator factors with the same pieces in the opposite order.  Both
     operators are built independently by Fourier conjugation and compared
-    against the factored forms, all read from :func:`build_operator_set`, so
-    the four factor errors are the verifier's first four eq19 deviations.
-    Right after ``run_all`` on an equal configuration the set is the one
-    that call built: nothing is constructed again, the four errors are the
+    against the factored forms, all read from :func:`build_operator_set`:
+    the four factor errors are eq19's four clock pairs, ``_polar_pairs``,
+    the verifier's first four deviations.  Right after ``run_all`` on an
+    equal configuration nothing is constructed again: the four errors are the
     ones that call reduced, and only the unitary is formed.  On a set that
     ``run_all`` has not reduced (a fresh build, or a copy with some fields
-    changed), the errors are computed here, with the same result.  The radial
-    factor is the set's read-only ``sqrt_brace_hdag``.
+    changed), the same pairs are reduced here, with the unitary's inverse
+    clock and no F or F† built.  The radial factor is ``sqrt_brace_hdag``.
     """
     ops = build_operator_set(cfg)
-    record = _recorded_errors
-    deviations = record[1] if record is not None and record[0]() is ops else _factor_errors(ops)
-    errors = dict(zip(_FACTOR_ERRORS, deviations))
     z_inv = vars(ops)["g"].weights.conj()
+    record = _recorded_errors
+    deviations = (record[1] if record is not None and record[0]() is ops
+                  else _factor_errors(ops, _diagonal(z_inv)))
+    errors = dict(zip(_FACTOR_ERRORS, deviations))
     unitary = np.full((cfg.dim,) * 2, _CONJ_ZERO)  # dag(diag(z)), its zeros 0 - 0j
     unitary.reshape(-1)[::cfg.dim + 1] = z_inv
     return PolarDecomposition(
@@ -308,6 +310,15 @@ def polar_decompose(cfg: AlgebraConfig) -> PolarDecomposition:
 _FACTOR_ERRORS = ("down_unitary_radial", "down_radial_unitary", "up_radial_unitary",
                   "up_unitary_radial")
 
+
+def _polar_pairs(ar, x: dict, g_inv) -> list[tuple]:
+    # eq19's four clock pairs in _FACTOR_ERRORS's order, over an arithmetic ar and
+    # one route's operators x: ã or ã† against the clock, or g_inv, times a radial root
+    mul, r_down, r_up = ar.mul, x["sqrt_brace_hdag"], x["sqrt_brace_hdag1"]
+    return [(x["a_tilde"], mul(g_inv, r_down)), (x["a_tilde"], mul(r_up, g_inv)),
+            (x["a_tilde_dag"], mul(r_down, x["g"])), (x["a_tilde_dag"], mul(x["g"], r_up))]
+
+
 # eq19's first four deviations as run_all last reduced them, with a weak
 # reference to the set they were reduced on; a tuple replaced whole, so a
 # reader sees one set's four floats
@@ -319,18 +330,9 @@ def _record_factor_errors(ops: OperatorSet, deviations: list[float]) -> None:
     _recorded_errors = weakref.ref(ops), tuple(deviations[:len(_FACTOR_ERRORS)])
 
 
-def _factor_errors(ops: OperatorSet) -> list[float]:
-    # the clock is diagonal, so its four products are broadcasts; its
-    # diagonal is the weights of the set's map
-    z = vars(ops)["g"].weights
-    z_inv = z.conj()
-    r_down, r_up = ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
-    return [
-        max_abs_diff(ops.a_tilde, z_inv[:, None] * r_down),
-        max_abs_diff(ops.a_tilde, r_up * z_inv),
-        max_abs_diff(ops.a_tilde_dag, r_down * z),
-        max_abs_diff(ops.a_tilde_dag, z[:, None] * r_up),
-    ]
+def _factor_errors(ops: OperatorSet, g_inv: _ColumnMap) -> list[float]:
+    # the four clock pairs' deviations on the set as stored, as run_all reduces them
+    return [max_abs_diff(lhs, rhs) for lhs, rhs in _polar_pairs(_CLOSED, vars(ops), g_inv)]
 
 
 def _hermiticity_error(lags: np.ndarray) -> float:

@@ -2,19 +2,16 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  A matrix may also be
-held as one of three structures, plain data with no arithmetic of its own.
-A ``_ColumnMap`` has at most one nonzero per column (a diagonal, a step
-operator, a shift, a dyad): against another map its products, differences,
-powers and deviations cost O(d); against a dense matrix a product is a
-gather, and a difference or a deviation reads the dense matrix and the map's
-d entries, never a d x d form of the map.  A ``_Circulant`` holds its 2d - 1
-distinct entries: the product of two circulants is the circulant of one
-matrix-vector product, in O(d^2), and their deviation is reduced over those
-entries, in O(d).  A ``_Dft`` is the adjoint of the ideal finite Fourier
-transform of one root index: its product with a dense matrix is an FFT, in
-O(d^2 log d), from ``_FFT_MIN_DIM`` on.  ``_CLOSED`` is the one numpy
-arithmetic that combines them, and numpy allocates each of its dense
-results; ``mat_pow`` and ``max_abs_diff`` pick their routes by type.
+held as one of three structures, plain data with ``kept()`` and ``_formed()``
+and no arithmetic: a ``_ColumnMap`` has at most one nonzero per column (a
+diagonal, a step operator, a shift, a dyad), a ``_Circulant`` holds its 2d - 1
+distinct entries, and a ``_Dft`` is the adjoint of the ideal finite Fourier
+transform of one root index.  ``_CLOSED`` holds every rule that combines
+them, and numpy allocates each of its dense results; ``mat_pow`` and
+``max_abs_diff`` pick their routes by type.  Against a map a map costs O(d),
+and against a dense matrix it is never formed; two circulants multiply in
+O(d^2) and are compared in O(d); a DFT applies to a dense matrix as an FFT,
+in O(d^2 log d), from ``_FFT_MIN_DIM`` on.
 """
 
 from __future__ import annotations
@@ -86,28 +83,6 @@ class _ColumnMap(_Structure):
         dense[self.rows, _band_rows(self.rows.size, 0)] = self.weights
         return dense
 
-    # the dense results against a dense matrix
-    def _placed(self, other: np.ndarray) -> np.ndarray:
-        # self @ other: a diagonal scales other's rows; any other map is formed
-        if self.diagonal:
-            return self.weights[:, None] * other
-        return np.matmul(np.asarray(self), other)
-
-    def _gathered(self, other: np.ndarray) -> np.ndarray:
-        # other @ self: a diagonal scales other's columns; any other map
-        # gathers them, column j being other's column rows[j]
-        if self.diagonal:
-            return other * self.weights
-        return other[:, self.rows] * self.weights
-
-    def _subtracted_from(self, other: np.ndarray) -> np.ndarray:
-        # other - zero off the map, as against the formed matrix; on it, the d
-        # entries other[rows[j], j] - weights[j]
-        out = np.subtract(other, self.zero, dtype=np.result_type(other, self.weights))
-        cols = _band_rows(self.rows.size, 0)
-        out[self.rows, cols] = other[self.rows, cols] - self.weights
-        return out
-
 
 class _Circulant(_Structure):
     """The circulant ``c[(m - n) mod d]`` of column 0 ``c = column``.
@@ -163,55 +138,57 @@ class _Dft(_Structure):
     def _formed(self) -> np.ndarray:
         return dag(self.built)
 
-    def _applied(self, x: np.ndarray, axis: int) -> np.ndarray:
-        # F† x on axis 0, x F† on axis 1: the gather is a fresh copy, which
-        # the FFT overwrites, so no second d x d array is made
-        d = self.shape[0]
-        if d < _FFT_MIN_DIM:
-            return np.matmul(self.kept(), x) if axis == 0 else np.matmul(x, self.kept())
-        y = np.take(x, pow(self.k, -1, d) * np.arange(d) % d, axis=axis)
-        return np.fft.fft(y, axis=axis, norm="ortho", out=y)
+
+def _dft_product(fdag: _Dft, x: np.ndarray, axis: int) -> np.ndarray:
+    # F† x on axis 0, x F† on axis 1: the gather is a fresh copy, which the
+    # FFT overwrites, so no second d x d array is made
+    d = fdag.shape[0]
+    if d < _FFT_MIN_DIM:
+        return np.matmul(fdag.kept(), x) if axis == 0 else np.matmul(x, fdag.kept())
+    y = np.take(x, pow(fdag.k, -1, d) * np.arange(d) % d, axis=axis)
+    return np.fft.fft(y, axis=axis, norm="ortho", out=y)
 
 
 def _closed_mul(x, y):
-    """x @ y.  A map times a map is a map; a dense matrix times a map is a
-    column gather, and a diagonal times a dense matrix scales its rows.  Two
-    circulants give the circulant whose column 0 is x times y's column 0,
-    one matrix-vector product in place of a d^3 one, which agrees with ``@``
-    within rounding, not bit for bit.  A DFT against a dense matrix is an
-    FFT from ``_FFT_MIN_DIM`` on.  A circulant, or a DFT, against anything
-    else is its kept matrix."""
+    """x @ y.  A map times a map is a map.  Against a dense matrix a diagonal
+    scales its rows or columns, another map on the right gathers its columns
+    (column j is column rows[j] times weights[j]), and one on the left is
+    formed.  Two circulants give the circulant whose column 0 is x times y's
+    column 0, one matrix-vector product in place of a d^3 one, equal to ``@``
+    within rounding; a circulant against anything else is its kept matrix.  A
+    DFT against a dense matrix is an FFT from ``_FFT_MIN_DIM`` on, and against
+    a map or a DFT a ``TypeError``, as numpy refuses the structure."""
     if isinstance(x, _Circulant):
         if isinstance(y, _Circulant):
             return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
         x = x.dense
     elif isinstance(y, _Circulant):
         y = y.dense
-    if isinstance(x, _Dft):
-        if isinstance(y, np.ndarray):
-            return x._applied(y, axis=0)
-        x = x.kept()
-    if isinstance(y, _Dft):
-        if isinstance(x, np.ndarray):
-            return y._applied(x, axis=1)
-        y = y.kept()
+    if isinstance(x, _Dft) and isinstance(y, np.ndarray):
+        return _dft_product(x, y, axis=0)
+    if isinstance(y, _Dft) and isinstance(x, np.ndarray):
+        return _dft_product(y, x, axis=1)
     if isinstance(x, _ColumnMap):
         if isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
             return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights,
                               diagonal=x.diagonal and y.diagonal)
-        return x._placed(y)
+        return x.weights[:, None] * y if x.diagonal else np.matmul(np.asarray(x), y)
     if isinstance(y, _ColumnMap):
-        return y._gathered(x)
+        return x * y.weights if y.diagonal else x[:, y.rows] * y.weights
     return np.matmul(x, y)
 
 
 def _closed_sub(x, y):
-    """x - y; two maps on the same rows give a map."""
+    """x - y; two maps on the same rows give a map, and a dense matrix less a
+    map is x - zero off the map and the d entries x[rows[j], j] - weights[j] on it."""
     if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):
         if not np.count_nonzero(x.rows != y.rows):
             return _ColumnMap(x.rows, x.weights - y.weights, diagonal=x.diagonal)
     elif isinstance(y, _ColumnMap):
-        return y._subtracted_from(x)
+        out = np.subtract(x, y.zero, dtype=np.result_type(x, y.weights))
+        cols = _band_rows(y.rows.size, 0)
+        out[y.rows, cols] = x[y.rows, cols] - y.weights
+        return out
     return np.subtract(np.asarray(x), np.asarray(y))
 
 
@@ -222,9 +199,14 @@ def _closed_scale(alpha, x):
     return np.multiply(alpha, x)
 
 
-@functools.lru_cache(maxsize=16)
 def _band_rows(dim: int, offset: int) -> np.ndarray:
     # row j - offset mod dim of each column j: a cyclic band, shared and read-only
+    return _band_table(dim, offset % dim)  # one table per offset mod dim
+
+
+# room for a sweep(2, 32)'s 93 tables: offsets 0, 1 and -1 (the dyads' -+s) at 31 dims
+@functools.lru_cache(maxsize=128)
+def _band_table(dim: int, offset: int) -> np.ndarray:
     return _frozen((np.arange(dim) - offset) % dim)
 
 
@@ -283,12 +265,21 @@ def mat_pow(a: np.ndarray, p: int) -> np.ndarray:
         return _column_map_power(a, p) if p else _diagonal(np.ones(a.rows.size, dtype=complex))
     a = np.asarray(a)
     if p > 0 and a.ndim == 2 and a.shape[0] == a.shape[1] and a.size:
-        nonzero = a != 0
-        rows = nonzero.argmax(axis=0)  # an empty column reads row 0 and weight 0
-        weights = a[rows, np.arange(a.shape[1])]
-        if np.count_nonzero(nonzero) == np.count_nonzero(weights):
-            return np.asarray(_column_map_power(_ColumnMap(rows, weights), p))
+        m = _read_map(a)
+        if m is not None:
+            return np.asarray(_column_map_power(m, p))
     return np.linalg.matrix_power(a, p)
+
+
+def _read_map(a: np.ndarray) -> _ColumnMap | None:
+    # the column map of a square matrix with at most one nonzero per column,
+    # found by one column read; None for any other matrix
+    nonzero = a != 0
+    rows = nonzero.argmax(axis=0)  # an empty column reads row 0 and weight 0
+    weights = a[rows, np.arange(a.shape[1])]
+    if np.count_nonzero(nonzero) == np.count_nonzero(weights):
+        return _ColumnMap(rows, weights)
+    return None
 
 
 def _column_map_power(m: _ColumnMap, p: int) -> _ColumnMap:
@@ -342,26 +333,15 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     if isinstance(a, _ColumnMap):
         a, b = b, a  # |x - y| is |y - x| bit for bit
-    if isinstance(a, (_Circulant, _Dft)):
+    if isinstance(a, _Circulant):
         a = a.kept()
-    if isinstance(b, (_Circulant, _Dft)):
+    if isinstance(b, _Circulant):
         b = b.kept()
-    if isinstance(b, _ColumnMap):
-        return _map_deviation(a, b)
+    if isinstance(b, _ColumnMap):  # |a - weights[j]| at (rows[j], j), |a - zero| = |a| elsewhere
+        size, cols = np.abs(a), _band_rows(len(a), 0)
+        size[b.rows, cols] = np.abs(a[b.rows, cols] - b.weights)
+        return float(np.maximum.reduce(size, axis=None))
     return float(np.abs(a - b).max())
-
-
-def _map_deviation(x: np.ndarray, m: _ColumnMap) -> float:
-    # |x - m|: |x - weights[j]| at the map's entry (rows[j], j), and |x - zero|,
-    # which is |x|, everywhere else
-    if m.diagonal:  # x's diagonal, read and written as a view
-        size = np.abs(x, order="C")
-        np.abs(x.diagonal() - m.weights, out=size.reshape(-1)[::len(x) + 1])
-    else:
-        size = np.abs(x)
-        cols = _band_rows(len(x), 0)
-        size[m.rows, cols] = np.abs(x[m.rows, cols] - m.weights)
-    return float(np.maximum.reduce(size, axis=None))
 
 
 def is_unitary(a: np.ndarray, tol: float) -> bool:

@@ -23,7 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import OperatorSet, _record_factor_errors, build_operator_set, nilpotency_index
+from .algebra import (OperatorSet, _polar_pairs, _record_factor_errors, build_operator_set,
+                      nilpotency_index)
 # unused here; perfbench's tracer test wraps and restores this binding
 from .algebra import phase_state  # noqa: F401
 from .cmatrix import _CLOSED, _Dft, _diagonal, max_abs_diff
@@ -124,8 +125,9 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
     and the phase braces and radial roots are circulants, so each of eq19's
     squares is one matrix-vector product, compared with its brace in O(d);
     ``x.fourier_dag`` is the ideal DFT's adjoint, whose products with a
-    dense matrix are FFTs, in O(d^2 log d).
-    The phase states are the columns of the Fourier matrix, and a product
+    dense matrix are FFTs, in O(d^2 log d).  eq19's four clock pairs are
+    ``algebra._polar_pairs``, which ``polar_decompose`` reduces too.  The
+    phase states are the columns of the Fourier matrix, and a product
     that two checks share is formed once and dropped after its last use, so
     a caller that reduces each check as it arrives holds a few sides at a
     time.  Products associate as they would written with numpy's ``@`` and
@@ -208,10 +210,7 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
         (mul(x.big_h_dag, x.big_h), eye),
     ]
     yield "eq19_polar", [
-        (x.a_tilde, mul(x.g_inv, r_down)),
-        (x.a_tilde, mul(r_up, x.g_inv)),
-        (x.a_tilde_dag, mul(r_down, x.g)),
-        (x.a_tilde_dag, mul(x.g, r_up)),
+        *_polar_pairs(ar, vars(x), x.g_inv),
         (mul(r_down, r_down), x.brace_hdag),
         (mul(r_up, r_up), x.brace_hdag1),
     ]
@@ -219,8 +218,7 @@ def _catalog(ar: SimpleNamespace, x: SimpleNamespace,
 
 def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
     # the set as stored, its structures as they are, with g⁻¹, √[N] and √[N+1]
-    # (the weights a and a† carry) and F† as the naive route has them; F† is
-    # the ideal DFT's adjoint, which applies as an FFT
+    # (a's and a†'s weights) and F†, the ideal DFT's adjoint, as the naive route has them
     stored = vars(ops)
     return SimpleNamespace(
         **stored, g_inv=_diagonal(stored["g"].weights.conj()),

@@ -478,7 +478,7 @@ class TestColumnMap:
         # before still scales rows and columns, with no dense product
         d = 40
         g = _diagonal(np.exp(1j * np.arange(d)))
-        _band_rows.cache_clear()
+        cmatrix._band_table.cache_clear()
         assert g.rows is not _band_rows(d, 0)
         x = fourier(AlgebraConfig(d - 1))
 
@@ -560,11 +560,20 @@ class TestDft:
         fdag = _Dft(cfg.k, f)
         assert fdag.dense is None and _bit_equal(fdag.kept(), dag(f)) and fdag.kept() is fdag.kept()
         assert not fdag.kept().flags.writeable
-        assert max_abs_diff(fdag, dag(f)) == 0.0 and max_abs_diff(f, fdag) == max_abs_diff(f, dag(f))
-        m, c = _dyad(1, 2, cfg.dim), _Circulant(np.arange(cfg.dim) + 1j)
-        for other in (m, c, fdag):
-            assert np.array_equal(np.asarray(_CLOSED.mul(fdag, other)), dag(f) @ np.asarray(other))
-            assert np.array_equal(np.asarray(_CLOSED.mul(other, fdag)), np.asarray(other) @ dag(f))
+        # a circulant is its kept matrix, a dense operand; a map or a DFT is
+        # refused on both sides, and a deviation of a DFT too, at every d
+        c = _Circulant(np.arange(cfg.dim) + 1j)
+        assert np.array_equal(_CLOSED.mul(fdag, c), dag(f) @ np.asarray(c))
+        assert np.array_equal(_CLOSED.mul(c, fdag), np.asarray(c) @ dag(f))
+        for s in (cfg.s, cmatrix._FFT_MIN_DIM):
+            g = fourier(AlgebraConfig(s))
+            h, m, diag = _Dft(1, g), _dyad(1, 2, s + 1), _diagonal(g[0])
+            for case in (lambda: _CLOSED.mul(h, m), lambda: _CLOSED.mul(m, h),
+                         lambda: _CLOSED.mul(diag, h), lambda: _CLOSED.mul(h, diag),
+                         lambda: _CLOSED.mul(h, h),
+                         lambda: max_abs_diff(h, dag(g)), lambda: max_abs_diff(g, h)):
+                with pytest.raises(TypeError):
+                    case()
 
     def test_inputs_left_untouched(self):
         cfg = AlgebraConfig(199, k=3)

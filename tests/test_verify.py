@@ -408,15 +408,39 @@ def test_dense_products_per_verification(monkeypatch, s):
 
 
 def test_an_evicted_row_table_adds_no_product(monkeypatch):
-    # dyads at 20 offsets push the diagonal's shared row table out of its
-    # cache; the kept set's clock stays a diagonal, so eq19 scales by it
+    # dyads at more dimensions than the cache holds push the diagonal's shared
+    # row table out of it; the kept set's clock stays a diagonal, so eq19
+    # scales by it
     cfg = AlgebraConfig(256)
     counted = _count_products(monkeypatch)
     per_op = [_products_per_op(counted, cfg) for _ in range(2)]
-    for n in range(20):
-        dyad(0, n, 40)
+    for dim in range(1, qboson.cmatrix._band_table.cache_info().maxsize + 2):
+        dyad(0, 0, dim)
     per_op += [_products_per_op(counted, cfg) for _ in range(2)]
     assert per_op == [(3, 5)] + [(3, 3)] * 3
+    assert vars(build_operator_set(cfg))["g"].rows is not qboson.cmatrix._band_rows(cfg.dim, 0)
+
+
+def test_a_second_sweep_misses_no_row_table():
+    # sweep(2, 32) asks for offsets 0, +-1 and, in eq14's dyads, +-s, which is
+    # -+1 mod d: 93 tables, all kept from one sweep to the next
+    table = qboson.cmatrix._band_table
+    sweep(2, 32)
+    misses = table.cache_info().misses
+    sweep(2, 32)
+    assert table.cache_info().misses == misses
+
+
+def test_fourier_conjugate_of_a_step_operator_forms_no_dense_product(monkeypatch):
+    # F a is the set's column gather and F† its FFT, so the export is the
+    # set's field with no d^3 product
+    cfg = AlgebraConfig(256)
+    counted, operands, mul = _count_products(monkeypatch), [], _CLOSED.mul
+    monkeypatch.setattr(_CLOSED, "mul", lambda x, y: operands.append((type(x), type(y))) or mul(x, y))
+    got = qboson.fourier_conjugate(annihilation(cfg), cfg)
+    assert counted == {"dense": 0, "fft": 1}
+    assert operands == [(np.ndarray, _ColumnMap), (np.ndarray, _Dft)]
+    assert _bit_equal(got, build_operator_set(cfg).a_tilde)
 
 
 @pytest.mark.parametrize("s", [*range(2, 17), 256, 511, 512, 1024])
