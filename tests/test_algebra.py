@@ -41,7 +41,7 @@ from qboson import (
 from qboson.algebra import _rotate_diagonal
 from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap, _Dft
 
-from fft_bound import assert_fft_product_bound
+from bounds import assert_product_bound, assert_rotation_bound, bit_equal, coprime_configs
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
 
@@ -265,13 +265,13 @@ def test_fourier_conjugate_of_a_complex_diagonal_is_within_the_stated_bound(s):
     # F a gathers a's columns: against the dense F @ a it is equal bit for bit
     # for real or imaginary weights, and within 4 * 2^-52 * max|a| for the
     # clock's complex ones (README, "Numerical conventions")
-    for cfg in _coprime_configs(s)[:6]:
+    for cfg in coprime_configs(s)[:6]:
         f = fourier(cfg)
         for a in (clock(cfg), dag(clock(cfg))):
             dense = _CLOSED.mul(f @ a, _Dft(cfg.k, f))
             assert np.abs(fourier_conjugate(a, cfg) - dense).max() <= 4 * 2.0**-52
         for a in (annihilation(cfg), q_number_matrix(cfg), sqrt_q_number_matrix(cfg, offset=1)):
-            assert _bit_equal(fourier_conjugate(a, cfg), _CLOSED.mul(f @ a, _Dft(cfg.k, f)))
+            assert bit_equal(fourier_conjugate(a, cfg), _CLOSED.mul(f @ a, _Dft(cfg.k, f)))
 
 
 def test_fourier_conjugate_identity_and_mismatch():
@@ -408,46 +408,41 @@ def test_operator_set_coherent(cfg):
 # --- one Fourier matrix per configuration ---------------------------------------
 
 
-def _bit_equal(a, b):
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
-
-
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_operator_set_fourier_is_the_phase_state_matrix(cfg):
     states = np.column_stack([phase_state(m, cfg) for m in range(cfg.dim)])
-    assert _bit_equal(build_operator_set(cfg).fourier, states)
+    assert bit_equal(build_operator_set(cfg).fourier, states)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_operator_set_roots_are_the_phase_brace_roots(cfg):
     ops = build_operator_set(cfg)
     r_down, r_up = phase_brace_roots(cfg)
-    assert _bit_equal(ops.sqrt_brace_hdag, r_down)
-    assert _bit_equal(ops.sqrt_brace_hdag1, r_up)
+    assert bit_equal(ops.sqrt_brace_hdag, r_down)
+    assert bit_equal(ops.sqrt_brace_hdag1, r_up)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_operator_set_braces_are_the_phase_braces(cfg):
     ops = build_operator_set(cfg)
     down, up = phase_braces(cfg)
-    assert _bit_equal(ops.brace_hdag, down)
-    assert _bit_equal(ops.brace_hdag1, up)
+    assert bit_equal(ops.brace_hdag, down)
+    assert bit_equal(ops.brace_hdag1, up)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
 def test_polar_radial_factor_is_the_operator_set_root(cfg):
-    assert _bit_equal(polar_decompose(cfg).radial, build_operator_set(cfg).sqrt_brace_hdag)
+    assert bit_equal(polar_decompose(cfg).radial, build_operator_set(cfg).sqrt_brace_hdag)
 
 
 # both sides of dimension 48, where the step operators become column gathers
 @pytest.mark.parametrize("s", [47, 48, 64, 128])
 def test_polar_decomposition_is_the_operator_set_eq19(s):
-    for cfg in _coprime_configs(s):
+    for cfg in coprime_configs(s):
         ops = build_operator_set(cfg)
         pd = polar_decompose(cfg)
-        assert _bit_equal(pd.radial, ops.sqrt_brace_hdag), cfg.k
-        assert _bit_equal(pd.unitary, dag(ops.g)), cfg.k
+        assert bit_equal(pd.radial, ops.sqrt_brace_hdag), cfg.k
+        assert bit_equal(pd.unitary, dag(ops.g)), cfg.k
         catalog = verify._catalog(_CLOSED, verify._closed_operators(ops), cfg)
         eq19 = dict(catalog)["eq19_polar"]
         assert list(pd.factor_errors.values()) == [max_abs_diff(lhs, rhs) for lhs, rhs in eq19[:4]]
@@ -586,12 +581,12 @@ _MONOMIAL_BUILDERS = {
 def test_formed_monomials_are_the_public_builders(s):
     # a field stored as a column map reads as its builder's matrix byte for
     # byte, signed zeros included (an adjoint's zeros are 0 - 0j)
-    for cfg in _coprime_configs(s):
+    for cfg in coprime_configs(s):
         ops = build_operator_set(cfg)
         assert set(_MONOMIAL_BUILDERS) == {
             name for name, value in vars(ops).items() if isinstance(value, _ColumnMap)}
         for name, builder in _MONOMIAL_BUILDERS.items():
-            assert _bit_equal(getattr(ops, name), builder(cfg)), (cfg.k, name)
+            assert bit_equal(getattr(ops, name), builder(cfg)), (cfg.k, name)
 
 
 @pytest.mark.parametrize("s", [4, 64])
@@ -628,8 +623,8 @@ def test_circulants_are_views_of_two_periods(s):
         assert x.base.size == 2 * cfg.dim and not x.flags.writeable
     for x in (*phase_braces(cfg), *phase_brace_roots(cfg)):
         assert x.flags.owndata and x.flags.writeable
-    assert _bit_equal(phase_brace_roots(cfg)[0], ops.sqrt_brace_hdag)
-    assert _bit_equal(phase_braces(cfg)[1], ops.brace_hdag1)
+    assert bit_equal(phase_brace_roots(cfg)[0], ops.sqrt_brace_hdag)
+    assert bit_equal(phase_braces(cfg)[1], ops.brace_hdag1)
 
 
 @pytest.mark.parametrize("s", [4, 256])
@@ -672,7 +667,7 @@ def test_a_quotient_with_one_lag_altered_fails_the_self_check(monkeypatch, s):
 def test_lag_self_check_reads_the_dense_check(monkeypatch, s):
     # the set's check on 2 x d lags reduces to the deviations that the dense
     # check of phase_braces reduces from 2 x d^2 entries, bit for bit
-    for cfg in _coprime_configs(s)[:16]:
+    for cfg in coprime_configs(s)[:16]:
         seen = {"set": [], "dense": []}
         for route, build in (("set", algebra._build_operator_set), ("dense", phase_braces)):
             def recorded(a, b, into=seen[route]):
@@ -694,45 +689,25 @@ def test_root_index_acts_only_mod_dimension(s, k):
     ops, ref = build_operator_set(cfg), build_operator_set(reduced)
     for field in dataclasses.fields(ops):
         if field.name != "config":
-            assert _bit_equal(getattr(ops, field.name), getattr(ref, field.name)), field.name
-    assert _bit_equal(fourier(cfg), fourier(reduced))
-    assert _bit_equal(clock(cfg), clock(reduced))
+            assert bit_equal(getattr(ops, field.name), getattr(ref, field.name)), field.name
+    assert bit_equal(fourier(cfg), fourier(reduced))
+    assert bit_equal(clock(cfg), clock(reduced))
     assert verify.run_all(cfg).overall_pass
-
-
-# unit roundoff of IEEE double precision
-UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _assert_within_product_bound(got, f, x):
-    # the circulant route ((f @ x) / sqrt(d))[lag] and the dense f @ diag(x) @ f†
-    # each sum the d terms q^((m-n) j) x_j / d, whose moduli add up to mean|x_j|,
-    # in their own order.  The bound is measured, not proven: it is twice the
-    # real summation bound d u mean|x_j| (Higham, 2nd ed., section 3.5), which
-    # leaves out the complex products (section 3.6), the rounding of f's
-    # entries, the dense route's f * x and the division by sqrt(d).  The worst
-    # entry seen reaches 0.86 of it, at small d
-    dense = (f * x) @ dag(f)  # f * x is f @ diag(x): one nonzero term per entry
-    assert np.abs(got - dense).max() <= 2 * len(x) * UNIT_ROUNDOFF * np.abs(x).mean()
-
-
-def _coprime_configs(s):
-    return [AlgebraConfig(s, k=k) for k in range(1, s + 1) if math.gcd(k, s + 1) == 1]
 
 
 @pytest.mark.parametrize("s", [*range(2, 17), 47, 64, 128, 256])
 def test_diagonal_rotations_match_the_dense_products(s):
     # each diagonal rotated as a circulant against f @ D @ f†
-    for cfg in _coprime_configs(s):
+    for cfg in coprime_configs(s):
         ops = build_operator_set(cfg)
         f = ops.fourier
-        _assert_within_product_bound(ops.n_tilde, f, number(cfg).diagonal())
-        _assert_within_product_bound(ops.sqrt_brace_hdag, f, sqrt_q_number_matrix(cfg).diagonal())
-        _assert_within_product_bound(ops.sqrt_brace_hdag1, f,
+        assert_rotation_bound(ops.n_tilde, f, number(cfg).diagonal())
+        assert_rotation_bound(ops.sqrt_brace_hdag, f, sqrt_q_number_matrix(cfg).diagonal())
+        assert_rotation_bound(ops.sqrt_brace_hdag1, f,
                                      sqrt_q_number_matrix(cfg, offset=1).diagonal())
         for offset in (0, 1):  # the spectral route of the phase-brace self-check
             x = q_number_matrix(cfg, offset=offset).diagonal()
-            _assert_within_product_bound(_rotate_diagonal(f, x).kept(), f, x)
+            assert_rotation_bound(_rotate_diagonal(f, x).kept(), f, x)
 
 
 def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
@@ -756,7 +731,7 @@ def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
 def test_polar_clock_products_match_the_dense_products(s):
     # a factor error from a broadcast clock product differs from the dense
     # one by at most the products' difference, 1e-12 of the radial root
-    for cfg in _coprime_configs(s):
+    for cfg in coprime_configs(s):
         f, g = fourier(cfg), clock(cfg)
         step_down = f @ annihilation(cfg) @ dag(f)
         step_up = f @ creation(cfg) @ dag(f)
@@ -772,25 +747,21 @@ def test_polar_clock_products_match_the_dense_products(s):
             assert abs(errors[name] - err) <= 1e-12 * np.abs(radial).max()
 
 
-def _bit_equal(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes()
-
-
 # the step operators are applied as column gathers; F† is the dense product
 # below the FFT's break-even, bit for bit, and an FFT from it on, within the
 # FFT product bound
-@pytest.mark.parametrize("s", [47, 48, 63, 64, 128])
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64, 128])
 def test_rotated_step_operators_are_the_dense_products(s):
-    for cfg in _coprime_configs(s):
+    for cfg in coprime_configs(s):
         ops = build_operator_set(cfg)
         f, fdag = ops.fourier, dag(ops.fourier)
         step_down, step_up = f @ ops.a @ fdag, f @ ops.a_dag @ fdag
         if cfg.dim < qboson.cmatrix._FFT_MIN_DIM:
-            assert _bit_equal(ops.a_tilde, step_down), cfg.k
-            assert _bit_equal(ops.a_tilde_dag, step_up), cfg.k
+            assert bit_equal(ops.a_tilde, step_down), cfg.k
+            assert bit_equal(ops.a_tilde_dag, step_up), cfg.k
         else:
-            assert_fft_product_bound(ops.a_tilde, f @ ops.a, fdag)
-            assert_fft_product_bound(ops.a_tilde_dag, f @ ops.a_dag, fdag)
+            assert_product_bound(ops.a_tilde, f @ ops.a, fdag)
+            assert_product_bound(ops.a_tilde_dag, f @ ops.a_dag, fdag)
             step_down, step_up = ops.a_tilde, ops.a_tilde_dag
         z, r_down, r_up = ops.g.diagonal(), ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
         dense = {
