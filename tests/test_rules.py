@@ -30,8 +30,7 @@ import pytest
 from qboson import algebra, cli, cmatrix, verify
 from qboson import (AlgebraConfig, annihilation, brute_force_oracle, build_operator_set, clock,
                     fourier, fourier_conjugate, phase_braces, polar_decompose, run_all)
-from qboson.cmatrix import (_band_rows, _Circulant, _CLOSED, _ColumnMap, _Dft, _diagonal, _dyad,
-                            _frozen, dag)
+from qboson.cmatrix import _band_rows, _Circulant, _CLOSED, _ColumnMap, _Dft, _diagonal, _dyad, dag
 
 from bounds import (assert_exact, assert_map_power, assert_map_product, assert_product_bound,
                     bit_equal, coprime_configs)
@@ -227,21 +226,21 @@ def _set_operands(cfg, first: bool, lean: bool):
     # that k does not change at the first root only; its one-nonzero-per-
     # column operators formed are the powers' dense operands
     x = verify._closed_operators(build_operator_set(cfg))
-    out = [("F g⁻¹", _frozen(x.fourier * x.g_inv.weights)), ("F", x.fourier),
+    out = [("F g⁻¹", x.fourier * x.g_inv.weights), ("F", x.fourier),
            ("F†", x.fourier_dag), ("g", x.g), ("a", x.a), ("√{H†}", x.sqrt_brace_hdag), ("q", x.q)]
     steps = {"a": x.a, "a†": x.a_dag}
     if not lean:
         out += [("√[N]", x.sqrt_g), ("a†", x.a_dag), ("√{H†+1}", x.sqrt_brace_hdag1)]
         steps.update({"g": x.g, "[N+1]": x.brace_g1})
     if first:
-        out += [("H†", x.big_h_dag), ("q a† formed", _frozen(x.q * np.asarray(x.a_dag)))]
+        out += [("H†", x.big_h_dag), ("q a† formed", x.q * np.asarray(x.a_dag))]
         steps.update({"h": x.h, "h†": x.h_dag, "H": x.big_h, "H†": x.big_h_dag})
     if first and not lean:
         out += [("ã", x.a_tilde), ("g⁻¹", x.g_inv), ("[N+1]", x.brace_g1), ("N", x.n_op),
                 ("h", x.h), ("h†", x.h_dag), ("H", x.big_h), ("Ñ", x.n_tilde),
                 ("Ñ kept", x.n_tilde.kept()), ("{H†}", x.brace_hdag), ("{H†+1}", x.brace_hdag1),
                 ("a²", cmatrix.mat_pow(x.a, 2)), ("1/q", 1 / x.q)]
-    formed = [(f"{name} formed", _frozen(np.asarray(m)), _ALL if name == "H†" else _POWERS)
+    formed = [(f"{name} formed", np.asarray(m), _ALL if name == "H†" else _POWERS)
               for name, m in steps.items()]
     return [(name, v, _ALL) for name, v in out] + formed
 
@@ -259,22 +258,21 @@ def _random_operands(d: int, lean: bool):
     # at most one nonzero per column or nearly so
     rng = np.random.default_rng(d)
     s = d - 1
-    r, w = _frozen(_cnormal(rng, d, d)), _frozen(_cnormal(rng, d))
+    r, w = _cnormal(rng, d, d), _cnormal(rng, d)
     c = _Circulant(_cnormal(rng, d))
     out = [("random†", dag(r)), ("random diagonal", _diagonal(w)), ("random circulant", c),
            ("|s><0|", _dyad(s, 0, d)), ("-1", -1.0)]
     if d in (3, 64):
         x = c.kept()
-        out += [("kept view", x), ("kept view†", x.T), ("kept copy", _frozen(x)),
-                ("kept slice", x[:]), ("real part", _frozen(x.real.astype(complex))),
-                ("Toeplitz view", _strided(_frozen(_cnormal(rng, 2 * d)), d, d - 1)),
+        out += [("kept view", x), ("kept view†", x.T), ("kept copy", x.copy()),
+                ("kept slice", x[:]), ("real part", x.real.astype(complex)),
+                ("Toeplitz view", _strided(_cnormal(rng, 2 * d), d, d - 1)),
                 ("view at offset d", _strided(x.base, d, d)),
                 ("view at offset d - 1", _strided(x.base, d, d - 1))]
     if lean:
         return [(name, v, _ALL) for name, v in out]
-    rows, repeated = _read_only(rng.permutation(d)), _read_only(rng.integers(0, d, size=d))
-    steps = _frozen(np.where(rng.uniform(size=d) < 0.3, 0,
-                             rng.choice([1.5, -2.0, 0.5j, -1j], size=d)))
+    rows, repeated = rng.permutation(d), rng.integers(0, d, size=d)
+    steps = np.where(rng.uniform(size=d) < 0.3, 0, rng.choice([1.5, -2.0, 0.5j, -1j], size=d))
     zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
     out += [
         ("random", r), ("0", 0.0), ("2j", 2j), ("1", _CLOSED.eye(d)), ("0 map", _CLOSED.zeros(d)),
@@ -284,10 +282,10 @@ def _random_operands(d: int, lean: bool):
         ("reversed band map", _ColumnMap(_band_rows(d, 1), w[::-1])),
         ("permutation map", _ColumnMap(rows, w)), ("repeated-row map", _ColumnMap(repeated, steps)),
         ("adjoint-zero map", _ColumnMap(repeated, w, 0j.conjugate())),
-        ("sink map", _ColumnMap(_read_only(np.full(d, s)), _frozen(np.asarray(_dyad(s, 0, d))[s]))),
+        ("sink map", _ColumnMap(np.full(d, s), np.asarray(_dyad(s, 0, d))[s])),
         ("shift circulant", _Circulant(np.eye(d, dtype=complex)[:, min(1, s)])),
         ("signed zeros", np.resize(zeros, (d, d))),
-        *((f"unit band, zero {z}", _ColumnMap(_band_rows(d, 1), _frozen(np.full(d, 1 - 0j)), z))
+        *((f"unit band, zero {z}", _ColumnMap(_band_rows(d, 1), np.full(d, 1 - 0j), z))
           for z in (0, 0j.conjugate())),
     ]
     ones = np.ones(d, dtype=complex)
@@ -310,7 +308,7 @@ def _special_operands(d: int):
     rng = np.random.default_rng(10 * d)
     rows = rng.integers(0, d, size=d)
     rows[: d // 2] = rng.permutation(d)[: d // 2]
-    a, c = _frozen(_cnormal(rng, d, d)), _cnormal(rng, d)
+    a, c = _cnormal(rng, d, d), _cnormal(rng, d)
     weights = a[rows, np.arange(d)] + 1e-7
     places = tuple(zip(*{(0, 0), (d - 1, d - 1), (d - 1, 0), (0, d - 1), (rows[-1], d - 1)}))
     out = [("near random", a + 1e-9 * _cnormal(rng, d, d)), ("random'", a),
