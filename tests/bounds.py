@@ -43,7 +43,12 @@ def assert_map_product(got, want, x, y) -> None:
     if any(np.all((f.real == 0) | (f.imag == 0)) for f in map(np.asarray, (x, y))):
         assert np.array_equal(got, want)  # a zero may carry the other sign
     else:
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert_relative(got, want)
+
+
+def assert_relative(got, want) -> None:
+    # each entry within 1e-12 of its own size: exact where want is 0
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.abs(want))
 
 
 def assert_map_power(got, want) -> None:
@@ -73,6 +78,12 @@ def assert_product_bound(got, x, y) -> None:
     assert not isinstance(got, (_Dft, _ColumnMap))
     err = np.abs(np.asarray(got) - x @ y)
     assert np.all(err <= 2 * d * UNIT_ROUNDOFF * (np.abs(x) @ np.abs(y)))
+
+
+def assert_fft_product_bound(got, x, y) -> None:
+    # a product with the DFT's adjoint is a formed matrix, in the product bound
+    assert isinstance(got, np.ndarray)
+    assert_product_bound(got, x, y)
 
 
 def assert_rotation_bound(got, f, x) -> None:

@@ -45,7 +45,8 @@ from qboson.verify import (
     _step_chain_is_sharp,
 )
 
-from bounds import bit_equal
+from bounds import (assert_fft_product_bound, assert_product_bound, assert_relative, bit_equal,
+                    coprime_configs)
 
 
 def test_catalog_has_fourteen_named_checks():
@@ -178,7 +179,7 @@ def test_replace_keeps_the_monomials_as_column_maps(monkeypatch):
 # every admissible root is sharp, at 46..64 too, where the product of m-1
 # weights falls below the floor for some k: the check reads each weight
 @pytest.mark.parametrize("s", [*range(2, 33), 46, 48, 50, 64])
-def test_every_root_is_sharp_and_its_powers_vanish_at_the_index(s):
+def test_sharpness_in_log_magnitude_matches_dense_powers(s):
     for k in range(1, s + 1):
         if math.gcd(k, s + 1) != 1:
             continue
@@ -199,7 +200,7 @@ def test_every_root_is_sharp_and_its_powers_vanish_at_the_index(s):
 # roots where the product of m-1 step weights falls far below the sharpness
 # floor, though no one weight does
 @pytest.mark.parametrize("s, k", [(46, 11), (64, 16), (256, 37)])
-def test_roots_with_a_vanishing_weight_product_pass(s, k):
+def test_roots_the_product_floor_failed_now_pass(s, k):
     report = run_all(AlgebraConfig(s, k=k))
     assert report.overall_pass, [(c.name, c.deviation) for c in report.checks if not c.passed]
 
@@ -263,18 +264,32 @@ def test_catalog_powers_go_through_the_module_binding(monkeypatch):
     assert calls == [5] * 5
 
 
-@pytest.mark.parametrize("s", [2, 3, 16, 63, 64])
-def test_catalog_products_by_operand_kind(s):
-    # 38 products, 8 of them of two non-maps: 6 dense, eq19's 2 squares
-    for cfg in _grid_configs(s):
-        ar = SimpleNamespace(**vars(_CLOSED))
-        operands = []
-        ar.mul = lambda x, y: operands.append((type(x), type(y))) or _CLOSED.mul(x, y)
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 63, 64])
+def test_diagonal_shortcuts_match_the_dense_products(s):
+    # every product of the catalog, on the structures the set stores, against
+    # the dense product of the matrices they stand for, at every root; a
+    # product of two circulants (eq19's squares) within the circulant
+    # product's bound
+    products = []
+    ar = SimpleNamespace(**vars(_CLOSED))
+    mul = ar.mul
+
+    def against_dense(x, y):
+        got = mul(x, y)
+        if isinstance(got, _Circulant):
+            assert_product_bound(got, x, y)
+        else:
+            assert_relative(got, np.asarray(x) @ np.asarray(y))
+        products.append(not isinstance(x, _ColumnMap) and not isinstance(y, _ColumnMap))
+        return got
+
+    ar.mul = against_dense
+    for cfg in coprime_configs(s):
+        products.clear()
         for _ in _catalog(ar, _closed_operators(build_operator_set(cfg)), cfg):
             pass
-        assert len(operands) == 38
-        assert sum(_ColumnMap not in pair for pair in operands) == 8
-        assert operands.count((_Circulant, _Circulant)) == 2
+        # 38 products, 8 of them of two non-maps: 6 dense, eq19's 2 squares
+        assert (len(products), sum(products)) == (38, 8)
 
 
 # the checks whose sides are products, powers and differences of column maps
@@ -324,6 +339,20 @@ def test_verification_and_polar_decomposition_memory_at_s256():
         tracemalloc.stop()
     assert out[0].overall_pass
     assert held <= 4.8 * 2**20 and peak <= 11.0 * 2**20, (held / 2**20, peak / 2**20)
+
+
+@pytest.mark.parametrize("s", [*range(2, 17), 47, 48, 64, 128, 256])
+def test_circulant_products_match_the_dense_products(s):
+    # the squares eq19 forms, and mixed products of the set's circulants as
+    # it stores them, against the dense route, which stays the specification
+    for cfg in _grid_configs(s) if s > 16 else coprime_configs(s):
+        stored = vars(build_operator_set(cfg))
+        r_down, r_up = stored["sqrt_brace_hdag"], stored["sqrt_brace_hdag1"]
+        for x, y in ((r_down, r_down), (r_up, r_up), (r_down, r_up), (stored["n_tilde"], r_up),
+                     (stored["brace_hdag"], stored["brace_hdag1"])):
+            got = _CLOSED.mul(x, y)
+            assert isinstance(got, _Circulant)
+            assert_product_bound(got, x, y)
 
 
 def _count_products(monkeypatch):
@@ -401,30 +430,33 @@ def test_fourier_conjugate_of_a_step_operator_forms_no_dense_product(monkeypatch
     assert bit_equal(got, build_operator_set(cfg).a_tilde)
 
 
-@pytest.mark.parametrize("s", [*range(2, 17), 256])
-def test_run_all_passes_with_every_dimension_routed_through_the_fft(monkeypatch, s):
-    # at every root, with every dimension routed for s <= 16, at k = ±1 at
-    # s = 256: five products take the ideal F†, ã, ã†, F g⁻¹ F†, F g F† on
-    # the right and F† F on the left, each an FFT, and F† F is the identity
-    # to 4 d u, so the built F is that transform
+@pytest.mark.parametrize("s", [*range(2, 17), 256, 511, 512, 1024])
+def test_fft_products_match_the_dense_products(monkeypatch, s):
+    # every product with the ideal F†, the set's ã and ã† included, against
+    # the dense product of the kept matrices, which stays the specification:
+    # at every root with every dimension routed for s <= 16, at k = ±1 above
     if s <= 16:
         monkeypatch.setattr(qboson.cmatrix, "_FFT_MIN_DIM", 1)
-    mul, sides = _CLOSED.mul, []
+    mul, checked = _CLOSED.mul, []
 
-    def recorded(x, y):
+    def against_dense(x, y):
+        got = mul(x, y)
         if isinstance(x, _Dft) or isinstance(y, _Dft):
-            sides.append(isinstance(x, _Dft))
-        return mul(x, y)
+            assert_fft_product_bound(got, x, y)
+            checked.append(isinstance(x, _Dft))
+        return got
 
-    monkeypatch.setattr(_CLOSED, "mul", recorded)
+    monkeypatch.setattr(_CLOSED, "mul", against_dense)
     counted = _count_products(monkeypatch)
     for cfg in (AlgebraConfig(s, k=k) for k in (range(1, s + 1) if s <= 16 else (1, -1))
                 if math.gcd(k, s + 1) == 1):
-        sides.clear()
+        checked.clear()
         qboson.algebra._last_set = None
         ffts = counted["fft"]
         assert run_all(cfg).overall_pass, cfg.k
-        assert sorted(sides) == [False] * 4 + [True] and counted["fft"] - ffts == 5
+        # ã, ã†, F g⁻¹ F†, F g F† with F† on the right, F† F on the left
+        assert sorted(checked) == [False] * 4 + [True] and counted["fft"] - ffts == 5
+        # F† F is the identity to 4 d u, so the built F is that transform
         f = fourier(cfg)
         assert max_abs_diff(mul(_Dft(cfg.k, f), f), np.eye(cfg.dim)) <= 4 * 2.0**-53 * cfg.dim
 
