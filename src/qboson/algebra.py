@@ -12,7 +12,7 @@ product and held as a view of 2(s+1) entries, as are the phase braces,
 quotients of the circulant H†; a step operator, held as a
 column map, is applied to the Fourier matrix as a column gather, and the
 rotation's F† is the ideal DFT's adjoint, an FFT at large dimension.
-The polar decomposition reads the operator set.
+The polar decomposition and the phase-brace functions read the operator set.
 """
 
 from __future__ import annotations
@@ -183,18 +183,14 @@ def _bracket_shifted(u: np.ndarray, u_dag: np.ndarray, q: complex) -> np.ndarray
 def phase_braces(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deformed number operators diagonal in the phase basis.
 
-    Returns the pair ({down}, {up}) built from the adjoint of the cyclic
-    shift by the defining quotients; eigenvalues are the q-integers [n] and
-    [n+1].  The same operators also arise by Fourier-conjugating the
-    q-integer diagonals, and the two construction routes are cross-checked
-    here against the configured tolerance.
+    Returns the pair ({down}, {up}), the quotients ``q_bracket`` and
+    ``q_bracket_shifted`` of the adjoint of the cyclic shift; eigenvalues are
+    the q-integers [n] and [n+1].  Owned copies of the operator set's
+    ``brace_hdag`` and ``brace_hdag1``, whose build checks them against the
+    Fourier-conjugated q-integer diagonals.
     """
-    big_h_dag = dag(cyclic_shift(cfg))
-    quotient = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
-    f, brackets = fourier(cfg), _q_tables(cfg)[0]
-    _check_braces(cfg, quotient,
-                  (_rotate_diagonal(f, brackets[:-1]), _rotate_diagonal(f, brackets[1:])))
-    return quotient
+    ops = build_operator_set(cfg)
+    return ops.brace_hdag.copy(), ops.brace_hdag1.copy()
 
 
 def _rotate_diagonal(f: np.ndarray, x: np.ndarray) -> _Circulant:
@@ -209,8 +205,8 @@ def _rotated_lags(f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _check_braces(cfg: AlgebraConfig, built, spectral) -> None:
     # construction self-check of the quotient route against the spectral one,
-    # on matrices or on their lags: floored below so a user tolerance tighter
-    # than floating point turns up as a failed verification, not a build crash
+    # on their lags: floored below so a user tolerance tighter than floating
+    # point turns up as a failed verification, not a build crash
     bound = max(cfg.tol, 1e-10) * cfg.dim
     for quotient, reference in zip(built, spectral):
         err = max_abs_diff(quotient, reference)
@@ -239,14 +235,14 @@ def _band_quotients(cfg: AlgebraConfig,
 def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     """Square roots of the phase-basis deformed number operators.
 
-    Built by conjugating the principal-branch root diagonals with the
-    Fourier matrix; squaring either result reproduces the corresponding
-    output of :func:`phase_braces`.  With the principal branch the roots are
-    not conjugate-symmetric whenever some q-integer is negative, which
-    happens for every s >= 2.
+    Owned copies of the operator set's ``sqrt_brace_hdag`` and
+    ``sqrt_brace_hdag1``, the principal-branch root diagonals conjugated with
+    the Fourier matrix, whose squares are the outputs of :func:`phase_braces`.
+    The roots are not conjugate-symmetric whenever some q-integer is negative,
+    which happens for every s >= 2.
     """
-    f, roots = fourier(cfg), _q_tables(cfg)[1]
-    return tuple(_rotate_diagonal(f, x).kept().copy() for x in (roots[:-1], roots[1:]))
+    ops = build_operator_set(cfg)
+    return ops.sqrt_brace_hdag.copy(), ops.sqrt_brace_hdag1.copy()
 
 
 @dataclass(frozen=True)

@@ -18,24 +18,12 @@ from .cmatrix import matrix_to_dict, vector_to_dict
 from .qnumerics import AlgebraConfig, q_number
 from .verify import run_all, sweep
 
+# each build op exports this field of the operator set that run_all verifies
 BUILD_OPS = {
-    "a": algebra.annihilation,
-    "adag": algebra.creation,
-    "n": algebra.number,
-    "g": algebra.clock,
-    "h": algebra.shift,
-    "hdag": algebra.shift_dag,
-    "f": algebra.fourier,
-    "bigh": algebra.cyclic_shift,
-    "atilde": lambda cfg: algebra.fourier_conjugate(algebra.annihilation(cfg), cfg),
-    "atildedag": lambda cfg: algebra.fourier_conjugate(algebra.creation(cfg), cfg),
-    # the operator set's expression for its n_tilde, without the rest of the set
-    "ntilde": lambda cfg: algebra._rotate_diagonal(
-        algebra.fourier(cfg), algebra.number(cfg).diagonal()).kept(),
-    "braceHdag": lambda cfg: algebra.phase_braces(cfg)[0],
-    "braceHdag1": lambda cfg: algebra.phase_braces(cfg)[1],
-    "sqrtBraceHdag": lambda cfg: algebra.phase_brace_roots(cfg)[0],
-    "sqrtBraceHdag1": lambda cfg: algebra.phase_brace_roots(cfg)[1],
+    "a": "a", "adag": "a_dag", "n": "n_op", "g": "g", "h": "h", "hdag": "h_dag",
+    "f": "fourier", "bigh": "big_h", "atilde": "a_tilde", "atildedag": "a_tilde_dag",
+    "ntilde": "n_tilde", "braceHdag": "brace_hdag", "braceHdag1": "brace_hdag1",
+    "sqrtBraceHdag": "sqrt_brace_hdag", "sqrtBraceHdag1": "sqrt_brace_hdag1",
 }
 
 SPECTRUM_OPS = ("g", "bigh", "braceHdag", "braceHdag1")
@@ -50,7 +38,7 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     cfg = AlgebraConfig(s=args.s, k=args.k)
-    mat = BUILD_OPS[args.op](cfg)
+    mat = getattr(algebra.build_operator_set(cfg), BUILD_OPS[args.op])
     _write_or_print(json.dumps(matrix_to_dict(mat), allow_nan=False), args.out)
     return 0
 
@@ -89,9 +77,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _fmt_scalar(z: complex) -> str:
-    if abs(z.imag) < 1e-15:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}j"
+    real, imag = z.real + 0.0, z.imag + 0.0  # a negative zero plus 0.0 prints as 0
+    if abs(imag) < 1e-15:
+        return f"{real:.12g}"
+    return f"{real:.12g}{imag:+.12g}j"
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:

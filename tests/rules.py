@@ -116,7 +116,7 @@ scale         scalar fft    -          -       TypeError  no
 max_abs_diff  dense  dense  -          scalar  exact      yes
 max_abs_diff  dense  diag   -          scalar  exact      yes
 max_abs_diff  dense  map    -          scalar  exact      yes
-max_abs_diff  dense  circ   -          scalar  exact      yes
+max_abs_diff  dense  circ   -          scalar  exact      no
 max_abs_diff  dense  dft    -          -       TypeError  no
 max_abs_diff  dense  fft    -          -       TypeError  no
 max_abs_diff  diag   dense  -          scalar  exact      yes

@@ -666,20 +666,25 @@ def test_a_quotient_with_one_lag_altered_fails_the_self_check(monkeypatch, s):
 
 @pytest.mark.parametrize("s", [2, 3, 16, 128, 129, 256])
 def test_lag_self_check_reads_the_dense_check(monkeypatch, s):
-    # the set's check on 2 x d lags reduces to the deviations that the dense
-    # check of phase_braces reduces from 2 x d^2 entries, bit for bit
+    # the set's check on 2 x d lags reduces to the deviations of the dense
+    # check, the quotients of the formed H† against the rotated q-integer
+    # diagonals, over 2 x d^2 entries, bit for bit
     for cfg in coprime_configs(s)[:16]:
-        seen = {"set": [], "dense": []}
-        for route, build in (("set", algebra._build_operator_set), ("dense", phase_braces)):
-            def recorded(a, b, into=seen[route]):
-                into.append((a.shape, max_abs_diff(a, b)))
-                return into[-1][1]
+        seen = []
 
-            monkeypatch.setattr(algebra, "max_abs_diff", recorded)
-            build(cfg)
-        assert [dev for _, dev in seen["set"]] == [dev for _, dev in seen["dense"]], cfg.k
-        assert [shape for shape, _ in seen["set"]] == [(cfg.dim,)] * 2
-        assert [shape for shape, _ in seen["dense"]] == [(cfg.dim, cfg.dim)] * 2
+        def recorded(a, b):
+            seen.append((a.shape, max_abs_diff(a, b)))
+            return seen[-1][1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(algebra, "max_abs_diff", recorded)
+            algebra._build_operator_set(cfg)
+        big_h_dag, f = dag(cyclic_shift(cfg)), fourier(cfg)
+        quotients = (q_bracket(big_h_dag, cfg), q_bracket_shifted(big_h_dag, cfg))
+        brackets = [q_number_matrix(cfg, offset).diagonal() for offset in (0, 1)]
+        dense = [max_abs_diff(x, _rotate_diagonal(f, b)) for x, b in zip(quotients, brackets)]
+        assert [dev for _, dev in seen] == dense, cfg.k
+        assert [shape for shape, _ in seen] == [(cfg.dim,)] * 2
 
 
 # k far outside the int64 range, or whose products k*m*n overflow it; each
@@ -722,9 +727,9 @@ def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
 
     monkeypatch.setattr(_CLOSED, "mul", counted)
     cfg = AlgebraConfig(64)
-    phase_brace_roots(cfg)
-    assert len(calls) == 0
     build_operator_set(cfg)  # a_tilde and a_tilde_dag
+    assert len(calls) == 2
+    phase_brace_roots(cfg)  # copies from the kept set, gathering nothing
     assert len(calls) == 2
 
 

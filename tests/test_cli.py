@@ -13,6 +13,8 @@ from qboson import (
     dag,
     matrix_from_dict,
     phase_state,
+    q_number,
+    run_all,
     vector_from_dict,
 )
 
@@ -61,7 +63,7 @@ class TestBuild:
     def test_exports_are_the_verified_operators(self, s, ks, tmp_path):
         # each export equals, bit for bit, the field of the operator set
         # that run_all verifies
-        assert set(BUILD_OP_FIELDS) == set(cli.BUILD_OPS)
+        assert BUILD_OP_FIELDS == cli.BUILD_OPS
         target = tmp_path / "op.json"
         for k in ks:
             ops = algebra.build_operator_set(AlgebraConfig(s, k=k))
@@ -71,6 +73,29 @@ class TestBuild:
                 got = matrix_from_dict(json.loads(target.read_text()))
                 want = getattr(ops, field)
                 assert got.tobytes() == want.tobytes(), (k, op)
+
+    @staticmethod
+    def _constructs(*_args, **_kwargs):
+        raise AssertionError("an export after run_all constructed an operator")
+
+    @pytest.mark.parametrize("s, ks", [(4, (1, -1, 2, 3)), (128, (1, -1, 2, 5)),
+                                       (129, (1, -1, 3, 7))])
+    def test_exports_after_run_all_construct_nothing(self, monkeypatch, tmp_path, s, ks):
+        # after run_all each export reads the field of the set it verified:
+        # no Fourier matrix and no second set is built
+        target = tmp_path / "op.json"
+        for k in ks:
+            cfg = AlgebraConfig(s, k=k)
+            run_all(cfg)
+            ops = algebra.build_operator_set(cfg)
+            with monkeypatch.context() as patched:
+                for name in ("fourier", "_build_operator_set"):
+                    patched.setattr(algebra, name, self._constructs)
+                for op, field in BUILD_OP_FIELDS.items():
+                    argv = ["build", "--s", str(s), "--k", str(k), "--op", op, "--out", str(target)]
+                    assert cli.main(argv) == 0
+                    got = matrix_from_dict(json.loads(target.read_text()))
+                    assert got.tobytes() == getattr(ops, field).tobytes(), (k, op)
 
     def test_out_file_keeps_stdout_clean(self, tmp_path):
         target = tmp_path / "a.json"
@@ -181,7 +206,6 @@ class TestMemory:
     ])
     def test_cutoff_too_large_for_memory_exit_two(self, monkeypatch, capsys, argv, cutoff):
         monkeypatch.setattr(algebra, "fourier", self._no_memory)
-        monkeypatch.setitem(cli.BUILD_OPS, "f", self._no_memory)
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -254,6 +278,20 @@ class TestSpectrum:
         # the rounding of the product q**3
         assert cli.main(["spectrum", "--s", "3", "--op", "g"]) == 0
         assert capsys.readouterr().out.strip().split(", ")[3] == "6.12323399574e-17-1j"
+
+    # k with sin(2 pi k / (s+1)) < 0, where q_number gives -0.0 for a zero
+    # q-integer
+    @pytest.mark.parametrize("op, offset", [("braceHdag", 0), ("braceHdag1", 1)])
+    @pytest.mark.parametrize("s, k", [(4, -1), (4, 3), (6, -1), (6, 4), (7, 5), (10, -3)])
+    def test_no_part_prints_as_negative_zero(self, capsys, op, offset, s, k):
+        cfg = AlgebraConfig(s, k=k)
+        assert math.sin(2 * math.pi * k / cfg.dim) < 0
+        assert cli.main(["spectrum", "--s", str(s), "--k", str(k), "--op", op]) == 0
+        printed = capsys.readouterr().out.strip().split(", ")
+        assert "-0" not in printed
+        np.testing.assert_allclose([float(x) for x in printed],
+                                   [q_number(n + offset, cfg) for n in range(cfg.dim)],
+                                   rtol=0, atol=1e-11)
 
 
 class TestPhaseStates:

@@ -23,16 +23,25 @@ from qboson import (
     annihilation,
     brute_force_oracle,
     build_operator_set,
+    clock,
+    creation,
+    cyclic_shift,
     dyad,
     fourier,
+    fourier_conjugate,
     mat_pow,
     max_abs_diff,
     nilpotency_index,
+    number,
     polar_decompose,
+    q_bracket,
+    q_bracket_shifted,
     run_all,
+    shift,
+    shift_dag,
     sweep,
 )
-from qboson.algebra import OperatorSet, _hermiticity_error
+from qboson.algebra import OperatorSet, _hermiticity_error, _rotate_diagonal
 from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap, _Dft, dag
 from qboson.verify import (
     _NAIVE,
@@ -526,16 +535,23 @@ def test_outputs_equal_plain_numpy_arithmetic(monkeypatch, s):
             "down_unitary_radial"], cfg.k
         assert bit_equal(pd.unitary, unitary) and pd.radial_hermiticity_error == hermiticity
         assert pd.radial is ops.sqrt_brace_hdag
-        # each export is a public builder's plain product; the set forms the
-        # same operators in the closed-form arithmetic
-        for op, field in _EXPORTED_FIELDS.items():
-            assert bit_equal(cli.BUILD_OPS[op](cfg), getattr(ops, field)), (cfg.k, op)
+        # each exported field is a public builder's plain product; the set
+        # forms the same operators in the closed-form arithmetic
+        for field, build in _PLAIN_BUILDERS.items():
+            assert bit_equal(build(cfg), getattr(ops, field)), (cfg.k, field)
 
 
-_EXPORTED_FIELDS = {"a": "a", "adag": "a_dag", "n": "n_op", "g": "g", "h": "h", "hdag": "h_dag",
-                    "f": "fourier", "bigh": "big_h", "atilde": "a_tilde",
-                    "atildedag": "a_tilde_dag", "ntilde": "n_tilde", "braceHdag": "brace_hdag",
-                    "braceHdag1": "brace_hdag1"}
+# the plain reference of each field the CLI exports but the radial roots:
+# public builders, and n_tilde as the rotation of the number diagonal
+_PLAIN_BUILDERS = {
+    "a": annihilation, "a_dag": creation, "n_op": number, "g": clock, "h": shift,
+    "h_dag": shift_dag, "fourier": fourier, "big_h": cyclic_shift,
+    "a_tilde": lambda cfg: fourier_conjugate(annihilation(cfg), cfg),
+    "a_tilde_dag": lambda cfg: fourier_conjugate(creation(cfg), cfg),
+    "n_tilde": lambda cfg: _rotate_diagonal(fourier(cfg), number(cfg).diagonal()).kept(),
+    "brace_hdag": lambda cfg: q_bracket(dag(cyclic_shift(cfg)), cfg),
+    "brace_hdag1": lambda cfg: q_bracket_shifted(dag(cyclic_shift(cfg)), cfg),
+}
 
 
 @pytest.mark.parametrize("s", range(2, 9))
