@@ -38,8 +38,9 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     cfg = AlgebraConfig(s=args.s, k=args.k)
-    mat = getattr(algebra.build_operator_set(cfg), BUILD_OPS[args.op])
-    _write_or_print(json.dumps(matrix_to_dict(mat), allow_nan=False), args.out)
+    # the stored value, whose matrix matrix_to_dict forms without keeping it
+    stored = vars(algebra.build_operator_set(cfg))[BUILD_OPS[args.op]]
+    _write_or_print(json.dumps(matrix_to_dict(stored), allow_nan=False), args.out)
     return 0
 
 

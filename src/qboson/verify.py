@@ -6,10 +6,10 @@ evaluates it in ``cmatrix._CLOSED``, the numpy arithmetic, on the
 closed-form operator set for one configuration, and ``sweep`` repeats that
 over a range of cutoffs.
 ``brute_force_oracle`` also evaluates it with a deliberately naive
-pure-Python list kernel (triple-loop products) on operators re-derived by
-dyad sums (complex-quotient q-integers, direct exponentials), and reports
-how closely the two routes agree; it exists to catch drift, not to be fast,
-and is capped at small s.
+pure-Python list kernel (triple-loop products) on operators whose dyad
+entries are placed from their expansions (complex-quotient q-integers,
+direct exponentials), and reports how closely the two routes agree; it
+exists to catch drift, not to be fast, and is capped at small s.
 """
 
 from __future__ import annotations
@@ -291,32 +291,34 @@ def sweep(s_min: int, s_max: int, k: int = 1, tol: float = 1e-9) -> list[Verific
     return [run_all(cfg) for cfg in configs]
 
 
-# --- naive dyad-sum route ----------------------------------------------------
+# --- naive route --------------------------------------------------------------
 #
 # Pure-Python lists of complex, triple-loop products, q-integers by the
 # complex quotient, Fourier entries by direct exponentials.  No numpy, no
-# root tables, no conjugation shortcuts.
+# root tables, no conjugation shortcuts.  Each operator is the zero matrix
+# with its expansion's dyad entries placed: a = sum_n sqrt([n]) |n-1><n| puts
+# sqrt([n]) at (n-1, n).
 
 
 def _py_zeros(d):
     return [[0j] * d for _ in range(d)]
 
 
-def _py_eye(d):
-    out = _py_zeros(d)
-    for i in range(d):
-        out[i][i] = 1 + 0j
+def _py_diagonal(weights):
+    out = _py_zeros(len(weights))
+    for n, w in enumerate(weights):
+        out[n][n] = complex(w)
     return out
+
+
+def _py_eye(d):
+    return _py_diagonal([1] * d)
 
 
 def _py_dyad(m, n, d):
     out = _py_zeros(d)
     out[m][n] = 1 + 0j
     return out
-
-
-def _py_add(x, y):
-    return [[u + v for u, v in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
 def _py_sub(x, y):
@@ -345,8 +347,11 @@ def _py_dag(x):
 
 
 def _py_pow(x, p):
-    out = _py_eye(len(x))
-    for _ in range(p):
+    # bit for bit the identity-first product I x ... x, one product fewer
+    if p == 0:
+        return _py_eye(len(x))
+    out = x
+    for _ in range(p - 1):
         out = _py_mul(out, x)
     return out
 
@@ -385,33 +390,28 @@ def _naive_operators(cfg: AlgebraConfig) -> dict:
 
     a = _py_zeros(d)
     for n in range(1, d):  # the n = 0 term carries weight sqrt([0]) = 0
-        a = _py_add(a, _py_scale(_naive_sqrt_q_number(n, k, d), _py_dyad(n - 1, n, d)))
+        a[n - 1][n] = _naive_sqrt_q_number(n, k, d)
     a_dag = _py_zeros(d)
     for n in range(0, s):  # the n = s term carries weight sqrt([s+1]) = 0
-        a_dag = _py_add(a_dag, _py_scale(_naive_sqrt_q_number(n + 1, k, d), _py_dyad(n + 1, n, d)))
+        a_dag[n + 1][n] = _naive_sqrt_q_number(n + 1, k, d)
 
-    n_op = _py_zeros(d)
-    g = _py_zeros(d)
-    g_inv = _py_zeros(d)
-    brace_g = _py_zeros(d)
-    brace_g1 = _py_zeros(d)
-    for n in range(d):
-        n_op = _py_add(n_op, _py_scale(complex(n), _py_dyad(n, n, d)))
-        g = _py_add(g, _py_scale(cmath.exp(2j * math.pi * k * n / d), _py_dyad(n, n, d)))
-        g_inv = _py_add(g_inv, _py_scale(cmath.exp(-2j * math.pi * k * n / d), _py_dyad(n, n, d)))
-        brace_g = _py_add(brace_g, _py_scale(_naive_q_number(n, k, d), _py_dyad(n, n, d)))
-        brace_g1 = _py_add(brace_g1, _py_scale(_naive_q_number(n + 1, k, d), _py_dyad(n, n, d)))
+    n_op = _py_diagonal(range(d))
+    g = _py_diagonal([cmath.exp(2j * math.pi * k * n / d) for n in range(d)])
+    g_inv = _py_diagonal([cmath.exp(-2j * math.pi * k * n / d) for n in range(d)])
+    brace_g = _py_diagonal([_naive_q_number(n, k, d) for n in range(d)])
+    brace_g1 = _py_diagonal([_naive_q_number(n + 1, k, d) for n in range(d)])
 
     h = _py_zeros(d)
     for n in range(s):
-        h = _py_add(h, _py_dyad(n + 1, n, d))
+        h[n + 1][n] = 1 + 0j
     h_dag = _py_dag(h)
 
     f = [[cmath.exp(2j * math.pi * k * m * n / d) / math.sqrt(d) for n in range(d)]
          for m in range(d)]
     f_dag = _py_dag(f)
 
-    big_h = _py_add(h, _py_dyad(0, s, d))
+    big_h = [row[:] for row in h]
+    big_h[0][s] = 1 + 0j
     big_h_dag = _py_dag(big_h)
 
     a_tilde = _py_mul(_py_mul(f, a), f_dag)
@@ -423,11 +423,8 @@ def _naive_operators(cfg: AlgebraConfig) -> dict:
     brace_hdag1 = _py_scale(1.0 / denom,
                             _py_sub(_py_scale(q, big_h_dag), _py_scale(1.0 / q, big_h)))
 
-    sqrt_g = _py_zeros(d)
-    sqrt_g1 = _py_zeros(d)
-    for n in range(d):
-        sqrt_g = _py_add(sqrt_g, _py_scale(_naive_sqrt_q_number(n, k, d), _py_dyad(n, n, d)))
-        sqrt_g1 = _py_add(sqrt_g1, _py_scale(_naive_sqrt_q_number(n + 1, k, d), _py_dyad(n, n, d)))
+    sqrt_g = _py_diagonal([_naive_sqrt_q_number(n, k, d) for n in range(d)])
+    sqrt_g1 = _py_diagonal([_naive_sqrt_q_number(n + 1, k, d) for n in range(d)])
     sqrt_brace_hdag = _py_mul(_py_mul(f, sqrt_g), f_dag)
     sqrt_brace_hdag1 = _py_mul(_py_mul(f, sqrt_g1), f_dag)
 

@@ -97,6 +97,22 @@ class TestBuild:
                     got = matrix_from_dict(json.loads(target.read_text()))
                     assert got.tobytes() == getattr(ops, field).tobytes(), (k, op)
 
+    @pytest.mark.parametrize("s", [4, 129])
+    def test_exports_keep_no_formed_matrix_in_the_set(self, tmp_path, s):
+        # an export forms its matrix from the stored structure without keeping
+        # it: every column map of the verified set stays unformed
+        cfg = AlgebraConfig(s)
+        run_all(cfg)
+        target = tmp_path / "op.json"
+        exports = {}
+        for op, field in BUILD_OP_FIELDS.items():
+            assert cli.main(["build", "--s", str(s), "--op", op, "--out", str(target)]) == 0
+            exports[field] = matrix_from_dict(json.loads(target.read_text()))
+        ops = algebra.build_operator_set(cfg)
+        maps = [value for value in vars(ops).values() if isinstance(value, cmatrix._ColumnMap)]
+        assert len(maps) == 10 and all(m.dense is None for m in maps)
+        assert all(got.tobytes() == getattr(ops, field).tobytes() for field, got in exports.items())
+
     def test_out_file_keeps_stdout_clean(self, tmp_path):
         target = tmp_path / "a.json"
         proc = run_cli("build", "--s", "5", "--op", "a", "--out", str(target))

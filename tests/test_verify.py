@@ -739,3 +739,54 @@ class TestBruteForceOracle:
     def test_oracle_with_nontrivial_root_index(self):
         results = brute_force_oracle(AlgebraConfig(6, k=4))
         assert all(c.passed for c in results)
+
+    @staticmethod
+    def _moved(value):
+        # one stored value moved by 1e-6, the structure type kept: a column
+        # map's weight 1, a circulant's column entry 1, a dense field's (1, 2)
+        if isinstance(value, _ColumnMap):
+            weights = value.weights.copy()
+            weights[1] += 1e-6
+            return _ColumnMap(value.rows, weights, value.zero, value.diagonal)
+        if isinstance(value, _Circulant):
+            column = value.lags[len(value.lags) // 2::-1].copy()
+            column[1] += 1e-6
+            return _Circulant(column)
+        moved = np.array(value)
+        moved[1, 2] += 1e-6
+        return moved
+
+    @pytest.mark.parametrize("s", [4, 7, 8])
+    def test_catches_a_corrupted_copy_of_every_stored_field(self, monkeypatch, s):
+        # each field's op_ line, and no other, fails on a set whose copy of
+        # that field alone is moved
+        for cfg in coprime_configs(s, (1, -1, 2)):
+            ops = build_operator_set(cfg)
+            for field in (f.name for f in dataclasses.fields(OperatorSet) if f.name != "config"):
+                mutant = _mutant(ops, **{field: self._moved(vars(ops)[field])})
+                monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _cfg: mutant)
+                results = brute_force_oracle(cfg)
+                failed = {c.name for c in results if not c.passed}
+                assert {n for n in failed if n.startswith("op_")} == {f"op_{field}"}, (cfg, field)
+                if field == "n_tilde":
+                    # no catalog check reads Ñ (ROADMAP item 12): only the
+                    # oracle's op_ line compares it
+                    assert failed == {"op_n_tilde"}, cfg
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 5])
+    def test_naive_pow_is_the_identity_first_loop(self, p):
+        # x x ... x makes p - 1 products; it equals I x ... x bit for bit
+        rng = np.random.default_rng(7)
+        x = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))).tolist()
+        assert all(v.real and v.imag for row in x for v in row)
+        want = [[complex(i == j) for j in range(4)] for i in range(4)]
+        for _ in range(p):
+            product = [[0j] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(4):
+                    acc = 0j
+                    for m in range(4):
+                        acc += want[i][m] * x[m][j]
+                    product[i][j] = acc
+            want = product
+        assert bit_equal(np.array(_NAIVE.pow(x, p)), np.array(want))
