@@ -6,10 +6,12 @@ evaluates it in ``cmatrix._CLOSED``, the numpy arithmetic, on the
 closed-form operator set for one configuration, and ``sweep`` repeats that
 over a range of cutoffs.
 ``brute_force_oracle`` also evaluates it with a deliberately naive
-pure-Python list kernel (triple-loop products) on operators whose dyad
-entries are placed from their expansions (complex-quotient q-integers,
-direct exponentials), and reports how closely the two routes agree; it
-exists to catch drift, not to be fast, and is capped at small s.
+pure-Python list kernel on operators whose dyad entries are placed from
+their expansions (complex-quotient q-integers, direct exponentials), and
+reports how closely the two routes agree; it exists to catch drift, not to
+be fast, and is capped at small s.  Its products accumulate each row over
+the left factor's nonzero entries, which gives the triple loop's result bit
+for bit: the terms left out are exact zeros that cannot change a sum.
 """
 
 from __future__ import annotations
@@ -293,11 +295,13 @@ def sweep(s_min: int, s_max: int, k: int = 1, tol: float = 1e-9) -> list[Verific
 
 # --- naive route --------------------------------------------------------------
 #
-# Pure-Python lists of complex, triple-loop products, q-integers by the
-# complex quotient, Fourier entries by direct exponentials.  No numpy, no
-# root tables, no conjugation shortcuts.  Each operator is the zero matrix
-# with its expansion's dyad entries placed: a = sum_n sqrt([n]) |n-1><n| puts
-# sqrt([n]) at (n-1, n).
+# Pure-Python lists of complex, q-integers by the complex quotient, Fourier
+# entries by direct exponentials.  No numpy, no root tables, no conjugation
+# shortcuts.  A product adds up rows of the right factor, scaled by the left
+# factor's nonzero entries in ascending column order: the triple loop's sums
+# bit for bit, in O(d^2) when the left factor is a monomial.  Each operator
+# is the zero matrix with its expansion's dyad entries placed:
+# a = sum_n sqrt([n]) |n-1><n| puts sqrt([n]) at (n-1, n).
 
 
 def _py_zeros(d):
@@ -330,14 +334,20 @@ def _py_scale(alpha, x):
 
 
 def _py_mul(x, y):
+    # Row by row: each output entry takes the triple loop's += of x[i][l] *
+    # y[l][j] in ascending l, minus the terms of a zero x[i][l].  For finite
+    # y such a term is +-0, and adding +-0 to an accumulator that starts at
+    # 0j (so is never -0) leaves it unchanged: the result is the triple
+    # loop's bit for bit, signed zeros included.  No sum(), whose float
+    # algorithm changed in Python 3.12.
     d = len(x)
-    out = _py_zeros(d)
-    for i in range(d):
-        for j in range(d):
-            acc = 0j
-            for l in range(d):
-                acc += x[i][l] * y[l][j]
-            out[i][j] = acc
+    out = []
+    for row in x:
+        acc = [0j] * d
+        for u, y_row in zip(row, y):
+            if u:
+                acc = [a + u * v for a, v in zip(acc, y_row)]
+        out.append(acc)
     return out
 
 
@@ -356,8 +366,9 @@ def _py_pow(x, p):
     return out
 
 
-# every product in full, column-map factors included, so the oracle checks
-# each shortcut of the closed-form route against a triple loop
+# every product by the one row kernel, which skips zero entries by value and
+# knows no structure type, so the oracle checks each shortcut of the
+# closed-form route against the triple loop's sums
 _NAIVE = SimpleNamespace(
     mul=_py_mul, sub=_py_sub, scale=_py_scale, dag=_py_dag, pow=_py_pow,
     eye=_py_eye, zeros=_py_zeros, dyad=_py_dyad,
@@ -454,7 +465,8 @@ def brute_force_oracle(cfg: AlgebraConfig) -> list[CheckResult]:
     """
     if cfg.s > ORACLE_MAX_S:
         raise ValueError(
-            f"the naive route is deliberately O(s^4); s must be <= {ORACLE_MAX_S}, got {cfg.s}"
+            "the naive route is a pure-Python cross-check for small cutoffs; "
+            f"s must be <= {ORACLE_MAX_S}, got {cfg.s}"
         )
     ops = build_operator_set(cfg)
     naive_ops = SimpleNamespace(**_naive_operators(cfg))

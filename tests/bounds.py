@@ -1,6 +1,7 @@
 """The bounds a result keeps against its dense specification, numpy's ``@``,
 ``-``, ``*``, ``matrix_power`` or ``np.abs(a - b).max()`` on the formed
-matrices, and the grid of roots the tests run on."""
+matrices, the grid of roots the tests run on, and the plain triple-loop
+product the naive route's kernel is checked against."""
 
 import math
 
@@ -16,6 +17,19 @@ UNIT_ROUNDOFF = 2.0**-53
 def bit_equal(a, b) -> bool:
     return (a.shape == b.shape and a.dtype == b.dtype
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def triple_loop_product(x, y):
+    """x @ y on lists of complex, each entry summed by += in ascending l."""
+    d = len(x)
+    out = [[0j] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            acc = 0j
+            for l in range(d):
+                acc += x[i][l] * y[l][j]
+            out[i][j] = acc
+    return out
 
 
 def coprime_configs(s: int, ks=None) -> list[AlgebraConfig]:

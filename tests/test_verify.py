@@ -49,12 +49,13 @@ from qboson.verify import (
     SHARPNESS_FLOOR,
     _catalog,
     _closed_operators,
+    _naive_operators,
     _result,
     _shift_is_sharp,
     _step_chain_is_sharp,
 )
 
-from bounds import bit_equal, coprime_configs
+from bounds import bit_equal, coprime_configs, triple_loop_product
 from rules import assert_rule, conforms
 
 _GRID_ROOTS = (*range(1, 8), -1)  # the roots of the grid's larger cutoffs
@@ -781,12 +782,41 @@ class TestBruteForceOracle:
         assert all(v.real and v.imag for row in x for v in row)
         want = [[complex(i == j) for j in range(4)] for i in range(4)]
         for _ in range(p):
-            product = [[0j] * 4 for _ in range(4)]
-            for i in range(4):
-                for j in range(4):
-                    acc = 0j
-                    for m in range(4):
-                        acc += want[i][m] * x[m][j]
-                    product[i][j] = acc
-            want = product
+            want = triple_loop_product(want, x)
         assert bit_equal(np.array(_NAIVE.pow(x, p)), np.array(want))
+
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_row_kernel_oracle_is_the_triple_loop_oracle(self, monkeypatch, s):
+        # every naive operator (signed zeros included) and every oracle result
+        # is the same with the plain triple loop in place of the row kernel
+        for cfg in coprime_configs(s, _GRID_ROOTS):
+            ops, results = _naive_operators(cfg), brute_force_oracle(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(qboson.verify, "_py_mul", triple_loop_product)
+                m.setattr(_NAIVE, "mul", triple_loop_product)
+                loop_ops, loop_results = _naive_operators(cfg), brute_force_oracle(cfg)
+            assert results == loop_results, cfg
+            assert ops.keys() == loop_ops.keys()
+            for name, value in ops.items():
+                assert bit_equal(np.array(value), np.array(loop_ops[name])), (cfg, name)
+
+
+# entries whose zeros, of both signs, the row kernel skips in the left factor
+# and adds in the right one; 1e-300 squared underflows to a zero of either sign
+_KERNEL_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]) | st.floats(
+    min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _kernel_operands(draw):
+    d = draw(st.integers(1, 9))
+    entry = st.builds(complex, _KERNEL_ENTRIES, _KERNEL_ENTRIES)
+    square = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    return draw(square), draw(square)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_operands())
+def test_naive_product_is_the_triple_loop(operands):
+    x, y = operands
+    assert bit_equal(np.array(qboson.verify._py_mul(x, y)), np.array(triple_loop_product(x, y)))
