@@ -162,11 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"qboson: error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        # a construction self-check failed: the operators are wrong, which
-        # is a failed check, not bad input
-        print(f"qboson: error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"qboson: error: {exc}", file=sys.stderr)
         return 3

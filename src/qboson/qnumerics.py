@@ -42,7 +42,11 @@ class AlgebraConfig:
             )
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not math.isfinite(self.tol * self.dim):
+        try:
+            threshold = self.tol * self.dim
+        except OverflowError:  # s+1 too large for a float
+            threshold = math.inf
+        if not math.isfinite(threshold):
             raise ValueError(f"tol={self.tol} overflows the threshold tol*(s+1)")
 
     @property

@@ -20,6 +20,9 @@ from qboson import (
 
 from cli_harness import run_cli, run_python
 
+# a cutoff whose s+1 is too large for a float
+S_TOO_LARGE_FOR_A_FLOAT = "1" + "0" * 400
+
 # the OperatorSet field each build op exports
 BUILD_OP_FIELDS = {
     "a": "a", "adag": "a_dag", "n": "n_op", "g": "g", "h": "h", "hdag": "h_dag",
@@ -197,14 +200,34 @@ class TestVerify:
         assert proc.stdout == ""
         assert proc.stderr.startswith("qboson: error: ")
 
-    def test_failed_construction_self_check_exit_one(self, monkeypatch, capsys):
-        # the phase-brace self-check raises ArithmeticError when its two
-        # construction routes disagree; main reports it without a traceback
-        monkeypatch.setattr(algebra, "max_abs_diff", lambda a, b: float("inf"))
+    @pytest.mark.parametrize("command", [
+        ["verify", "--s", S_TOO_LARGE_FOR_A_FLOAT],
+        ["build", "--op", "a", "--s", S_TOO_LARGE_FOR_A_FLOAT],
+        ["spectrum", "--op", "g", "--s", S_TOO_LARGE_FOR_A_FLOAT],
+    ], ids=["verify", "build", "spectrum"])
+    def test_cutoff_too_large_for_a_float_exit_two(self, command):
+        # s+1 itself overflows a float in tol*(s+1): bad input, not a failed check
+        proc = run_cli(*command)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "qboson: error: tol=1e-09 overflows the threshold tol*(s+1)\n"
+
+    def test_corrupted_phase_brace_exit_one(self, monkeypatch, capsys):
+        # a broken phase brace is a failed check, reported by eq19 on stdout
+        quotients = algebra._band_quotients
+
+        def altered(*args):
+            out = quotients(*args)
+            out[0][1] += 1e-3
+            return out
+
+        monkeypatch.setattr(algebra, "_band_quotients", altered)
+        monkeypatch.setattr(algebra, "_last_set", None)
         assert cli.main(["verify", "--s", "5"]) == 1
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("qboson: error: phase-brace construction routes disagree")
+        assert err == ""
+        assert [line.split()[0] for line in out.splitlines() if line.endswith("FAIL")] == [
+            "eq19_polar"]
 
 
 class TestMemory:
@@ -227,6 +250,21 @@ class TestMemory:
         assert out == ""
         assert err.startswith("qboson: error: ") and err.count("\n") == 1
         assert cutoff in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--s", "1000000000000"],
+        ["build", "--op", "a", "--s", "1000000000000"],
+    ], ids=["verify", "build"])
+    def test_fourier_fails_before_the_scalar_tables(self, monkeypatch, capsys, argv):
+        # the q-integer tables loop in Python over d entries; at a cutoff too
+        # large for memory the d x d Fourier matrix must fail first
+        def no_tables(_cfg):
+            raise AssertionError("q-integer tables built before the Fourier matrix")
+
+        monkeypatch.setattr(algebra, "fourier", self._no_memory)
+        monkeypatch.setattr(algebra, "_q_tables", no_tables)
+        assert cli.main(argv) == 2
+        assert "s=1000000000000" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -53,6 +53,11 @@ class TestAlgebraConfig:
         with pytest.raises(ValueError):
             AlgebraConfig(s=4, tol=tol)
 
+    def test_cutoff_too_large_for_a_float_rejected(self):
+        # tol*(s+1) overflows converting s+1 to a float, before the product
+        with pytest.raises(ValueError, match="overflows the threshold"):
+            AlgebraConfig(s=10**400)
+
     def test_negative_coprime_k_allowed(self):
         assert AlgebraConfig(s=4, k=-1).k == -1
 
