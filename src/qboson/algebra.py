@@ -11,7 +11,7 @@ anywhere.  Such a conjugate is a circulant, read off one matrix-vector
 product and held as a view of 2(s+1) entries, as are the phase braces,
 quotients of the circulant H†; a step operator, held as a
 column map, is applied to the Fourier matrix as a column gather, and the
-rotation's F† is the ideal DFT's adjoint, an FFT at large dimension.
+rotation's F† is the ideal DFT's adjoint, applied as an FFT.
 The polar decomposition and the phase-brace functions read the operator set.
 """
 
@@ -152,7 +152,7 @@ def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
     Both products are the operator set's, so this is its ``a_tilde`` for the
     step-down operator, bit for bit: F a is a column gather wherever a has at
     most one nonzero per column, as ``mat_pow`` reads it, and F† applies as
-    an FFT from ``cmatrix._FFT_MIN_DIM`` on, a dense product below.
+    an FFT, the ideal transform's, at every dimension.
     """
     f = fourier(cfg)
     if a.shape != f.shape:
@@ -324,8 +324,8 @@ def _hermiticity_error(lags: np.ndarray) -> float:
 class _StructureField:
     """An ``OperatorSet`` field that stores a structure and reads as a matrix.
 
-    A read returns the kept matrix of the structure ``vars(ops)`` holds.  A
-    value of any other type, a formed matrix included, is a ``TypeError``.
+    A read is the stored structure's ``np.asarray``, made read-only and kept
+    nowhere; storing any other type, a formed matrix included, is a ``TypeError``.
     """
 
     def __init__(self, kind: type) -> None:
@@ -337,7 +337,9 @@ class _StructureField:
     def __get__(self, ops, owner=None):
         if ops is None:
             raise AttributeError(self.name)  # so the dataclass field has no default
-        return vars(ops)[self.name].kept()
+        matrix = np.asarray(vars(ops)[self.name])
+        matrix.flags.writeable = False
+        return matrix
 
     def __set__(self, ops, value) -> None:
         if not isinstance(value, self.kind):
@@ -353,13 +355,14 @@ class OperatorSet:
 
     Every field reads as a read-only complex array.  ``vars(ops)`` holds 15
     structures: the ten monomials (a, a†, N, g, h, h†, H, H†, [N], [N+1]) as
-    column maps, each formed as a matrix on its first read, and ``n_tilde``,
-    the phase braces and the radial roots as circulants, read as views of
-    2(s+1) entries.  So ``fourier``, ``a_tilde`` and ``a_tilde_dag`` are the
-    only dense d x d fields.  A copy with some fields changed is made from
-    the stored values, ``OperatorSet(**{**vars(ops), **changes})``, which
-    keeps every other structure as it is; a structured field given a matrix,
-    as ``dataclasses.replace`` gives it, is a ``TypeError``.
+    column maps, whose read forms a fresh matrix every time (64 MiB in about
+    15 ms at s = 2048) that the set never keeps, and ``n_tilde``, the phase
+    braces and the radial roots as circulants, read as views of 2(s+1)
+    entries.  So ``fourier``, ``a_tilde`` and ``a_tilde_dag`` are the only
+    fields that hold d x d entries.  A copy with some fields changed is made
+    from the stored values, ``OperatorSet(**{**vars(ops), **changes})``,
+    which keeps every other structure as it is; a structured field given a
+    matrix, as ``dataclasses.replace`` gives it, is a ``TypeError``.
     """
 
     config: AlgebraConfig
@@ -383,7 +386,7 @@ class OperatorSet:
     sqrt_brace_hdag1: np.ndarray = _StructureField(_Circulant)
 
 
-# The last set build_operator_set returned; a set for another configuration
+# The last set build_operator_set returned; a set for another (s, k)
 # replaces it.
 _last_set: OperatorSet | None = None
 
@@ -393,17 +396,17 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
 
     The Fourier matrix and the q-integer table are built once; every
     phase-basis operator, the radial roots included, is conjugated with that
-    same matrix.  The last set built is kept in one slot, keyed by the whole
-    configuration, so a call with an equal configuration returns that same
-    object: ``run_all``, ``polar_decompose`` and ``brute_force_oracle`` on
-    one configuration share one build.  Every array, a column map's rows and
-    weights and a circulant's lags included, is made over immutable memory,
-    so no reader can write to it.  A different configuration drops the kept
-    set before the new one is built, so at most one set is held at a time.
+    same matrix.  The last set built is kept in one slot, keyed by (s, k):
+    the set reads no tol, and ``ops.config.tol`` is the building call's.
+    So ``run_all``, ``polar_decompose`` and ``brute_force_oracle`` on one
+    (s, k) share one build.  Every array, a column map's rows and weights
+    and a circulant's lags included, is made over immutable memory, so no
+    reader can write to it.  Another (s, k) drops the kept set before the
+    new one is built, so at most one set is held at a time.
     """
     global _last_set
     ops = _last_set
-    if ops is not None and ops.config == cfg:
+    if ops is not None and (ops.config.s, ops.config.k) == (cfg.s, cfg.k):
         return ops
     _last_set = ops = None  # let the kept set go before a second one is built
     ops = _last_set = _build_operator_set(cfg)

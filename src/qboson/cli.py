@@ -16,7 +16,7 @@ from pathlib import Path
 from . import algebra
 from .cmatrix import matrix_to_dict, vector_to_dict
 from .qnumerics import AlgebraConfig, q_number
-from .verify import run_all, sweep
+from .verify import _sweep_reports, run_all
 
 # each build op exports this field of the operator set that run_all verifies
 BUILD_OPS = {
@@ -64,17 +64,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    reports = sweep(args.s_min, args.s_max, k=args.k, tol=args.tol)
+    reports = _sweep_reports(args.s_min, args.s_max, args.k, args.tol)
     if args.json:
+        reports = list(reports)
         print(json.dumps([r.to_json_dict() for r in reports], allow_nan=False))
-    else:
-        for report in reports:
-            passed = sum(c.passed for c in report.checks)
-            verdict = "PASS" if report.overall_pass else "FAIL"
-            print(f"s={report.config.s:<3} {verdict} ({passed}/{len(report.checks)})")
-        good = sum(r.overall_pass for r in reports)
-        print(f"passed {good}/{len(reports)}")
-    return 0 if all(r.overall_pass for r in reports) else 1
+        return 0 if all(r.overall_pass for r in reports) else 1
+    good = total = 0
+    for report in reports:  # each line is written as its report completes
+        passed = sum(c.passed for c in report.checks)
+        verdict = "PASS" if report.overall_pass else "FAIL"
+        print(f"s={report.config.s:<3} {verdict} ({passed}/{len(report.checks)})", flush=True)
+        good, total = good + report.overall_pass, total + 1
+    print(f"passed {good}/{total}")
+    return 0 if good == total else 1
 
 
 def _fmt_scalar(z: complex) -> str:

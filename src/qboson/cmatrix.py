@@ -2,16 +2,16 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  A matrix may also be
-held as one of three structures, plain data with ``kept()`` and ``_formed()``
-and no arithmetic: a ``_ColumnMap`` has at most one nonzero per column (a
-diagonal, a step operator, a shift, a dyad), a ``_Circulant`` holds its 2d - 1
+held as one of three structures, plain data with ``_formed()`` and no
+arithmetic: a ``_ColumnMap`` has at most one nonzero per column (a diagonal,
+a step operator, a shift, a dyad), a ``_Circulant`` holds its 2d - 1
 distinct entries, and a ``_Dft`` is the adjoint of the ideal finite Fourier
 transform of one root index.  ``_CLOSED`` holds every rule that combines
 them, and numpy allocates each of its dense results; ``mat_pow`` and
 ``max_abs_diff`` pick their routes by type.  Against a map a map costs O(d),
 and against a dense matrix it is never formed; two circulants multiply in
 O(d^2) and are compared in O(d); a DFT applies to a dense matrix as an FFT,
-in O(d^2 log d), from ``_FFT_MIN_DIM`` on.
+in O(d^2 log d), at every d.
 """
 
 from __future__ import annotations
@@ -27,31 +27,17 @@ import numpy as np
 class _Structure:
     """A d x d matrix held in a compact format: a column map, a circulant or a DFT.
 
-    ``np.asarray`` reads the matrix, and ``kept()`` returns it read-only.  A
-    structure has no arithmetic: ``_CLOSED`` holds every rule that
-    combines it, and numpy raises ``TypeError`` on ``@``, ``-`` or ``*`` of a
-    structure rather than take a dense route.
+    ``np.asarray`` reads the matrix that ``_formed()`` gives.  A structure
+    has no arithmetic: ``_CLOSED`` holds every rule that combines it, and
+    numpy raises ``TypeError`` on ``@``, ``-`` or ``*`` of a structure
+    rather than take a dense route.
     """
 
-    __slots__ = ("shape", "dense", "__weakref__")
+    __slots__ = ("shape", "__weakref__")
     __array_ufunc__ = None  # so ndarray arithmetic on a structure raises
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = self.dense if self.dense is not None else self._formed()
-        if dtype is None and copy is None:
-            return dense
-        return np.array(dense, dtype=dtype, copy=copy)
-
-    def kept(self) -> np.ndarray:
-        """The matrix, formed on the first call, kept and read-only."""
-        if self.dense is None:
-            formed = self._formed()
-            self.dense = self._keep(formed.tobytes(), formed.dtype)
-        return self.dense
-
-    def _keep(self, entries: bytes, dtype: np.dtype, offset=0, strides=None) -> np.ndarray:
-        # the kept matrix, a view over the immutable bytes entries
-        return np.ndarray(self.shape, dtype, np.frombuffer(entries, dtype), offset, strides)
+        return np.array(self._formed(), dtype=dtype, copy=copy)  # no dtype or copy: the array itself
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -65,10 +51,10 @@ class _ColumnMap(_Structure):
     An empty column has weight exactly 0, and its row changes no result.  Each
     product entry is the one nonzero term of the dense sum, so it equals the
     dense ``@`` wherever one factor's weights are real or imaginary.  The
-    matrix is formed afresh by ``np.asarray``, except once ``kept()`` has
-    formed it.  ``diagonal`` is true only for a map whose row j is j, as its
-    maker states it: true of ``_diagonal``'s, and of the products, powers,
-    differences and multiples of diagonals.
+    matrix is formed afresh by each ``np.asarray``.  ``diagonal`` is true
+    only for a map whose row j is j, as its maker states it: true of
+    ``_diagonal``'s, and of the products, powers, differences and multiples
+    of diagonals.
     """
 
     __slots__ = ("rows", "weights", "zero", "diagonal")
@@ -76,7 +62,7 @@ class _ColumnMap(_Structure):
     def __init__(self, rows: np.ndarray, weights: np.ndarray, zero: complex = 0,
                  diagonal: bool = False):
         self.rows, self.weights, self.zero, self.diagonal = rows, weights, zero, diagonal
-        self.dense, self.shape = None, (rows.size,) * 2
+        self.shape = (rows.size,) * 2
 
     def _formed(self) -> np.ndarray:
         dense = np.full(self.shape, self.zero, dtype=self.weights.dtype)
@@ -88,24 +74,20 @@ class _Circulant(_Structure):
     """The circulant ``c[(m - n) mod d]`` of column 0 ``c = column``.
 
     Entry (m, n) is ``lags[d - 1 - m + n]``; ``lags`` holds the 2d - 1
-    distinct entries.  The kept matrix, also its ``np.asarray``, is a view of
-    2d read-only entries, the reversed column written twice: no d x d array.
+    distinct entries, and the matrix ``dense`` is a read-only view of 2d
+    entries, the reversed column written twice: no d x d array.
     """
 
-    __slots__ = ("lags",)
+    __slots__ = ("lags", "dense")
 
     def __init__(self, column: np.ndarray) -> None:
         d, step = len(column), column.itemsize
-        entries = column[::-1].tobytes() * 2
-        self.shape = (d, d)
-        self.lags = np.frombuffer(entries, column.dtype, 2 * d - 1)
-        self.dense = self._keep(entries, column.dtype, (d - 1) * step, (-step, step))
+        entries = np.frombuffer(column[::-1].tobytes() * 2, column.dtype)  # immutable bytes
+        self.shape, self.lags = (d, d), entries[:2 * d - 1]
+        self.dense = np.ndarray(self.shape, column.dtype, entries, (d - 1) * step, (-step, step))
 
-
-# The dimension from which a product with a ``_Dft`` is an FFT.  Below it the
-# product is ``np.matmul`` with the kept matrix, bit for bit: there numpy's FFT
-# costs more per call than a BLAS product (BENCH_fft.json, "break_even")
-_FFT_MIN_DIM = 128
+    def _formed(self) -> np.ndarray:
+        return self.dense
 
 
 class _Dft(_Structure):
@@ -114,26 +96,16 @@ class _Dft(_Structure):
     F's kernel is q^{mn} / sqrt(d) with q = exp(2 pi i k / d), so F†'s entry
     (m, n) is the unitary DFT's entry (m, k n mod d): F† X is the DFT of X's
     rows gathered by k^-1 mod d, and X F† the DFT of its gathered columns.
-    The kept matrix is ``dag`` of the built F, formed on first use.  k is
-    reduced mod d here, not read from F or a root table, so against a dense
-    matrix of dimension ``_FFT_MIN_DIM`` or more the product applies the
-    ideal transform, and checks a built F against it; it agrees with the
+    Its formed matrix is ``dag`` of the built F.  k is reduced mod d here,
+    not read from F or a root table, so a product with a dense matrix applies
+    the ideal transform, and checks a built F against it; it agrees with the
     dense product within rounding, not bit for bit.
     """
 
     __slots__ = ("k", "built")
 
     def __init__(self, k: int, built: np.ndarray) -> None:
-        self.shape, self.dense, self.built = built.shape, None, built
-        self.k = k % self.shape[0]
-
-    def kept(self) -> np.ndarray:
-        # the adjoint as dag gives it, a transposed view, so the dense
-        # product below _FFT_MIN_DIM is the one with dag(F), bit for bit
-        if self.dense is None:
-            self.dense = self._formed()
-            self.dense.flags.writeable = False
-        return self.dense
+        self.shape, self.built, self.k = built.shape, built, k % len(built)
 
     def _formed(self) -> np.ndarray:
         return dag(self.built)
@@ -143,8 +115,6 @@ def _dft_product(fdag: _Dft, x: np.ndarray, axis: int) -> np.ndarray:
     # F† x on axis 0, x F† on axis 1: the gather is a fresh copy, which the
     # FFT overwrites, so no second d x d array is made
     d = fdag.shape[0]
-    if d < _FFT_MIN_DIM:
-        return np.matmul(fdag.kept(), x) if axis == 0 else np.matmul(x, fdag.kept())
     y = np.take(x, pow(fdag.k, -1, d) * np.arange(d) % d, axis=axis)
     return np.fft.fft(y, axis=axis, norm="ortho", out=y)
 
@@ -155,9 +125,9 @@ def _closed_mul(x, y):
     (column j is column rows[j] times weights[j]), and one on the left is
     formed.  Two circulants give the circulant whose column 0 is x times y's
     column 0, one matrix-vector product in place of a d^3 one, equal to ``@``
-    within rounding; a circulant against anything else is its kept matrix.  A
-    DFT against a dense matrix is an FFT from ``_FFT_MIN_DIM`` on, and against
-    a map or a DFT a ``TypeError``, as numpy refuses the structure."""
+    within rounding; a circulant against anything else is its view.  A DFT
+    against a dense matrix is an FFT, and against a map or a DFT a
+    ``TypeError``, as numpy refuses the structure."""
     if isinstance(x, _Circulant):
         if isinstance(y, _Circulant):
             return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
@@ -185,7 +155,7 @@ def _closed_sub(x, y):
         if not np.count_nonzero(x.rows != y.rows):
             return _ColumnMap(x.rows, x.weights - y.weights, diagonal=x.diagonal)
     elif isinstance(y, _ColumnMap):
-        x = np.asarray(x)  # a circulant's or a DFT's kept matrix
+        x = np.asarray(x)  # a circulant's view or a DFT's formed matrix
         out = np.subtract(x, y.zero, dtype=np.result_type(x, y.weights))
         cols = _band_rows(y.rows.size, 0)
         out[y.rows, cols] = x[y.rows, cols] - y.weights
@@ -335,9 +305,9 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     if isinstance(a, _ColumnMap):
         a, b = b, a  # |x - y| is |y - x| bit for bit
     if isinstance(a, _Circulant):
-        a = a.kept()
+        a = a.dense
     if isinstance(b, _Circulant):
-        b = b.kept()
+        b = b.dense
     if isinstance(b, _ColumnMap):  # |a - weights[j]| at (rows[j], j), |a - zero| = |a| elsewhere
         size, cols = np.abs(a), _band_rows(len(a), 0)
         size[b.rows, cols] = np.abs(a[b.rows, cols] - b.weights)

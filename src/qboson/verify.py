@@ -284,13 +284,18 @@ def sweep(s_min: int, s_max: int, k: int = 1, tol: float = 1e-9) -> list[Verific
     skipped.  A range with no admissible cutoff raises ``ValueError``, so a
     sweep never passes vacuously on zero reports.
     """
+    return list(_sweep_reports(s_min, s_max, k, tol))
+
+
+def _sweep_reports(s_min: int, s_max: int, k: int, tol: float) -> Iterator[VerificationReport]:
+    # each report made when asked for; the range check reads at most |k|
+    # cutoffs, as s+1 = 1 mod |k| is admissible (and for k = 0 none is)
     if not 2 <= s_min <= s_max:
         raise ValueError(f"need 2 <= s_min <= s_max, got [{s_min}, {s_max}]")
-    configs = [AlgebraConfig(s=s, k=k, tol=tol)
-               for s in range(s_min, s_max + 1) if math.gcd(k, s + 1) == 1]
-    if not configs:
+    if not any(math.gcd(k, s + 1) == 1 for s in range(s_min, min(s_max, s_min + abs(k) - 1) + 1)):
         raise ValueError(f"k={k} shares a factor with s+1 for every s in [{s_min}, {s_max}]")
-    return [run_all(cfg) for cfg in configs]
+    return (run_all(AlgebraConfig(s=s, k=k, tol=tol))
+            for s in range(s_min, s_max + 1) if math.gcd(k, s + 1) == 1)
 
 
 # --- naive route --------------------------------------------------------------

@@ -11,9 +11,9 @@ whether the program's callers reach it.  This module is the contract: every
 test that checks a rule's result against numpy does it through
 ``assert_rule`` or ``conforms``, so a bound is stated once, here.
 
-Kinds: dense (any ndarray, a circulant's kept view included), diag (a map
-whose maker states that row j is j), map, circ, dft (the DFT's adjoint below
-cmatrix._FFT_MIN_DIM), fft (from it on) and scalar.  Cases: same-rows and
+Kinds: dense (any ndarray, a circulant's view included), diag (a map whose
+maker states that row j is j), map, circ, fft (the DFT's adjoint, applied as
+an FFT) and scalar.  Cases: same-rows and
 other-rows for two maps; p=0 and p>0 for a map's power, which is also the
 power of its formed matrix bit for bit; read (p > 0, at most one nonzero per
 column) and dense for any other matrix's power.
@@ -40,31 +40,22 @@ mul           dense  dense  -          dense   exact      yes
 mul           dense  diag   -          dense   map        yes
 mul           dense  map    -          dense   map        yes
 mul           dense  circ   -          dense   exact      no
-mul           dense  dft    -          dense   exact      yes
 mul           dense  fft    -          dense   product    yes
 mul           diag   dense  -          dense   map        no
 mul           diag   diag   -          diag    map        no
 mul           diag   map    -          map     map        yes
 mul           diag   circ   -          dense   map        yes
-mul           diag   dft    -          -       TypeError  no
 mul           diag   fft    -          -       TypeError  no
 mul           map    dense  -          dense   exact      no
 mul           map    diag   -          map     map        yes
 mul           map    map    -          map     map        yes
 mul           map    circ   -          dense   exact      no
-mul           map    dft    -          -       TypeError  no
 mul           map    fft    -          -       TypeError  no
 mul           circ   dense  -          dense   exact      no
 mul           circ   diag   -          dense   map        yes
 mul           circ   map    -          dense   map        no
 mul           circ   circ   -          circ    product    yes
-mul           circ   dft    -          dense   exact      no
 mul           circ   fft    -          dense   product    no
-mul           dft    dense  -          dense   exact      yes
-mul           dft    diag   -          -       TypeError  no
-mul           dft    map    -          -       TypeError  no
-mul           dft    circ   -          dense   exact      no
-mul           dft    dft    -          -       TypeError  no
 mul           fft    dense  -          dense   product    yes
 mul           fft    diag   -          -       TypeError  no
 mul           fft    map    -          -       TypeError  no
@@ -74,14 +65,12 @@ sub           dense  dense  -          dense   exact      yes
 sub           dense  diag   -          dense   exact      no
 sub           dense  map    -          dense   exact      yes
 sub           dense  circ   -          dense   exact      no
-sub           dense  dft    -          dense   exact      no
 sub           dense  fft    -          dense   exact      no
 sub           diag   dense  -          dense   exact      no
 sub           diag   diag   same-rows  diag    exact      no
 sub           diag   map    same-rows  diag    exact      yes
 sub           diag   map    other-rows dense   exact      no
 sub           diag   circ   -          dense   exact      no
-sub           diag   dft    -          dense   exact      no
 sub           diag   fft    -          dense   exact      no
 sub           map    dense  -          dense   exact      no
 sub           map    diag   same-rows  map     exact      no
@@ -89,19 +78,12 @@ sub           map    diag   other-rows dense   exact      no
 sub           map    map    same-rows  map     exact      yes
 sub           map    map    other-rows dense   exact      no
 sub           map    circ   -          dense   exact      no
-sub           map    dft    -          dense   exact      no
 sub           map    fft    -          dense   exact      no
 sub           circ   dense  -          dense   exact      no
 sub           circ   diag   -          dense   exact      no
 sub           circ   map    -          dense   exact      no
 sub           circ   circ   -          dense   exact      no
-sub           circ   dft    -          dense   exact      no
 sub           circ   fft    -          dense   exact      no
-sub           dft    dense  -          dense   exact      no
-sub           dft    diag   -          dense   exact      no
-sub           dft    map    -          dense   exact      no
-sub           dft    circ   -          dense   exact      no
-sub           dft    dft    -          dense   exact      no
 sub           fft    dense  -          dense   exact      no
 sub           fft    diag   -          dense   exact      no
 sub           fft    map    -          dense   exact      no
@@ -111,20 +93,17 @@ scale         scalar dense  -          dense   exact      yes
 scale         scalar diag   -          diag    exact      no
 scale         scalar map    -          map     exact      yes
 scale         scalar circ   -          -       TypeError  no
-scale         scalar dft    -          -       TypeError  no
 scale         scalar fft    -          -       TypeError  no
 max_abs_diff  dense  dense  -          scalar  exact      yes
 max_abs_diff  dense  diag   -          scalar  exact      yes
 max_abs_diff  dense  map    -          scalar  exact      yes
 max_abs_diff  dense  circ   -          scalar  exact      no
-max_abs_diff  dense  dft    -          -       TypeError  no
 max_abs_diff  dense  fft    -          -       TypeError  no
 max_abs_diff  diag   dense  -          scalar  exact      yes
 max_abs_diff  diag   diag   same-rows  scalar  exact      yes
 max_abs_diff  diag   map    same-rows  scalar  exact      no
 max_abs_diff  diag   map    other-rows scalar  exact      no
 max_abs_diff  diag   circ   -          scalar  exact      no
-max_abs_diff  diag   dft    -          -       TypeError  no
 max_abs_diff  diag   fft    -          -       TypeError  no
 max_abs_diff  map    dense  -          scalar  exact      yes
 max_abs_diff  map    diag   same-rows  scalar  exact      yes
@@ -132,19 +111,12 @@ max_abs_diff  map    diag   other-rows scalar  exact      yes
 max_abs_diff  map    map    same-rows  scalar  exact      yes
 max_abs_diff  map    map    other-rows scalar  exact      no
 max_abs_diff  map    circ   -          scalar  exact      no
-max_abs_diff  map    dft    -          -       TypeError  no
 max_abs_diff  map    fft    -          -       TypeError  no
 max_abs_diff  circ   dense  -          scalar  exact      yes
 max_abs_diff  circ   diag   -          scalar  exact      no
 max_abs_diff  circ   map    -          scalar  exact      no
 max_abs_diff  circ   circ   -          scalar  exact      yes
-max_abs_diff  circ   dft    -          -       TypeError  no
 max_abs_diff  circ   fft    -          -       TypeError  no
-max_abs_diff  dft    dense  -          -       TypeError  no
-max_abs_diff  dft    diag   -          -       TypeError  no
-max_abs_diff  dft    map    -          -       TypeError  no
-max_abs_diff  dft    circ   -          -       TypeError  no
-max_abs_diff  dft    dft    -          -       TypeError  no
 max_abs_diff  fft    dense  -          -       TypeError  no
 max_abs_diff  fft    diag   -          -       TypeError  no
 max_abs_diff  fft    map    -          -       TypeError  no
@@ -158,7 +130,6 @@ mat_pow       map    scalar p=0        diag    exact      no
 mat_pow       map    scalar p>0        map     power      yes
 mat_pow       circ   scalar read       dense   power      no
 mat_pow       circ   scalar dense      dense   exact      no
-mat_pow       dft    scalar dense      dense   exact      no
 mat_pow       fft    scalar dense      dense   exact      no
 """.strip().splitlines()]
 
@@ -173,7 +144,7 @@ def kind(x) -> str:
     if isinstance(x, _Circulant):
         return "circ"
     if isinstance(x, _Dft):
-        return "fft" if x.shape[0] >= cmatrix._FFT_MIN_DIM else "dft"
+        return "fft"
     return "scalar"
 
 
@@ -281,7 +252,7 @@ def sparse_map(rng, d: int) -> _ColumnMap:
 
 
 def strided(buffer, d: int, offset: int) -> np.ndarray:
-    """The read-only d x d view a circulant keeps, entry (m, n) at offset + n - m."""
+    """The read-only d x d view a circulant holds, entry (m, n) at offset + n - m."""
     step = buffer.itemsize
     view = np.ndarray((d, d), buffer.dtype, buffer, offset * step, (-step, step))
     view.flags.writeable = False
@@ -290,14 +261,14 @@ def strided(buffer, d: int, offset: int) -> np.ndarray:
 
 def layouts(c: _Circulant, rng) -> dict:
     """Every ndarray layout of a circulant's entries, each a dense operand: its
-    kept view, transposed, copied and sliced, its real part, views of its
-    entries at offsets d and d - 1 and of a slice of them, and a Toeplitz view
-    of random entries."""
-    x, d = c.kept(), c.shape[0]
-    return {"kept view": x, "Toeplitz view": strided(cnormal(rng, 2 * d), d, d - 1),
-            "kept view†": x.T, "kept copy": x.copy(), "kept array": np.array(x),
+    view, transposed, copied and sliced, its real part, views of its entries
+    at offsets d and d - 1 and of a slice of them, and a Toeplitz view of
+    random entries."""
+    x, d = c.dense, c.shape[0]
+    return {"view": x, "Toeplitz view": strided(cnormal(rng, 2 * d), d, d - 1),
+            "view†": x.T, "copy of the view": x.copy(), "array of the view": np.array(x),
             "view at offset d": strided(x.base, d, d), "view at offset d - 1": strided(x.base, d, d - 1),
-            "view of a slice": strided(x.base[:], d, d - 1), "kept slice": x[:],
+            "view of a slice": strided(x.base[:], d, d - 1), "slice of the view": x[:],
             "real part": x.real.astype(complex)}
 
 

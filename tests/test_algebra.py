@@ -41,7 +41,7 @@ from qboson import (
 from qboson.algebra import _rotate_diagonal
 from qboson.cmatrix import _Circulant, _CLOSED, _ColumnMap, _Dft
 
-from bounds import assert_rotation_bound, bit_equal, coprime_configs
+from bounds import assert_product_bound, assert_rotation_bound, bit_equal, coprime_configs
 from rules import conforms
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # exp(2*pi*i/3)
@@ -263,16 +263,17 @@ def test_cyclic_shift_diagonalized_by_fourier(cfg):
 
 @pytest.mark.parametrize("s", [*range(2, 17), 64, 128, 256])
 def test_fourier_conjugate_of_a_complex_diagonal_is_within_the_stated_bound(s):
-    # F a gathers a's columns: against the dense F @ a it is equal bit for bit
+    # F a gathers a's columns: against the dense F @ a it is equal in value
     # for real or imaginary weights, and within 4 * 2^-52 * max|a| for the
-    # clock's complex ones (README, "Numerical conventions")
+    # clock's complex ones (README, "Numerical conventions"); the FFT of F a
+    # holds to the FFT product bound against the dense (F @ a) @ F†
     for cfg in coprime_configs(s)[:6]:
         f = fourier(cfg)
         for a in (clock(cfg), dag(clock(cfg))):
             dense = _CLOSED.mul(f @ a, _Dft(cfg.k, f))
             assert np.abs(fourier_conjugate(a, cfg) - dense).max() <= 4 * 2.0**-52
         for a in (annihilation(cfg), q_number_matrix(cfg), sqrt_q_number_matrix(cfg, offset=1)):
-            assert bit_equal(fourier_conjugate(a, cfg), _CLOSED.mul(f @ a, _Dft(cfg.k, f)))
+            assert_product_bound(fourier_conjugate(a, cfg), f @ a, dag(f))
 
 
 def test_fourier_conjugate_identity_and_mismatch():
@@ -451,8 +452,8 @@ def test_polar_decomposition_is_the_operator_set_eq19(s):
 
 def _count_constructions(monkeypatch, cfg, *builds):
     # calls of the phase-basis builders during build(cfg) for each of builds
-    # in turn: the build's F† (a _Dft), and the dense F† it forms, its kept
-    # matrix, which it needs only below the FFT's break-even
+    # in turn: the build's F† (a _Dft), and any dense F† formed, which no
+    # build needs: F† is an FFT at every d
     counts = {"fourier": 0, "_q_tables": 0, "cyclic_shift": 0, "_Dft": 0, "dense_fdag": 0}
 
     def counted(name, fn):
@@ -474,7 +475,7 @@ def _count_constructions(monkeypatch, cfg, *builds):
 def test_operator_set_builds_the_phase_basis_once(monkeypatch, s):
     counts = _count_constructions(monkeypatch, AlgebraConfig(s), build_operator_set)
     assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["_Dft"] == 1
-    assert counts["dense_fdag"] == (s + 1 < qboson.cmatrix._FFT_MIN_DIM)
+    assert counts["dense_fdag"] == 0
     assert counts["cyclic_shift"] <= 1
 
 
@@ -482,7 +483,7 @@ def test_operator_set_builds_the_phase_basis_once(monkeypatch, s):
 def test_polar_decomposition_builds_the_phase_basis_once(monkeypatch, s):
     counts = _count_constructions(monkeypatch, AlgebraConfig(s), polar_decompose)
     assert counts["fourier"] == 1 and counts["_q_tables"] == 1 and counts["_Dft"] == 1
-    assert counts["dense_fdag"] == (s + 1 < qboson.cmatrix._FFT_MIN_DIM)
+    assert counts["dense_fdag"] == 0
 
 
 @pytest.mark.parametrize("s", [4, 64, 256])
@@ -492,9 +493,23 @@ def test_verification_and_polar_decomposition_share_one_build(monkeypatch, s):
 
 
 def test_equal_configs_share_one_set():
+    # the set reads no tol, so the slot is keyed by (s, k) alone
     ops = build_operator_set(AlgebraConfig(5))
     assert build_operator_set(AlgebraConfig(5)) is ops
-    assert build_operator_set(AlgebraConfig(5, tol=1e-8)) is not ops
+    assert build_operator_set(AlgebraConfig(5, tol=1e-8)) is ops
+    assert build_operator_set(AlgebraConfig(5, k=-1)) is not ops
+
+
+def test_a_tol_change_builds_no_second_set(monkeypatch):
+    # run_all at one (s, k) with tol 1e-9, then 1e-8, then 1e-9 builds one
+    # set; each report keeps its own tol and threshold
+    counts = _count_constructions(monkeypatch, None)  # no build yet; the counters stay wrapped
+    algebra._last_set = None
+    reports = [verify.run_all(AlgebraConfig(64, tol=tol)) for tol in (1e-9, 1e-8, 1e-9)]
+    assert counts["fourier"] == 1
+    assert [r.config.tol for r in reports] == [1e-9, 1e-8, 1e-9]
+    assert [r.checks[0].threshold for r in reports] == [65e-9, 65e-8, 65e-9]
+    assert reports[0] == reports[2]
 
 
 def test_another_config_drops_the_kept_set_before_building(monkeypatch):
@@ -512,10 +527,10 @@ def test_another_config_drops_the_kept_set_before_building(monkeypatch):
 
 
 def test_another_config_frees_the_set_without_the_collector():
-    # a structure's kept matrix refers to the owner of its entries, and the
-    # owner to the structure only weakly; with no cycle, the previous set,
-    # its structures, their owners and every formed monomial matrix go as
-    # soon as another configuration's set replaces it, collector or not
+    # a circulant's view refers to the owner of its entries, and the owner to
+    # the structure not at all; with no cycle, the previous set, its
+    # structures and their owners go as soon as another configuration's set
+    # replaces it, collector or not
     cfg = AlgebraConfig(64)
     gc.collect()
     gc.disable()
@@ -527,7 +542,7 @@ def test_another_config_frees_the_set_without_the_collector():
                       if isinstance(value, (_ColumnMap, _Circulant))]
         assert len(structures) == 15
         held = [weakref.ref(ops), *map(weakref.ref, structures),
-                *(weakref.ref(x.kept().base) for x in structures)]  # forms every monomial
+                *(weakref.ref(x.dense.base) for x in structures if isinstance(x, _Circulant))]
         del ops, structures
         build_operator_set(AlgebraConfig(65))
         assert [ref() for ref in held] == [None] * len(held)
@@ -537,22 +552,32 @@ def test_another_config_frees_the_set_without_the_collector():
 
 @pytest.mark.parametrize("s", [4, 256])
 def test_no_array_of_the_set_can_be_made_writeable(s):
-    # every array the set keeps is made over immutable memory: a field, the
-    # array it views, a map's rows and weights, a circulant's lags and the
-    # radial factor polar_decompose hands out, so a later verification of the
-    # same set sees what the first one saw
+    # every array the set keeps is made over immutable memory: a field that
+    # is not a column map, the array it views, a map's rows and weights, a
+    # circulant's lags and the radial factor polar_decompose hands out, so a
+    # later verification of the same set sees what the first one saw.  A
+    # map's read is the caller's own copy: written into, it changes neither
+    # the next read nor a verification
     cfg = AlgebraConfig(s)
     ops = build_operator_set(cfg)
     before = verify.run_all(cfg)
-    fields = [getattr(ops, f.name) for f in dataclasses.fields(ops) if f.name != "config"]
-    stored = vars(ops).values()
+    stored = vars(ops)
+    maps = [name for name, m in stored.items() if isinstance(m, _ColumnMap)]
+    fields = [getattr(ops, f.name) for f in dataclasses.fields(ops)
+              if f.name != "config" and f.name not in maps]
     arrays = [*fields, *(x.base for x in fields), polar_decompose(cfg).radial,
-              *(x for m in stored if isinstance(m, _ColumnMap) for x in (m.rows, m.weights)),
-              *(c.lags for c in stored if isinstance(c, _Circulant))]
-    assert len(arrays) == 2 * 18 + 1 + 2 * 10 + 5
+              *(x for name in maps for x in (stored[name].rows, stored[name].weights)),
+              *(c.lags for c in stored.values() if isinstance(c, _Circulant))]
+    assert len(arrays) == 2 * 8 + 1 + 2 * 10 + 5
     for x in arrays:
         with pytest.raises(ValueError):
             x.flags.writeable = True
+    for name in maps:
+        read = getattr(ops, name)
+        want = read.copy()
+        read.flags.writeable = True
+        read[...] = 7.0
+        assert bit_equal(getattr(ops, name), want), name
     assert verify.run_all(cfg) == before
 
 
@@ -598,18 +623,22 @@ def test_column_maps_of_the_set_are_read_only(s):
         for array in (m.rows, m.weights):
             with pytest.raises(ValueError):
                 array[0] = 1
-        assert getattr(ops, name) is getattr(ops, name)  # formed once, then kept
+        # formed afresh by each read, and kept nowhere
+        first, second = getattr(ops, name), getattr(ops, name)
+        assert bit_equal(first, second) and first is not second
     # so a later verification of the same set sees what the first one saw
     assert verify.run_all(AlgebraConfig(s)).overall_pass
 
 
 @pytest.mark.parametrize("s", [4, 64, 256])
-def test_verification_and_polar_decomposition_form_no_monomial(s):
+def test_verification_and_polar_decomposition_form_no_monomial(monkeypatch, s):
     cfg = AlgebraConfig(s)
+    formed, form = [], _ColumnMap._formed
+    monkeypatch.setattr(_ColumnMap, "_formed", lambda m: formed.append(m) or form(m))
+    algebra._last_set = None
     verify.run_all(cfg)
     polar_decompose(cfg)
-    stored = vars(build_operator_set(cfg))
-    assert {name for name in _MONOMIAL_BUILDERS if stored[name].dense is not None} == set()
+    assert formed == []
 
 
 @pytest.mark.parametrize("s", [2, 16, 256])
@@ -698,7 +727,7 @@ def test_diagonal_rotations_match_the_dense_products(s):
                                      sqrt_q_number_matrix(cfg, offset=1).diagonal())
         for offset in (0, 1):  # the q-integer diagonals, rotated as circulants
             x = q_number_matrix(cfg, offset=offset).diagonal()
-            assert_rotation_bound(_rotate_diagonal(f, x).kept(), f, x)
+            assert_rotation_bound(_rotate_diagonal(f, x).dense, f, x)
 
 
 def test_phase_brace_roots_rotate_no_step_operator(monkeypatch):
@@ -739,8 +768,7 @@ def test_polar_clock_products_match_the_dense_products(s):
 
 
 # the step operators are applied as column gathers; F† holds to its rows:
-# the dense product below the FFT's break-even, bit for bit, and an FFT from
-# it on, within the FFT product bound
+# an FFT, within the FFT product bound
 @pytest.mark.parametrize("s", [47, 48, 63, 64, 128])
 def test_rotated_step_operators_are_the_dense_products(s):
     for cfg in coprime_configs(s):

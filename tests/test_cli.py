@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qboson import algebra, cli, cmatrix
+from qboson import algebra, cli, cmatrix, verify
 from qboson import (
     AlgebraConfig,
     annihilation,
@@ -103,18 +106,29 @@ class TestBuild:
     @pytest.mark.parametrize("s", [4, 129])
     def test_exports_keep_no_formed_matrix_in_the_set(self, tmp_path, s):
         # an export forms its matrix from the stored structure without keeping
-        # it: every column map of the verified set stays unformed
+        # it: of what the package allocates during the fifteen exports, less
+        # than one d x d matrix is still held after them (a set that kept its
+        # ten formed column maps would hold ten)
         cfg = AlgebraConfig(s)
         run_all(cfg)
         target = tmp_path / "op.json"
         exports = {}
-        for op, field in BUILD_OP_FIELDS.items():
-            assert cli.main(["build", "--s", str(s), "--op", op, "--out", str(target)]) == 0
-            exports[field] = matrix_from_dict(json.loads(target.read_text()))
+        package = str(Path(cmatrix.__file__).parent / "*")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for op, field in BUILD_OP_FIELDS.items():
+                assert cli.main(["build", "--s", str(s), "--op", op, "--out", str(target)]) == 0
+                exports[field] = target.read_text()
+            gc.collect()
+            traces = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, package)])
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in traces.statistics("filename"))
+        assert held < 16 * cfg.dim**2, held
         ops = algebra.build_operator_set(cfg)
-        maps = [value for value in vars(ops).values() if isinstance(value, cmatrix._ColumnMap)]
-        assert len(maps) == 10 and all(m.dense is None for m in maps)
-        assert all(got.tobytes() == getattr(ops, field).tobytes() for field, got in exports.items())
+        assert all(matrix_from_dict(json.loads(text)).tobytes() == getattr(ops, field).tobytes()
+                   for field, text in exports.items())
 
     def test_out_file_keeps_stdout_clean(self, tmp_path):
         target = tmp_path / "a.json"
@@ -140,13 +154,16 @@ class TestBuild:
 
 
     def test_numpy_fft_is_imported_by_the_first_routed_product_only(self):
-        # a cold process whose products stay below the break-even never loads it
-        code = ("import sys, qboson; qboson.run_all(qboson.AlgebraConfig({s})); "
-                "print('numpy.fft' in sys.modules)")
-        for s, loaded in ((5, "False"), (cmatrix._FFT_MIN_DIM - 2, "False"),
-                          (cmatrix._FFT_MIN_DIM - 1, "True")):
+        # import qboson does not load numpy.fft, and the first product with
+        # F†, an FFT at every d, does
+        code = ("import sys, qboson; from qboson import cmatrix; loaded = [];"
+                "cfg = qboson.AlgebraConfig({s}); f = qboson.fourier(cfg);"
+                "loaded.append('numpy.fft' in sys.modules);"
+                "cmatrix._CLOSED.mul(f, cmatrix._Dft(cfg.k, f));"
+                "loaded.append('numpy.fft' in sys.modules); print(*loaded)")
+        for s in (2, 5, 126, 127, 256):
             proc = run_python("-c", code.format(s=s))
-            assert proc.returncode == 0 and proc.stdout.strip() == loaded, (s, proc.stderr)
+            assert proc.returncode == 0 and proc.stdout.strip() == "False True", (s, proc.stderr)
 
 
 class TestVerify:
@@ -295,6 +312,27 @@ class TestSweep:
         docs = json.loads(proc.stdout)
         assert isinstance(docs, list) and len(docs) == 1
         assert docs[0]["s"] == 2
+
+    @pytest.mark.parametrize("s_max", [10, 1000000])
+    def test_text_lines_are_written_as_each_report_completes(self, monkeypatch, capsys, s_max):
+        # the second report fails to complete: the first one's line is
+        # already written, and no configuration list of the range was built
+        class Stop(Exception):
+            pass
+
+        run_all, cutoffs = verify.run_all, []
+
+        def second_raises(cfg):
+            cutoffs.append(cfg.s)
+            if len(cutoffs) == 2:
+                raise Stop
+            return run_all(cfg)
+
+        monkeypatch.setattr(verify, "run_all", second_raises)
+        with pytest.raises(Stop):
+            cli.main(["sweep", "--s-min", "2", "--s-max", str(s_max)])
+        assert capsys.readouterr().out == "s=2   PASS (14/14)\n"
+        assert cutoffs == [2, 3]
 
 
 class TestSpectrum:

@@ -420,8 +420,7 @@ class TestDft:
     """The adjoint of the ideal DFT, applied by an FFT, against the dense product."""
 
     @pytest.mark.parametrize("s", range(2, 17))
-    def test_fft_matches_the_dense_product_at_every_root(self, monkeypatch, s):
-        monkeypatch.setattr(cmatrix, "_FFT_MIN_DIM", 1)  # route every dimension
+    def test_fft_matches_the_dense_product_at_every_root(self, s):
         for cfg in coprime_configs(s):
             f = fourier(cfg)
             fdag = _Dft(cfg.k, f)
@@ -436,20 +435,8 @@ class TestDft:
         for k in (1, -1):
             cfg = AlgebraConfig(s, k=k)
             f = fourier(cfg)
-            assert cfg.dim >= cmatrix._FFT_MIN_DIM
             assert_rule("mul", f * np.exp(1j * np.arange(cfg.dim)), _Dft(k, f))
             assert_rule("mul", _Dft(k, f), f)
-
-    def test_below_the_break_even_the_product_is_numpy_bit_for_bit(self, monkeypatch):
-        fft_calls = []
-        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: fft_calls.append(1))
-        for s in (2, 16, 64, cmatrix._FFT_MIN_DIM - 2):
-            cfg = AlgebraConfig(s, k=-1)
-            f = fourier(cfg)
-            x = f * np.exp(1j * np.arange(cfg.dim))
-            assert_rule("mul", x, _Dft(cfg.k, f))
-            assert_rule("mul", _Dft(cfg.k, f), x)
-        assert fft_calls == []
 
     def test_root_index_is_reduced_by_its_own_modulus(self):
         # k and k + d, or -1 and d - 1, are one transform, whatever F was built with
@@ -460,7 +447,7 @@ class TestDft:
         want = _CLOSED.mul(x, _Dft(7, f))
         assert bit_equal(_CLOSED.mul(x, _Dft(7 + 3 * d, f)), want)
         assert bit_equal(_CLOSED.mul(x, _Dft(7 - d, f)), want)
-        # the kept matrix is the built F's adjoint, the transform is the ideal one
+        # the formed matrix is the built F's adjoint, the transform is the ideal one
         wrong = fourier(AlgebraConfig(299, k=11))
         assert bit_equal(np.asarray(_Dft(7, wrong)), dag(wrong))
         assert bit_equal(_CLOSED.mul(x, _Dft(7, wrong)), want)
@@ -469,14 +456,15 @@ class TestDft:
         cfg = AlgebraConfig(6, k=2)
         f = fourier(cfg)
         fdag = _Dft(cfg.k, f)
-        assert fdag.dense is None and bit_equal(fdag.kept(), dag(f)) and fdag.kept() is fdag.kept()
-        assert not fdag.kept().flags.writeable
-        # a circulant is its kept matrix, a dense operand; a map or a DFT is
-        # refused on both sides, and a deviation of a DFT too, at every d
+        # the matrix is dag(F), formed afresh by each read and kept nowhere
+        assert bit_equal(np.asarray(fdag), dag(f)) and np.asarray(fdag) is not np.asarray(fdag)
+        assert not hasattr(fdag, "dense")
+        # a circulant is its view, a dense operand; a map or a DFT is refused
+        # on both sides, and a deviation of a DFT too, at every d
         c = _Circulant(np.arange(cfg.dim) + 1j)
         assert_rule("mul", fdag, c)
         assert_rule("mul", c, fdag)
-        for s in (cfg.s, cmatrix._FFT_MIN_DIM):
+        for s in (cfg.s, 128):
             g = fourier(AlgebraConfig(s))
             h, m, diag = _Dft(1, g), _dyad(1, 2, s + 1), _diagonal(g[0])
             for op, x, y in (("mul", h, m), ("mul", m, h), ("mul", diag, h), ("mul", h, diag),
@@ -578,7 +566,7 @@ class TestCirculant:
     @pytest.mark.parametrize("d", [1, 2, 5, 129])
     def test_lags_are_the_distinct_entries(self, d):
         c = _Circulant(np.arange(d) + 1j)
-        x, lags = c.kept(), c.lags
+        x, lags = c.dense, c.lags
         assert np.asarray(c) is x and c.shape == x.shape == (d, d) and lags.shape == (2 * d - 1,)
         assert not x.flags.writeable and not x.base.flags.writeable and not lags.flags.writeable
         assert bit_equal(x[:, 0], np.arange(d) + 1j)
@@ -588,14 +576,14 @@ class TestCirculant:
 
     @pytest.mark.parametrize("d", [3, 64, 200])
     def test_other_layouts_are_dense(self, d):
-        # every ndarray takes the dense route, bit for bit: a circulant's kept
-        # matrix itself, a Toeplitz view of random entries, a transposed view,
-        # a copy, views of the kept entries at another offset or at the same
-        # one, and a view of a slice of them
+        # every ndarray takes the dense route, bit for bit: a circulant's view
+        # itself, a Toeplitz view of random entries, a transposed view, a
+        # copy, views of its entries at another offset or at the same one,
+        # and a view of a slice of them
         rng = np.random.default_rng(d)
         c, y = self._pair(rng, d)
         for z in layouts(c, rng).values():
-            for a, b in ((z, y), (y, z), (z, z), (z, y.kept())):
+            for a, b in ((z, y), (y, z), (z, z), (z, y.dense)):
                 assert_rule("mul", a, b)
                 assert_rule("max_abs_diff", a, b)
 
@@ -604,16 +592,16 @@ class TestCirculant:
         rng = np.random.default_rng(d)
         x, y = self._pair(rng, d)
         got = _CLOSED.mul(x, y)
-        assert isinstance(got, _Circulant) and not got.kept().base.flags.writeable
-        assert bit_equal(got.kept()[:, 0], x.kept() @ y.kept()[:, 0])
-        assert bit_equal(got.kept(), _Circulant(got.kept()[:, 0].copy()).kept())
+        assert isinstance(got, _Circulant) and not got.dense.base.flags.writeable
+        assert bit_equal(got.dense[:, 0], x.dense @ y.dense[:, 0])
+        assert bit_equal(got.dense, _Circulant(got.dense[:, 0].copy()).dense)
 
     @pytest.mark.parametrize("d", [1, 3, 129, 300])
     def test_deviation_is_the_dense_reduction(self, d):
         # on the 2d - 1 distinct entries, bit for bit, a nan or inf entry included
         rng = np.random.default_rng(d)
         x, y = self._pair(rng, d)
-        for a, b in ((x, y), *((x, c) for c in special_circulants(x.kept()[:, 0]))):
+        for a, b in ((x, y), *((x, c) for c in special_circulants(x.dense[:, 0]))):
             assert_rule("max_abs_diff", a, b)
             assert_rule("max_abs_diff", b, a)
 

@@ -16,7 +16,7 @@ import pytest
 from qboson import algebra, cli, cmatrix, verify
 from qboson import (AlgebraConfig, annihilation, brute_force_oracle, build_operator_set, clock,
                     fourier, fourier_conjugate, phase_braces, polar_decompose, run_all)
-from qboson.cmatrix import _band_rows, _Circulant, _CLOSED, _ColumnMap, _Dft, _dyad, dag
+from qboson.cmatrix import _band_rows, _Circulant, _CLOSED, _ColumnMap, _dyad, dag
 
 from bounds import coprime_configs
 from rules import (ROWS, TABLE, assert_rule, cnormal, column_maps, conforms, deviation_cases, key,
@@ -58,7 +58,7 @@ def _set_operands(cfg, first: bool, lean: bool):
     if first and not lean:
         out += [("ã", x.a_tilde), ("g⁻¹", x.g_inv), ("[N+1]", x.brace_g1), ("N", x.n_op),
                 ("h", x.h), ("h†", x.h_dag), ("H", x.big_h), ("Ñ", x.n_tilde),
-                ("Ñ kept", x.n_tilde.kept()), ("{H†}", x.brace_hdag), ("{H†+1}", x.brace_hdag1),
+                ("Ñ view", x.n_tilde.dense), ("{H†}", x.brace_hdag), ("{H†+1}", x.brace_hdag1),
                 ("a²", cmatrix.mat_pow(x.a, 2)), ("1/q", 1 / x.q)]
     formed = [(f"{name} formed", np.asarray(maps[name]), _ALL if name == "H†" else _POWERS)
               for name in steps]
@@ -130,9 +130,8 @@ def _special_operands(d: int):
     return [(name, v, _REDUCTIONS) for name, v in out]
 
 
-# an operand with its matrix formed once, and its kind where no patch of
-# _FFT_MIN_DIM changes it
-Operand = namedtuple("Operand", "name value formed ops kind")
+# an operand with its matrix formed once
+Operand = namedtuple("Operand", "name value formed ops")
 
 _POOLS: dict = {}
 
@@ -145,7 +144,7 @@ def _free_the_pools():
 
 def _operand(name: str, x, ops=_ALL) -> Operand:
     formed = x if kind(x) == "scalar" else _read_only(np.asarray(_read_only(x)))
-    return Operand(name, x, formed, ops, None if isinstance(x, _Dft) else kind(x))
+    return Operand(name, x, formed, ops)
 
 
 def _operands(d: int, k) -> list[Operand]:
@@ -170,8 +169,8 @@ _STEPS_AND_SHIFTS = tuple(f"{name} formed" for name in ("a", "a†", "h", "h†"
 def _grid(op: str):
     # (d, k, operand names): two dimensions no cutoff has; every root for
     # s <= 16, and the powers of the step operators and shifts for s <= 40;
-    # the old crossovers d = 48 and 64, and d in {127, 128, 129} around
-    # _FFT_MIN_DIM and {256, 257}, composite and prime, at k = 1, -1 and 2
+    # the old crossovers d = 48 and 64, and d in {127, 128, 129} and
+    # {256, 257}, composite and prime, at k = 1, -1 and 2
     yield from ((d, None, None) for d in (1, 2))
     for s in range(2, 41 if op == "mat_pow" else 17):
         names = None if s <= 16 else _STEPS_AND_SHIFTS
@@ -194,13 +193,13 @@ def _powers(row, d: int):
 def _pairs(row, d, k, names=None):
     # the operand pairs at (d, k) whose key is the row's
     pool = [a for a in _operands(d, k) if row.op in a.ops and (names is None or a.name in names)]
-    lefts = [a for a in pool if (a.kind or kind(a.value)) == row.left]
+    lefts = [a for a in pool if kind(a.value) == row.left]
     if row.op == "mat_pow":  # a power's key is the same for every p > 0
         for a in lefts:
             keys = (key(row.op, a.value, 0), key(row.op, a.value, 1))
             yield from ((a, _operand(str(p), p)) for p in _powers(row, d) if keys[p > 0] == row[:4])
         return
-    rights = [b for b in pool if (b.kind or kind(b.value)) == row.right]
+    rights = [b for b in pool if kind(b.value) == row.right]
     for a in lefts:
         for b in rights:
             same_shape = row.op == "scale" or a.formed.shape == b.formed.shape
@@ -209,11 +208,7 @@ def _pairs(row, d, k, names=None):
 
 
 @pytest.mark.parametrize("row", TABLE, ids=lambda row: "-".join(c for c in row[:4] if c != "-"))
-def test_rule(monkeypatch, row):
-    # a row with the FFT runs with every dimension routed, one with the
-    # DFT below _FFT_MIN_DIM as the library runs it
-    if "fft" in row[1:3]:
-        monkeypatch.setattr(cmatrix, "_FFT_MIN_DIM", 1)
+def test_rule(row):
     count = 0
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan on every route
         for d, k, names in _grid(row.op):
@@ -227,19 +222,15 @@ def test_rule(monkeypatch, row):
 
 
 def _grid_keys() -> set:
-    # every key the operands of a small dimension form, the DFT's from both routes
+    # every key the operands of a small dimension form
     keys = set()
-    for routed in (False, True):
-        with pytest.MonkeyPatch.context() as patched:
-            if routed:
-                patched.setattr(cmatrix, "_FFT_MIN_DIM", 1)
-            for d in (3, 6):
-                pool = [a.value for a in _operands(d, 1)]
-                matrices = [x for x in pool if kind(x) != "scalar"]
-                keys |= {key("mat_pow", x, p) for x in matrices for p in (0, 1) if np.ndim(x) == 2}
-                keys |= {key("scale", a, x) for a in pool if kind(a) == "scalar" for x in matrices}
-                keys |= {key(op, x, y) for op in ("mul", "sub", "max_abs_diff")
-                         for x in matrices for y in matrices if np.shape(x) == np.shape(y)}
+    for d in (3, 6):
+        pool = [a.value for a in _operands(d, 1)]
+        matrices = [x for x in pool if kind(x) != "scalar"]
+        keys |= {key("mat_pow", x, p) for x in matrices for p in (0, 1) if np.ndim(x) == 2}
+        keys |= {key("scale", a, x) for a in pool if kind(a) == "scalar" for x in matrices}
+        keys |= {key(op, x, y) for op in ("mul", "sub", "max_abs_diff")
+                 for x in matrices for y in matrices if np.shape(x) == np.shape(y)}
     return keys
 
 

@@ -160,21 +160,19 @@ _STRUCTURES = {
 def test_replace_keeps_the_monomials_as_column_maps(monkeypatch):
     # a mutant made from the stored values keeps every other value, the
     # fifteen structures (ten column maps, five circulants) included, as the
-    # same object, and forms no monomial; dataclasses.replace, which reads
-    # every field as a matrix, is refused, as is a structured field given a
-    # matrix or the other kind of structure
+    # same object; dataclasses.replace, which reads every field as a matrix,
+    # is refused, as is a structured field given a matrix or the other kind
+    # of structure
     cfg = AlgebraConfig(6)
     ops = build_operator_set(cfg)
     assert {name: type(value) for name, value in vars(ops).items()
             if isinstance(value, (_ColumnMap, _Circulant))} == _STRUCTURES
-    maps = [value for value in vars(ops).values() if isinstance(value, _ColumnMap)]
     circulant = _Circulant(np.zeros(cfg.dim, dtype=complex))
     for name, kind in _STRUCTURES.items():
         new = _CLOSED.scale(0, vars(ops)[name]) if kind is _ColumnMap else circulant
         mutant = _mutant(ops, **{name: new})
         assert vars(mutant)[name] is new
         assert all(vars(mutant)[other] is vars(ops)[other] for other in vars(ops) if other != name)
-    assert all(m.dense is None for m in maps)
     idiom = re.escape("OperatorSet(**{**vars(ops), **changes})")
     with pytest.raises(TypeError, match=idiom):
         dataclasses.replace(ops)
@@ -387,9 +385,9 @@ def _products_per_op(counted, cfg):
 def test_dense_products_per_verification(monkeypatch, s):
     # the d^3 products of run_all plus polar_decompose: F F† and eq17's two,
     # and F† F, F g⁻¹ F†, F g F† and, when the set is built, ã and ã†, which
-    # are FFTs from _FFT_MIN_DIM on; eq19's squares are circulants at every d.
-    # (dense, FFT) on a miss, then on a repeat on the kept set
-    expected = {4: [(8, 0), (6, 0)], 256: [(3, 5), (3, 3)]}[s]
+    # are FFTs; eq19's squares are circulants at every d.  (dense, FFT) on a
+    # miss, then on a repeat on the kept set
+    expected = [(3, 5), (3, 3)]
     cfg = AlgebraConfig(s)
     counted = _count_products(monkeypatch)
     assert [_products_per_op(counted, cfg) for _ in range(2)] == expected
@@ -436,10 +434,8 @@ def test_fourier_conjugate_of_a_step_operator_forms_no_dense_product(monkeypatch
 @pytest.mark.parametrize("s", [*range(2, 17), 256, 511, 512, 1024])
 def test_fft_products_match_the_dense_products(monkeypatch, s):
     # every product with the ideal F†, the set's ã and ã† included, against
-    # the dense product of the kept matrices, which stays the specification:
-    # at every root with every dimension routed for s <= 16, at k = ±1 above
-    if s <= 16:
-        monkeypatch.setattr(qboson.cmatrix, "_FFT_MIN_DIM", 1)
+    # the dense product of the formed matrices, which stays the
+    # specification: at every root for s <= 16, at k = ±1 above
     mul, checked = _CLOSED.mul, []
 
     def conforming(x, y):
@@ -467,23 +463,16 @@ def test_fft_products_match_the_dense_products(monkeypatch, s):
 def test_a_unitary_fourier_of_the_wrong_root_fails(monkeypatch, s):
     # F built with rows of root k + 1 is unitary, so F F† passes; the ideal
     # F† of root k exposes it in F† F (eq13, eq15) and in (F g^∓1) F† (eq14,
-    # and eq17's second pair).  Below the break-even F† is the built F's
-    # adjoint, and only the latter fail
-    for routed in (True, False) if s <= 16 else (True,):
-        with monkeypatch.context() as patched:
-            if routed and s <= 16:
-                patched.setattr(qboson.cmatrix, "_FFT_MIN_DIM", 1)
-            for k in range(1, s + 1) if s <= 16 else (1, 2, 37, s - 1):
-                if math.gcd(k, s + 1) != 1 or math.gcd(k + 1, s + 1) != 1:
-                    continue
-                cfg = AlgebraConfig(s, k=k)
-                mutant = _mutant(build_operator_set(cfg),
-                                 fourier=fourier(AlgebraConfig(s, k=k + 1)))
-                patched.setattr(qboson.verify, "build_operator_set", lambda _: mutant)
-                failed = {c.name for c in run_all(cfg).checks if not c.passed}
-                want = {"eq14_h_via_f", "eq17_tilde_ccr"}
-                assert failed == (want | {"eq13_f_unitary", "eq15_phase_orthonormal"} if routed
-                                  else want), (k, routed)
+    # and eq17's second pair), at every d
+    for k in range(1, s + 1) if s <= 16 else (1, 2, 37, s - 1):
+        if math.gcd(k, s + 1) != 1 or math.gcd(k + 1, s + 1) != 1:
+            continue
+        cfg = AlgebraConfig(s, k=k)
+        mutant = _mutant(build_operator_set(cfg), fourier=fourier(AlgebraConfig(s, k=k + 1)))
+        monkeypatch.setattr(qboson.verify, "build_operator_set", lambda _: mutant)
+        failed = {c.name for c in run_all(cfg).checks if not c.passed}
+        assert failed == {"eq13_f_unitary", "eq14_h_via_f", "eq15_phase_orthonormal",
+                          "eq17_tilde_ccr"}, k
 
 
 def test_a_side_held_past_its_check_keeps_its_values():
@@ -549,7 +538,7 @@ _PLAIN_BUILDERS = {
     "h_dag": shift_dag, "fourier": fourier, "big_h": cyclic_shift,
     "a_tilde": lambda cfg: fourier_conjugate(annihilation(cfg), cfg),
     "a_tilde_dag": lambda cfg: fourier_conjugate(creation(cfg), cfg),
-    "n_tilde": lambda cfg: _rotate_diagonal(fourier(cfg), number(cfg).diagonal()).kept(),
+    "n_tilde": lambda cfg: _rotate_diagonal(fourier(cfg), number(cfg).diagonal()).dense,
     "brace_hdag": lambda cfg: q_bracket(dag(cyclic_shift(cfg)), cfg),
     "brace_hdag1": lambda cfg: q_bracket_shifted(dag(cyclic_shift(cfg)), cfg),
 }
@@ -712,6 +701,35 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(lo, hi, k=k)
 
+    def test_range_check_is_the_scan_of_every_cutoff(self):
+        # the check reads at most |k| cutoffs, and rejects exactly the ranges
+        # where no cutoff is admissible, k = 0 and k = ±(s+1) included
+        for k in range(-13, 14):
+            for lo in range(2, 16):
+                for hi in range(lo, 30):
+                    admissible = any(math.gcd(k, s + 1) == 1 for s in range(lo, hi + 1))
+                    try:
+                        qboson.verify._sweep_reports(lo, hi, k, 1e-9)
+                    except ValueError as e:
+                        assert not admissible and str(e) == (
+                            f"k={k} shares a factor with s+1 for every s in [{lo}, {hi}]")
+                    else:
+                        assert admissible, (lo, hi, k)
+
+    def test_a_large_range_runs_nothing_before_its_first_report(self, monkeypatch):
+        # the range is checked without a list of its configurations, and
+        # each report is made when it is asked for
+        made, calls, config = [], [], qboson.verify.AlgebraConfig
+        monkeypatch.setattr(qboson.verify, "AlgebraConfig",
+                            lambda **kw: made.append(1) or config(**kw))
+        monkeypatch.setattr(qboson.verify, "run_all", lambda cfg: calls.append(cfg) or cfg.s)
+        reports = qboson.verify._sweep_reports(2, 10**6, 6, 1e-9)
+        assert made == calls == []
+        assert [next(reports), next(reports)] == [4, 6]  # s+1 = 5, 7
+        assert len(made) == len(calls) == 2
+        with pytest.raises(ValueError, match="for every s in"):
+            qboson.verify._sweep_reports(2, 10**6, 0, 1e-9)
+
 
 class TestBruteForceOracle:
     def test_rejects_large_s(self):
@@ -725,6 +743,24 @@ class TestBruteForceOracle:
             (c.name, c.deviation) for c in results if not c.passed
         ]
         assert all(c.threshold == ORACLE_TOL for c in results)
+
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_checks_the_fft_route(self, monkeypatch, s):
+        # F† is an FFT at every d, so the oracle's cutoffs check the route
+        # that every cutoff takes: the build's ã and ã†, and the catalog's
+        # F† F, F g⁻¹ F† and F g F†, each one np.fft.fft in _dft_product
+        routed, ffts = [], []
+        product, fft = qboson.cmatrix._dft_product, np.fft.fft
+        monkeypatch.setattr(qboson.cmatrix, "_dft_product",
+                            lambda *args, **kw: routed.append(1) or product(*args, **kw))
+        monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: ffts.append(1) or fft(*args, **kw))
+        for cfg in coprime_configs(s):
+            routed.clear()
+            ffts.clear()
+            qboson.algebra._last_set = None
+            results = brute_force_oracle(cfg)
+            assert len(routed) == len(ffts) == 5, cfg.k
+            assert all(c.passed and c.deviation <= ORACLE_TOL for c in results), cfg.k
 
     def test_covers_operators_and_catalog(self):
         names = [c.name for c in brute_force_oracle(AlgebraConfig(2))]
