@@ -157,7 +157,7 @@ def fourier_conjugate(a: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
     f = fourier(cfg)
     if a.shape != f.shape:
         raise ValueError(f"operator shape {a.shape} does not match dim {cfg.dim}")
-    return _CLOSED.mul(_CLOSED.mul(f, _read_map(np.asarray(a)) or a), _Dft(cfg.k, f))
+    return _CLOSED.mul(_CLOSED.mul(f, _read_map(np.asarray(a)) or a), _Dft(cfg.k, cfg.dim))
 
 
 def q_bracket(u: np.ndarray, cfg: AlgebraConfig) -> np.ndarray:
@@ -228,13 +228,12 @@ def phase_brace_roots(cfg: AlgebraConfig) -> tuple[np.ndarray, np.ndarray]:
     return ops.sqrt_brace_hdag.copy(), ops.sqrt_brace_hdag1.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarDecomposition:
     """Unitary-times-radial split of the phase-basis step-down operator.
 
     unitary : the inverse clock, a diagonal unimodular matrix.
-    radial : root of the phase-basis deformed number operator; the
-        operator set's read-only array.
+    radial : the set's read-only root of the phase-basis deformed number operator.
     reconstruction_error : deviation of unitary @ radial from the
         step-down operator rotated into the phase basis.
     factor_errors : deviations of all four factor orderings, the step-up
@@ -243,6 +242,7 @@ class PolarDecomposition:
         conjugate transpose.  Nonzero under the principal branch whenever a
         q-integer is negative, so the split is genuinely unitary-times-
         hermitian only where the spectrum stays nonnegative.
+    A decomposition compares and hashes by identity: its fields are arrays.
     """
 
     unitary: np.ndarray
@@ -349,7 +349,7 @@ class _StructureField:
         vars(ops)[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSet:
     """The full operator family of one configuration, all of dimension s+1.
 
@@ -358,11 +358,11 @@ class OperatorSet:
     column maps, whose read forms a fresh matrix every time (64 MiB in about
     15 ms at s = 2048) that the set never keeps, and ``n_tilde``, the phase
     braces and the radial roots as circulants, read as views of 2(s+1)
-    entries.  So ``fourier``, ``a_tilde`` and ``a_tilde_dag`` are the only
-    fields that hold d x d entries.  A copy with some fields changed is made
-    from the stored values, ``OperatorSet(**{**vars(ops), **changes})``,
-    which keeps every other structure as it is; a structured field given a
-    matrix, as ``dataclasses.replace`` gives it, is a ``TypeError``.
+    entries; only ``fourier``, ``a_tilde`` and ``a_tilde_dag`` hold d x d
+    entries.  A copy with some fields changed is ``OperatorSet(**{**vars(ops),
+    **changes})``, which keeps every other structure; a structured field given
+    a matrix, as ``dataclasses.replace`` gives it, is a ``TypeError``.  A set
+    compares and hashes by identity: its fields are arrays.
     """
 
     config: AlgebraConfig
@@ -396,21 +396,19 @@ def build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
 
     The Fourier matrix and the q-integer table are built once; every
     phase-basis operator, the radial roots included, is conjugated with that
-    same matrix.  The last set built is kept in one slot, keyed by (s, k):
-    the set reads no tol, and ``ops.config.tol`` is the building call's.
-    So ``run_all``, ``polar_decompose`` and ``brute_force_oracle`` on one
+    same matrix.  The last set built is kept in one slot, keyed by (s, k),
+    and ``ops.config`` is that key, with the default tol: the set reads no
+    tol.  So ``run_all``, ``polar_decompose`` and ``brute_force_oracle`` on one
     (s, k) share one build.  Every array, a column map's rows and weights
     and a circulant's lags included, is made over immutable memory, so no
     reader can write to it.  Another (s, k) drops the kept set before the
     new one is built, so at most one set is held at a time.
     """
     global _last_set
-    ops = _last_set
-    if ops is not None and (ops.config.s, ops.config.k) == (cfg.s, cfg.k):
-        return ops
-    _last_set = ops = None  # let the kept set go before a second one is built
-    ops = _last_set = _build_operator_set(cfg)
-    return ops
+    if _last_set is None or (_last_set.config.s, _last_set.config.k) != (cfg.s, cfg.k):
+        _last_set = None  # let the kept set go before a second one is built
+        _last_set = _build_operator_set(cfg)
+    return _last_set
 
 
 # the zeros of an adjoint: dag() conjugates every 0 of a matrix to 0 - 0j, as
@@ -432,10 +430,10 @@ def _build_operator_set(cfg: AlgebraConfig) -> OperatorSet:
     ones = _frozen(np.ones(d, dtype=complex))
     big_h_dag = _ColumnMap(down, _frozen(ones.conj()), _CONJ_ZERO)
     lags = _band_quotients(cfg, big_h_dag)
-    fdag, mul = _Dft(cfg.k, f), _CLOSED.mul
+    fdag, mul = _Dft(cfg.k, d), _CLOSED.mul
     n = _frozen(np.arange(d, dtype=complex))
     return OperatorSet(
-        config=cfg,
+        config=AlgebraConfig(s, cfg.k),  # the slot's key: the set reads no tol
         a=a,
         a_dag=a_dag,
         n_op=_diagonal(n),

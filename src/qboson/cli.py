@@ -3,13 +3,14 @@ sweep cutoffs, print closed-form spectra, and dump phase states.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage, an
 invalid configuration, or a cutoff whose operators do not fit in memory,
-3 I/O failure.
+3 I/O failure, a closed output pipe included (reported by the code alone).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -161,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: no message, and the exit's flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     except ValueError as exc:
         print(f"qboson: error: {exc}", file=sys.stderr)
         return 2

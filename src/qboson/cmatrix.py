@@ -4,14 +4,14 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex; everything here
 is a pure function and all inputs are left untouched.  A matrix may also be
 held as one of three structures, plain data with ``_formed()`` and no
 arithmetic: a ``_ColumnMap`` has at most one nonzero per column (a diagonal,
-a step operator, a shift, a dyad), a ``_Circulant`` holds its 2d - 1
-distinct entries, and a ``_Dft`` is the adjoint of the ideal finite Fourier
-transform of one root index.  ``_CLOSED`` holds every rule that combines
-them, and numpy allocates each of its dense results; ``mat_pow`` and
-``max_abs_diff`` pick their routes by type.  Against a map a map costs O(d),
-and against a dense matrix it is never formed; two circulants multiply in
-O(d^2) and are compared in O(d); a DFT applies to a dense matrix as an FFT,
-in O(d^2 log d), at every d.
+a step operator, a shift, a dyad), a ``_Circulant`` holds its 2d - 1 distinct
+entries, and a ``_Dft`` is the adjoint of the ideal finite Fourier transform
+of (k, d).  ``_CLOSED`` holds the rules that combine them, and numpy
+allocates each of its dense results; no rule forms a map or a DFT, so such a
+pair is numpy's ``TypeError``.  ``mat_pow`` and ``max_abs_diff`` pick their
+routes by type.  Against a map a map costs O(d), and against a dense matrix
+it is never formed; two circulants multiply in O(d^2) and are compared in
+O(d); a DFT applies to a dense matrix as an FFT, in O(d^2 log d), at every d.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class _Structure:
     """A d x d matrix held in a compact format: a column map, a circulant or a DFT.
 
     ``np.asarray`` reads the matrix that ``_formed()`` gives.  A structure
-    has no arithmetic: ``_CLOSED`` holds every rule that combines it, and
+    has no arithmetic: ``_CLOSED`` holds the rules that combine it, and
     numpy raises ``TypeError`` on ``@``, ``-`` or ``*`` of a structure
     rather than take a dense route.
     """
@@ -91,24 +91,23 @@ class _Circulant(_Structure):
 
 
 class _Dft(_Structure):
-    """F†, the adjoint of the ideal DFT of root index k, of a built Fourier matrix F.
+    """F†, the adjoint of the ideal DFT of root index k in dimension d.
 
     F's kernel is q^{mn} / sqrt(d) with q = exp(2 pi i k / d), so F†'s entry
     (m, n) is the unitary DFT's entry (m, k n mod d): F† X is the DFT of X's
     rows gathered by k^-1 mod d, and X F† the DFT of its gathered columns.
-    Its formed matrix is ``dag`` of the built F.  k is reduced mod d here,
-    not read from F or a root table, so a product with a dense matrix applies
-    the ideal transform, and checks a built F against it; it agrees with the
-    dense product within rounding, not bit for bit.
+    It holds k mod d and no matrix; its formed matrix is its own product with
+    the identity.  A product with a built F checks F against the ideal
+    transform, and agrees with the dense product within rounding, not bit for bit.
     """
 
-    __slots__ = ("k", "built")
+    __slots__ = ("k",)
 
-    def __init__(self, k: int, built: np.ndarray) -> None:
-        self.shape, self.built, self.k = built.shape, built, k % len(built)
+    def __init__(self, k: int, d: int) -> None:
+        self.shape, self.k = (d, d), k % d
 
     def _formed(self) -> np.ndarray:
-        return dag(self.built)
+        return _dft_product(self, np.eye(self.shape[0], dtype=complex), axis=0)
 
 
 def _dft_product(fdag: _Dft, x: np.ndarray, axis: int) -> np.ndarray:
@@ -121,13 +120,12 @@ def _dft_product(fdag: _Dft, x: np.ndarray, axis: int) -> np.ndarray:
 
 def _closed_mul(x, y):
     """x @ y.  A map times a map is a map.  Against a dense matrix a diagonal
-    scales its rows or columns, another map on the right gathers its columns
-    (column j is column rows[j] times weights[j]), and one on the left is
-    formed.  Two circulants give the circulant whose column 0 is x times y's
-    column 0, one matrix-vector product in place of a d^3 one, equal to ``@``
-    within rounding; a circulant against anything else is its view.  A DFT
-    against a dense matrix is an FFT, and against a map or a DFT a
-    ``TypeError``, as numpy refuses the structure."""
+    scales its rows or columns, and another map on the right gathers its
+    columns (column j is column rows[j] times weights[j]).  Two circulants give
+    the circulant of x times y's column 0, one matrix-vector product in place
+    of a d^3 one, equal to ``@`` within rounding; a circulant against anything
+    else is its view.  A DFT against a dense matrix is an FFT; any other pair
+    with a map or a DFT is numpy's ``TypeError``."""
     if isinstance(x, _Circulant):
         if isinstance(y, _Circulant):
             return _Circulant(x.dense @ y.lags[len(x.dense) - 1::-1])
@@ -138,29 +136,29 @@ def _closed_mul(x, y):
         return _dft_product(x, y, axis=0)
     if isinstance(y, _Dft) and isinstance(x, np.ndarray):
         return _dft_product(y, x, axis=1)
-    if isinstance(x, _ColumnMap):
-        if isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
-            return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights,
-                              diagonal=x.diagonal and y.diagonal)
-        return x.weights[:, None] * y if x.diagonal else np.matmul(np.asarray(x), y)
+    if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):  # |j> -> |y_r[j]> -> |x_r[y_r[j]]>
+        return _ColumnMap(x.rows[y.rows], x.weights[y.rows] * y.weights,
+                          diagonal=x.diagonal and y.diagonal)
+    if isinstance(x, _ColumnMap) and x.diagonal:
+        return x.weights[:, None] * y
     if isinstance(y, _ColumnMap):
         return x * y.weights if y.diagonal else x[:, y.rows] * y.weights
     return np.matmul(x, y)
 
 
 def _closed_sub(x, y):
-    """x - y; two maps on the same rows give a map, and a dense matrix less a
-    map is x - zero off the map and the d entries x[rows[j], j] - weights[j] on it."""
+    """x - y of two dense matrices; of a dense matrix and a map, x - zero off the
+    map and x[rows[j], j] - weights[j] on it; and of two maps on the same rows,
+    a map.  Any other pair is numpy's ``TypeError``: it has a structure operand."""
     if isinstance(x, _ColumnMap) and isinstance(y, _ColumnMap):
         if not np.count_nonzero(x.rows != y.rows):
             return _ColumnMap(x.rows, x.weights - y.weights, diagonal=x.diagonal)
     elif isinstance(y, _ColumnMap):
-        x = np.asarray(x)  # a circulant's view or a DFT's formed matrix
         out = np.subtract(x, y.zero, dtype=np.result_type(x, y.weights))
         cols = _band_rows(y.rows.size, 0)
         out[y.rows, cols] = x[y.rows, cols] - y.weights
         return out
-    return np.subtract(np.asarray(x), np.asarray(y))
+    return np.subtract(x, y)
 
 
 def _closed_scale(alpha, x):
@@ -208,9 +206,9 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-# The catalog's numpy arithmetic: the naive arithmetic's eight operations,
-# with every rule for the structures; any other result is numpy's ``@``,
-# ``-``, ``*`` or ``dag`` bit for bit
+# The catalog's numpy arithmetic: the naive arithmetic's eight operations with
+# the structure rules, none of which forms a map or a DFT (such a pair is a
+# ``TypeError``); any other result is numpy's ``@``, ``-``, ``*`` or ``dag``
 _CLOSED = SimpleNamespace(
     mul=_closed_mul, sub=_closed_sub, scale=_closed_scale, dag=dag,
     pow=lambda x, p: mat_pow(x, p),  # looked up when called, so a wrapper put on it sees every power

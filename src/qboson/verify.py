@@ -225,7 +225,7 @@ def _closed_operators(ops: OperatorSet) -> SimpleNamespace:
     return SimpleNamespace(
         **stored, g_inv=_diagonal(stored["g"].weights.conj()),
         sqrt_g=_diagonal(stored["a"].weights), sqrt_g1=_diagonal(stored["a_dag"].weights),
-        fourier_dag=_Dft(ops.config.k, stored["fourier"]), q=primitive_root(ops.config))
+        fourier_dag=_Dft(ops.config.k, ops.config.dim), q=primitive_root(ops.config))
 
 
 def _step_chain_is_sharp(ops: OperatorSet) -> bool:

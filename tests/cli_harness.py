@@ -24,10 +24,18 @@ def run_cli(*args, cwd=None):
 
 
 def run_python(*args, cwd=None):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=_environment())
+
+
+def start_cli(*args, stderr):
+    """``python -m qboson`` left running, its stdout a pipe the caller reads
+    and may close early, and its stderr written to the file ``stderr``."""
+    return subprocess.Popen([sys.executable, "-m", "qboson", *args], stdout=subprocess.PIPE,
+                            stderr=stderr, env=_environment())
+
+
+def _environment():
     inherited = [os.path.abspath(entry)
                  for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), *inherited])}
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), *inherited])}

@@ -1,8 +1,9 @@
 """The structure rules as one conformance table, and the operands they are
 checked on.
 
-``cmatrix._CLOSED`` holds every rule that combines a dense matrix with the
-three compact forms, column map, circulant and the DFT's adjoint, and
+``cmatrix._CLOSED`` holds the rules that combine a dense matrix with the
+three compact forms, column map, circulant and the DFT's adjoint, and no rule
+that would form a map or a DFT: such a pair is numpy's ``TypeError``.
 ``max_abs_diff`` and ``mat_pow`` pick their routes by type.  Each row of
 ``TABLE`` is one (operation, left kind, right kind, case) with the kind of its
 result, the bound it keeps against the dense specification (numpy on the
@@ -46,10 +47,10 @@ mul           diag   diag   -          diag    map        no
 mul           diag   map    -          map     map        yes
 mul           diag   circ   -          dense   map        yes
 mul           diag   fft    -          -       TypeError  no
-mul           map    dense  -          dense   exact      no
+mul           map    dense  -          -       TypeError  no
 mul           map    diag   -          map     map        yes
 mul           map    map    -          map     map        yes
-mul           map    circ   -          dense   exact      no
+mul           map    circ   -          -       TypeError  no
 mul           map    fft    -          -       TypeError  no
 mul           circ   dense  -          dense   exact      no
 mul           circ   diag   -          dense   map        yes
@@ -64,31 +65,31 @@ mul           fft    fft    -          -       TypeError  no
 sub           dense  dense  -          dense   exact      yes
 sub           dense  diag   -          dense   exact      no
 sub           dense  map    -          dense   exact      yes
-sub           dense  circ   -          dense   exact      no
-sub           dense  fft    -          dense   exact      no
-sub           diag   dense  -          dense   exact      no
+sub           dense  circ   -          -       TypeError  no
+sub           dense  fft    -          -       TypeError  no
+sub           diag   dense  -          -       TypeError  no
 sub           diag   diag   same-rows  diag    exact      no
 sub           diag   map    same-rows  diag    exact      yes
-sub           diag   map    other-rows dense   exact      no
-sub           diag   circ   -          dense   exact      no
-sub           diag   fft    -          dense   exact      no
-sub           map    dense  -          dense   exact      no
+sub           diag   map    other-rows -       TypeError  no
+sub           diag   circ   -          -       TypeError  no
+sub           diag   fft    -          -       TypeError  no
+sub           map    dense  -          -       TypeError  no
 sub           map    diag   same-rows  map     exact      no
-sub           map    diag   other-rows dense   exact      no
+sub           map    diag   other-rows -       TypeError  no
 sub           map    map    same-rows  map     exact      yes
-sub           map    map    other-rows dense   exact      no
-sub           map    circ   -          dense   exact      no
-sub           map    fft    -          dense   exact      no
-sub           circ   dense  -          dense   exact      no
-sub           circ   diag   -          dense   exact      no
-sub           circ   map    -          dense   exact      no
-sub           circ   circ   -          dense   exact      no
-sub           circ   fft    -          dense   exact      no
-sub           fft    dense  -          dense   exact      no
-sub           fft    diag   -          dense   exact      no
-sub           fft    map    -          dense   exact      no
-sub           fft    circ   -          dense   exact      no
-sub           fft    fft    -          dense   exact      no
+sub           map    map    other-rows -       TypeError  no
+sub           map    circ   -          -       TypeError  no
+sub           map    fft    -          -       TypeError  no
+sub           circ   dense  -          -       TypeError  no
+sub           circ   diag   -          -       TypeError  no
+sub           circ   map    -          -       TypeError  no
+sub           circ   circ   -          -       TypeError  no
+sub           circ   fft    -          -       TypeError  no
+sub           fft    dense  -          -       TypeError  no
+sub           fft    diag   -          -       TypeError  no
+sub           fft    map    -          -       TypeError  no
+sub           fft    circ   -          -       TypeError  no
+sub           fft    fft    -          -       TypeError  no
 scale         scalar dense  -          dense   exact      yes
 scale         scalar diag   -          diag    exact      no
 scale         scalar map    -          map     exact      yes

@@ -11,6 +11,7 @@ from qboson import algebra, verify
 
 from qboson import (
     AlgebraConfig,
+    OperatorSet,
     annihilation,
     build_operator_set,
     clock,
@@ -270,7 +271,7 @@ def test_fourier_conjugate_of_a_complex_diagonal_is_within_the_stated_bound(s):
     for cfg in coprime_configs(s)[:6]:
         f = fourier(cfg)
         for a in (clock(cfg), dag(clock(cfg))):
-            dense = _CLOSED.mul(f @ a, _Dft(cfg.k, f))
+            dense = _CLOSED.mul(f @ a, _Dft(cfg.k, cfg.dim))
             assert np.abs(fourier_conjugate(a, cfg) - dense).max() <= 4 * 2.0**-52
         for a in (annihilation(cfg), q_number_matrix(cfg), sqrt_q_number_matrix(cfg, offset=1)):
             assert_product_bound(fourier_conjugate(a, cfg), f @ a, dag(f))
@@ -500,6 +501,25 @@ def test_equal_configs_share_one_set():
     assert build_operator_set(AlgebraConfig(5, k=-1)) is not ops
 
 
+def test_a_set_config_is_its_key_whatever_the_call_history():
+    # the set reads no tol: its config is the slot's (s, k), with the default tol
+    algebra._last_set = None
+    verify.run_all(AlgebraConfig(8, tol=1e-6))
+    ops = build_operator_set(AlgebraConfig(8))
+    assert ops.config == AlgebraConfig(8) and ops.config.tol == 1e-9
+    assert build_operator_set(AlgebraConfig(8, k=-1, tol=1e-3)).config == AlgebraConfig(8, k=-1)
+
+
+def test_sets_and_polar_decompositions_compare_and_hash_by_identity():
+    # a generated __eq__ would compare array fields and raise, and its
+    # __hash__ would hash them; identity is the equality that holds
+    ops = build_operator_set(AlgebraConfig(5))
+    assert ops == ops and len({ops, ops}) == 1
+    assert ops != build_operator_set(AlgebraConfig(6)) and ops != OperatorSet(**vars(ops))
+    pd = polar_decompose(AlgebraConfig(5))
+    assert pd == pd and len({pd, pd}) == 1 and pd != polar_decompose(AlgebraConfig(5))
+
+
 def test_a_tol_change_builds_no_second_set(monkeypatch):
     # run_all at one (s, k) with tol 1e-9, then 1e-8, then 1e-9 builds one
     # set; each report keeps its own tol and threshold
@@ -630,14 +650,21 @@ def test_column_maps_of_the_set_are_read_only(s):
     assert verify.run_all(AlgebraConfig(s)).overall_pass
 
 
-@pytest.mark.parametrize("s", [4, 64, 256])
+@pytest.mark.parametrize("s", [2, 4, 5, 8, 64, 128, 256])
 def test_verification_and_polar_decomposition_form_no_monomial(monkeypatch, s):
+    # nor any F†: the program's callers read the structures through their
+    # rules, and no rule forms a map or a DFT
     cfg = AlgebraConfig(s)
-    formed, form = [], _ColumnMap._formed
-    monkeypatch.setattr(_ColumnMap, "_formed", lambda m: formed.append(m) or form(m))
+    formed = []
+    for kind in (_ColumnMap, _Dft):
+        form = kind._formed
+        monkeypatch.setattr(kind, "_formed", lambda m, form=form: formed.append(m) or form(m))
     algebra._last_set = None
     verify.run_all(cfg)
     polar_decompose(cfg)
+    if s <= verify.ORACLE_MAX_S:
+        verify.brute_force_oracle(cfg)
+    fourier_conjugate(annihilation(cfg), cfg)
     assert formed == []
 
 
@@ -774,8 +801,8 @@ def test_rotated_step_operators_are_the_dense_products(s):
     for cfg in coprime_configs(s):
         ops = build_operator_set(cfg)
         f, step_down, step_up = ops.fourier, ops.a_tilde, ops.a_tilde_dag
-        conforms("mul", step_down, f @ ops.a, _Dft(cfg.k, f))
-        conforms("mul", step_up, f @ ops.a_dag, _Dft(cfg.k, f))
+        conforms("mul", step_down, f @ ops.a, _Dft(cfg.k, cfg.dim))
+        conforms("mul", step_up, f @ ops.a_dag, _Dft(cfg.k, cfg.dim))
         z, r_down, r_up = ops.g.diagonal(), ops.sqrt_brace_hdag, ops.sqrt_brace_hdag1
         dense = {
             "down_unitary_radial": max_abs_diff(step_down, z.conj()[:, None] * r_down),

@@ -21,7 +21,7 @@ from qboson import (
     vector_from_dict,
 )
 
-from cli_harness import run_cli, run_python
+from cli_harness import run_cli, run_python, start_cli
 
 # a cutoff whose s+1 is too large for a float
 S_TOO_LARGE_FOR_A_FLOAT = "1" + "0" * 400
@@ -159,7 +159,7 @@ class TestBuild:
         code = ("import sys, qboson; from qboson import cmatrix; loaded = [];"
                 "cfg = qboson.AlgebraConfig({s}); f = qboson.fourier(cfg);"
                 "loaded.append('numpy.fft' in sys.modules);"
-                "cmatrix._CLOSED.mul(f, cmatrix._Dft(cfg.k, f));"
+                "cmatrix._CLOSED.mul(f, cmatrix._Dft(cfg.k, cfg.dim));"
                 "loaded.append('numpy.fft' in sys.modules); print(*loaded)")
         for s in (2, 5, 126, 127, 256):
             proc = run_python("-c", code.format(s=s))
@@ -417,3 +417,23 @@ class TestPhaseStates:
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize("args, read", [
+    (("sweep", "--s-min", "2", "--s-max", "1000000"), lambda out: out.readline()),
+    (("build", "--s", "64", "--op", "f"), lambda out: out.read(10)),
+], ids=["sweep", "build"])
+def test_a_reader_that_closes_the_pipe_gets_exit_three_and_no_message(tmp_path, args, read):
+    # the write failed, so the exit code is 3, but the reader has left and
+    # there is nothing to tell: stderr stays empty, the final flush included
+    with open(tmp_path / "stderr", "w+b") as stderr:
+        proc = start_cli(*args, stderr=stderr)
+        try:
+            assert read(proc.stdout)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 3
+        finally:
+            proc.kill()
+            proc.wait()
+        stderr.seek(0)
+        assert stderr.read() == b""

@@ -41,7 +41,7 @@ from qboson.cmatrix import (
 )
 from qboson.qnumerics import AlgebraConfig, primitive_root
 
-from bounds import bit_equal, coprime_configs
+from bounds import assert_product_bound, bit_equal, coprime_configs
 from rules import (ROWS, assert_rule, column_maps, deviation_cases, key, layouts, random_maps,
                    sparse_map, special_circulants, strided)
 
@@ -311,8 +311,9 @@ class TestMulSparse:
         f, m = fourier(cfg), column_maps(cfg)["a†"]
         before = f.copy(), m.rows.copy(), m.weights.copy()
         ar = _CLOSED
-        for _ in (ar.mul(f, m), ar.mul(m, f), ar.mul(m, m), ar.scale(2.0, m), ar.sub(m, m),
-                  mat_pow(m, 5), np.asarray(m)):
+        # a map on the left of a dense matrix is a TypeError: a diagonal of its weights is there
+        for _ in (ar.mul(f, m), ar.mul(_diagonal(m.weights), f), ar.mul(m, m), ar.scale(2.0, m),
+                  ar.sub(m, m), mat_pow(m, 5), np.asarray(m)):
             pass
         assert bit_equal(f, before[0])
         assert bit_equal(m.rows, before[1]) and bit_equal(m.weights, before[2])
@@ -361,8 +362,12 @@ class TestColumnMap:
         a2 = mat_pow(column_maps(cfg)["a"], 2)
         # |s><0| with every empty column pointed at row s as well
         sink = _ColumnMap(np.full(d, s), np.asarray(_dyad(s, 0, d))[s])
+        f = fourier(cfg)
         for m in (_dyad(s, 0, d), a2, sink):
-            assert_rule("mul", m, fourier(cfg))
+            assert_rule("mul", f, m)
+            assert_rule("mul", m, m)
+            assert_rule("max_abs_diff", f, m)
+            assert_rule("sub", f, m)
 
     def test_weights_of_both_factors_in_their_places(self):
         # a random map with repeated rows and empty columns, against the dense @
@@ -377,7 +382,7 @@ class TestColumnMap:
         # or take the dense route of a circulant
         x = np.ones((4, 4), dtype=complex)
         m, c = _dyad(1, 2, 4), _Circulant(np.arange(4) + 1j)
-        f = _Dft(1, fourier(AlgebraConfig(3)))
+        f = _Dft(1, 4)
         for case in (lambda: x @ m, lambda: m @ x, lambda: m @ m, lambda: 2.0 * m,
                      lambda: m - m, lambda: x - m, lambda: x @ c, lambda: x @ f, lambda: f @ x):
             with pytest.raises(TypeError):
@@ -423,7 +428,7 @@ class TestDft:
     def test_fft_matches_the_dense_product_at_every_root(self, s):
         for cfg in coprime_configs(s):
             f = fourier(cfg)
-            fdag = _Dft(cfg.k, f)
+            fdag = _Dft(cfg.k, cfg.dim)
             x = f * np.exp(1j * np.arange(cfg.dim))
             for pair in ((x, fdag), (fdag, f), (fdag, x)):
                 assert_rule("mul", *pair)
@@ -435,30 +440,38 @@ class TestDft:
         for k in (1, -1):
             cfg = AlgebraConfig(s, k=k)
             f = fourier(cfg)
-            assert_rule("mul", f * np.exp(1j * np.arange(cfg.dim)), _Dft(k, f))
-            assert_rule("mul", _Dft(k, f), f)
+            assert_rule("mul", f * np.exp(1j * np.arange(cfg.dim)), _Dft(k, cfg.dim))
+            assert_rule("mul", _Dft(k, cfg.dim), f)
 
     def test_root_index_is_reduced_by_its_own_modulus(self):
-        # k and k + d, or -1 and d - 1, are one transform, whatever F was built with
+        # k and k + d, or -1 and d - 1, are one transform
         cfg = AlgebraConfig(299, k=7)
         d = cfg.dim
         f = fourier(cfg)
         x = f * np.exp(1j * np.arange(d))
-        want = _CLOSED.mul(x, _Dft(7, f))
-        assert bit_equal(_CLOSED.mul(x, _Dft(7 + 3 * d, f)), want)
-        assert bit_equal(_CLOSED.mul(x, _Dft(7 - d, f)), want)
-        # the formed matrix is the built F's adjoint, the transform is the ideal one
+        want = _CLOSED.mul(x, _Dft(7, d))
+        assert bit_equal(_CLOSED.mul(x, _Dft(7 + 3 * d, d)), want)
+        assert bit_equal(_CLOSED.mul(x, _Dft(7 - d, d)), want)
+        # F† reads no built F: its formed matrix is the ideal one, dag(F) of
+        # the right root within rounding, and F† F exposes an F of a wrong root
         wrong = fourier(AlgebraConfig(299, k=11))
-        assert bit_equal(np.asarray(_Dft(7, wrong)), dag(wrong))
-        assert bit_equal(_CLOSED.mul(x, _Dft(7, wrong)), want)
+        fdag = np.asarray(_Dft(7, d))
+        assert_product_bound(fdag, np.eye(d), dag(f))
+        assert max_abs_diff(fdag, dag(wrong)) > 0.01
+        assert max_abs_diff(_CLOSED.mul(_Dft(7, d), wrong), np.eye(d)) > 0.5
 
     def test_kept_matrix_and_other_operands(self):
         cfg = AlgebraConfig(6, k=2)
         f = fourier(cfg)
-        fdag = _Dft(cfg.k, f)
-        # the matrix is dag(F), formed afresh by each read and kept nowhere
-        assert bit_equal(np.asarray(fdag), dag(f)) and np.asarray(fdag) is not np.asarray(fdag)
-        assert not hasattr(fdag, "dense")
+        fdag = _Dft(cfg.k, cfg.dim)
+        # the matrix is F†'s own product with the identity, bit for bit, formed
+        # afresh by each read and kept nowhere; within the FFT product bound of dag(F)
+        eye = np.eye(cfg.dim, dtype=complex)
+        formed = np.asarray(fdag)
+        assert bit_equal(formed, _CLOSED.mul(fdag, eye)) and formed is not np.asarray(fdag)
+        assert formed.flags.owndata and formed.flags.writeable
+        assert_product_bound(formed, eye, dag(f))
+        assert not hasattr(fdag, "dense") and not hasattr(fdag, "built")
         # a circulant is its view, a dense operand; a map or a DFT is refused
         # on both sides, and a deviation of a DFT too, at every d
         c = _Circulant(np.arange(cfg.dim) + 1j)
@@ -466,7 +479,7 @@ class TestDft:
         assert_rule("mul", c, fdag)
         for s in (cfg.s, 128):
             g = fourier(AlgebraConfig(s))
-            h, m, diag = _Dft(1, g), _dyad(1, 2, s + 1), _diagonal(g[0])
+            h, m, diag = _Dft(1, s + 1), _dyad(1, 2, s + 1), _diagonal(g[0])
             for op, x, y in (("mul", h, m), ("mul", m, h), ("mul", diag, h), ("mul", h, diag),
                              ("mul", h, h), ("max_abs_diff", h, dag(g)), ("max_abs_diff", g, h)):
                 assert ROWS[key(op, x, y)].bound == "TypeError"
@@ -477,7 +490,7 @@ class TestDft:
         f = fourier(cfg)
         x = f * np.exp(1j * np.arange(cfg.dim))
         before = x.copy(), f.copy()
-        for got in (_CLOSED.mul(x, _Dft(3, f)), _CLOSED.mul(_Dft(3, f), x)):
+        for got in (_CLOSED.mul(x, _Dft(3, cfg.dim)), _CLOSED.mul(_Dft(3, cfg.dim), x)):
             assert got.base is None and got is not x
         assert bit_equal(x, before[0]) and bit_equal(f, before[1])
 
@@ -647,8 +660,9 @@ class TestWorkspace:
         m = _ColumnMap(rng.permutation(d), rng.normal(size=d) + 0j)
         before = x.copy(), m.rows.copy(), m.weights.copy()
         ar = _CLOSED
-        for out in (ar.mul(x, x), ar.mul(x, m), ar.mul(m, x), ar.sub(x, m), ar.sub(x, x),
-                    ar.scale(2j, x), ar.dag(x)):
+        # a map on the left of a dense matrix is a TypeError: a diagonal of its weights is there
+        for out in (ar.mul(x, x), ar.mul(x, m), ar.mul(_diagonal(m.weights), x), ar.sub(x, m),
+                    ar.sub(x, x), ar.scale(2j, x), ar.dag(x)):
             assert all(out is not b and out.base is not b for b in (x, m.rows, m.weights))
         assert all(np.array_equal(a, b) for a, b in zip(before, (x, m.rows, m.weights)))
 

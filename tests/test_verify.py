@@ -441,7 +441,7 @@ def test_fft_products_match_the_dense_products(monkeypatch, s):
     def conforming(x, y):
         got = mul(x, y)
         if isinstance(x, _Dft) or isinstance(y, _Dft):
-            conforms("mul", got, x, y)
+            conforms("mul", got, x, y, *(ideal if isinstance(z, _Dft) else None for z in (x, y)))
             checked.append(isinstance(x, _Dft))
         return got
 
@@ -450,13 +450,14 @@ def test_fft_products_match_the_dense_products(monkeypatch, s):
     for cfg in coprime_configs(s, None if s <= 16 else (1, -1)):
         checked.clear()
         qboson.algebra._last_set = None
+        ideal = np.asarray(_Dft(cfg.k, cfg.dim))  # F† formed, itself an FFT, before the count
         ffts = counted["fft"]
         assert run_all(cfg).overall_pass, cfg.k
         # ã, ã†, F g⁻¹ F†, F g F† with F† on the right, F† F on the left
         assert sorted(checked) == [False] * 4 + [True] and counted["fft"] - ffts == 5
         # F† F is the identity to 4 d u, so the built F is that transform
         f = fourier(cfg)
-        assert max_abs_diff(mul(_Dft(cfg.k, f), f), np.eye(cfg.dim)) <= 4 * 2.0**-53 * cfg.dim
+        assert max_abs_diff(mul(_Dft(cfg.k, cfg.dim), f), np.eye(cfg.dim)) <= 4 * 2.0**-53 * cfg.dim
 
 
 @pytest.mark.parametrize("s", [2, 4, 6, 10, 12, 16, 256])
